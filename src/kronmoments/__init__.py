@@ -12,7 +12,6 @@ from .estimator import (
     fit_direct,
     fit_grid,
     fit_leading,
-    fit_partial,
 )
 from .features import (
     FeatureCounts,
@@ -21,7 +20,6 @@ from .features import (
     count_triangles,
 )
 from .generator import (
-    GeneratorJob,
     cell_probability,
     generate,
     generate_edges,
@@ -47,7 +45,6 @@ __all__ = [
     "FeatureCounts",
     "FitFailure",
     "FitResult",
-    "GeneratorJob",
     "GraphParseError",
     "KroneckerParams",
     "LeadingTermInfeasible",
@@ -68,7 +65,6 @@ __all__ = [
     "fit_direct",
     "fit_grid",
     "fit_leading",
-    "fit_partial",
     "fold_identity_check",
     "generate",
     "generate_edges",

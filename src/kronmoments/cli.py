@@ -15,14 +15,10 @@ import traceback
 from pathlib import Path
 
 from .estimator import (
+    FIT_METHODS,
     FitFailure,
     LeadingTermInfeasible,
     ObjectiveSpec,
-    fit_best,
-    fit_direct,
-    fit_grid,
-    fit_leading,
-    fit_partial,
 )
 from .experiment import (
     ConfigError,
@@ -75,8 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", default="dsq-f2",
                    help="objective code: dsq-f2, dsq-f, dsq-e, dsq-e2, "
                         "dabs-f, dabs-e (default dsq-f2)")
-    p.add_argument("--method", default="best",
-                   choices=("best", "direct", "grid", "leading"))
+    p.add_argument("--method", default="best", choices=tuple(FIT_METHODS))
     p.add_argument("--features", default=",".join(FEATURE_NAMES),
                    help="comma-separated feature subset (3 features -> "
                         "cross-validated partial fit)")
@@ -164,18 +159,9 @@ def _cmd_fit(args) -> int:
     features = tuple(tok.strip() for tok in args.features.split(",") if tok.strip())
     spec = ObjectiveSpec.from_code(args.objective, features=features)
 
-    if args.method == "direct":
-        result = fit_direct(counts, r, spec, starts=args.starts, seed=args.seed)
-    elif args.method == "grid":
-        result = fit_grid(counts, r, spec, points_per_dim=args.grid_points)
-    elif args.method == "leading":
-        result = fit_leading(counts, r, spec)
-    elif len(features) == 3:
-        result = fit_partial(counts, r, spec, seed=args.seed,
-                             starts=args.starts, grid_points=args.grid_points)
-    else:
-        result = fit_best(counts, r, spec, seed=args.seed,
-                          starts=args.starts, grid_points=args.grid_points)
+    result = FIT_METHODS[args.method](counts, r, spec, seed=args.seed,
+                                      starts=args.starts,
+                                      grid_points=args.grid_points)
 
     payload = result.to_dict()
     payload["r"] = r

@@ -20,21 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import (
-    FitResult,
-    LeadingTermInfeasible,
-    ObjectiveSpec,
-    fit_best,
-    fit_direct,
-    fit_grid,
-    fit_leading,
-)
+from .estimator import FIT_METHODS, FitResult, ObjectiveSpec
 from .features import FeatureCounts, count_features
 from .generator import generate, worker_count
 from .graph_io import choose_r, load_edge_list
 from .moments import FEATURE_NAMES, KroneckerParams
-
-METHOD_NAMES = ("direct", "grid", "leading", "best")
 
 FIT_CSV_COLUMNS = (
     "graph", "fit_type", "replication", "a", "b", "c", "verts",
@@ -141,7 +131,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
         if "methods" in raw:
             methods = tuple(tok.strip() for tok in raw["methods"].split(","))
             for m in methods:
-                if m not in METHOD_NAMES:
+                if m not in FIT_METHODS:
                     raise ConfigError(f"[{name}] unknown method {m!r}")
             section.methods = methods
         section.seed = int(raw.get("seed", 0))
@@ -151,17 +141,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
     if not sections:
         raise ConfigError(f"{path} defines no experiment sections")
     return ExperimentConfig(sections=sections, output_dir=output_dir)
-
-
-def _run_method(method: str, obs: FeatureCounts, r: int, sec: ExperimentSection):
-    if method == "direct":
-        return fit_direct(obs, r, sec.objective, starts=sec.starts, seed=sec.seed)
-    if method == "grid":
-        return fit_grid(obs, r, sec.objective, points_per_dim=sec.grid_points)
-    if method == "leading":
-        return fit_leading(obs, r, sec.objective)
-    return fit_best(obs, r, sec.objective, seed=sec.seed,
-                    starts=sec.starts, grid_points=sec.grid_points)
 
 
 def fit_csv_row(graph: str, replication, result: FitResult, verts: int) -> dict:
@@ -202,17 +181,50 @@ def _load_counts(section: ExperimentSection) -> FeatureCounts:
     return count_features(graph)
 
 
+def _fit_methods(section: ExperimentSection, obs: FeatureCounts, r: int,
+                 replication):
+    """Fit ``obs`` with each of the section's methods, in order.
+
+    Returns the fits by method and one fits.csv row per method.  A method
+    that raises ValueError (an infeasible leading-term system, for one)
+    gets a ``skipped: ...`` row in place of a fit.
+    """
+    fits = {}
+    rows = []
+    for method in section.methods:
+        try:
+            res = FIT_METHODS[method](
+                obs, r, section.objective, seed=section.seed,
+                starts=section.starts, grid_points=section.grid_points)
+        except ValueError as exc:
+            row = {name: "" for name in FIT_CSV_COLUMNS}
+            row.update(graph=section.name, fit_type=method,
+                       replication=replication, verts=1 << r,
+                       objective=f"skipped: {exc}")
+            rows.append(row)
+            continue
+        fits[method] = res
+        rows.append(fit_csv_row(section.name, replication, res, 1 << r))
+    return fits, rows
+
+
 def _one_replication(section: ExperimentSection, k: int):
-    """Realize, fit, and re-realize one synthetic replication."""
+    """Realize, fit, and re-realize one synthetic replication.
+
+    The primary fit is the first listed method that produced one; without
+    it there is nothing to re-realize, and both it and the re-realized
+    counts are None.
+    """
     seed_k = section.seed + k
     graph = generate(section.params, seed_k)
     obs = count_features(graph)
-    r = section.params.r
-    fits = {m: _run_method(m, obs, r, section) for m in section.methods}
-    primary = fits[section.methods[0]]
-    regen = generate(primary.params, seed_k + _REREALIZE_SEED_GAP)
-    reobs = count_features(regen)
-    return k, obs, fits, primary, reobs
+    fits, rows = _fit_methods(section, obs, section.params.r, k)
+    primary = next((fits[m] for m in section.methods if m in fits), None)
+    reobs = None
+    if primary is not None:
+        regen = generate(primary.params, seed_k + _REREALIZE_SEED_GAP)
+        reobs = count_features(regen)
+    return k, obs, rows, primary, reobs
 
 
 def run_experiment(config: ExperimentConfig, output_dir=None,
@@ -239,19 +251,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None,
             obs = _load_counts(section)
             r = section.r if section.r is not None else choose_r(obs.vertices)
             fit_rows.append(source_csv_row(section.name, obs))
-            for method in section.methods:
-                try:
-                    res = _run_method(method, obs, r, section)
-                except (LeadingTermInfeasible, ValueError) as exc:
-                    fit_rows.append({
-                        "graph": section.name, "fit_type": method,
-                        "replication": "", "a": "", "b": "", "c": "",
-                        "verts": 1 << r, "edges": "", "hairpins": "",
-                        "tripins": "", "triangles": "",
-                        "objective": f"skipped: {exc}", "seconds": "",
-                    })
-                    continue
-                fit_rows.append(fit_csv_row(section.name, "", res, 1 << r))
+            fit_rows.extend(_fit_methods(section, obs, r, "")[1])
             continue
 
         reps = range(section.replications)
@@ -264,11 +264,10 @@ def run_experiment(config: ExperimentConfig, output_dir=None,
             results = [_one_replication(section, k) for k in reps]
 
         fitted = {"a": [], "b": [], "c": []}
-        for k, obs, fits, primary, reobs in results:
-            for method in section.methods:
-                fit_rows.append(
-                    fit_csv_row(section.name, k, fits[method], obs.vertices)
-                )
+        for k, obs, rows, primary, reobs in results:
+            fit_rows.extend(rows)
+            if primary is None:
+                continue
             p = primary.params
             fitted["a"].append(p.a)
             fitted["b"].append(p.b)
@@ -302,7 +301,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None,
             "true_a": truth.a, "true_b": truth.b, "true_c": truth.c,
         }
         for key in ("a", "b", "c"):
-            summary[f"median_{key}"] = f"{float(np.median(fitted[key])):.10g}"
+            summary[f"median_{key}"] = (
+                f"{float(np.median(fitted[key])):.10g}" if fitted[key] else "")
         summary_rows.append(summary)
 
     def _row_key(row):
@@ -322,7 +322,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None,
         written[name] = out
 
     _write("fits.csv", FIT_CSV_COLUMNS, fit_rows)
-    if diff_rows:
+    if summary_rows:
         _write("feature_diffs.csv",
                ("graph", "replication", "feature",
                 "rel_diff_fit", "rel_diff_regen"), diff_rows)

@@ -7,6 +7,7 @@ so there is no accumulator width to overflow.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,12 @@ class FeatureCounts:
         values = {}
         for key in ("vertices", "edges", "hairpins", "tripins", "triangles"):
             v = d[key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"count {key!r} must be a number >= 0, got {v!r}")
+            # False for NaN; the upper bound also rejects inf and integers
+            # too large for a float
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or not 0 <= v <= sys.float_info.max):
+                raise ValueError(
+                    f"count {key!r} must be a finite number >= 0, got {v!r}")
             values[key] = v
         return cls(**values)
 

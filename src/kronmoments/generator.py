@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 
@@ -236,24 +235,3 @@ def generate_to_file(
                 )
     return path
 
-
-@dataclass(frozen=True)
-class GeneratorJob:
-    """A sampling request: parameters, seed, and an optional file sink."""
-
-    params: KroneckerParams
-    seed: int
-    out_path: str | None = None
-
-    def __post_init__(self):
-        if self.out_path is None and self.params.r > MAX_IN_MEMORY_POWER:
-            raise ValueError(
-                f"in-memory jobs capped at r <= {MAX_IN_MEMORY_POWER}; "
-                "give an output path to stream instead"
-            )
-
-    def run(self, workers: int | None = None):
-        """Execute; returns a SimpleGraph or the written Path."""
-        if self.out_path is None:
-            return generate(self.params, self.seed, workers)
-        return generate_to_file(self.params, self.seed, self.out_path, workers)

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
+_INT64_MIN = -(2 ** 63)
+_INT64_MAX = 2 ** 63 - 1
+
 
 class GraphParseError(ValueError):
     """Raised for a malformed edge-list line; carries the 1-based line number."""
@@ -22,7 +25,7 @@ class SimpleGraph:
     Vertex ids are 0..num_vertices-1; ``labels`` maps them back to the
     labels seen in the source file (identity when built programmatically).
     ``edge_array`` holds each edge once as (u, v) with u < v, sorted
-    lexicographically.  Degree and sorted adjacency are precomputed.
+    lexicographically.  Degrees are precomputed.
     Instances are treated as immutable after construction.
     """
 
@@ -56,19 +59,6 @@ class SimpleGraph:
             self.degrees += np.bincount(edge_array[:, 0], minlength=self.num_vertices)
             self.degrees += np.bincount(edge_array[:, 1], minlength=self.num_vertices)
 
-        # CSR adjacency, neighbor lists sorted ascending
-        if edge_array.size:
-            both = np.concatenate([edge_array, edge_array[:, ::-1]])
-            order = np.lexsort((both[:, 1], both[:, 0]))
-            both = both[order]
-            self._indices = np.ascontiguousarray(both[:, 1])
-            counts = np.bincount(both[:, 0], minlength=self.num_vertices)
-        else:
-            self._indices = np.zeros(0, dtype=np.int64)
-            counts = np.zeros(self.num_vertices, dtype=np.int64)
-        self._indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
-
     @property
     def num_edges(self) -> int:
         return self.edge_array.shape[0]
@@ -76,13 +66,6 @@ class SimpleGraph:
     @property
     def num_isolated(self) -> int:
         return int((self.degrees == 0).sum())
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of vertex v (a read-only view)."""
-        return self._indices[self._indptr[v] : self._indptr[v + 1]]
-
-    def edge_set(self) -> set:
-        return {(int(u), int(v)) for u, v in self.edge_array}
 
     @classmethod
     def from_pairs(cls, pairs, num_vertices: int | None = None,
@@ -114,7 +97,7 @@ class SimpleGraph:
                 f"num_edges={self.num_edges})")
 
 
-def load_edge_list(path, directed_input: bool = False) -> SimpleGraph:
+def load_edge_list(path) -> SimpleGraph:
     """Parse a plain-text edge list into a SimpleGraph.
 
     Format: one "u v" pair of integer labels per line, any whitespace,
@@ -122,12 +105,9 @@ def load_edge_list(path, directed_input: bool = False) -> SimpleGraph:
     first appearance, so loading the same file twice gives identical
     graphs.  Self-loops are dropped (their vertices are kept, degree 0) and
     duplicate pairs - including reversed ones - are merged; both drop
-    counts are recorded on the result.
-
-    ``directed_input`` documents that the file lists arcs; the direction is
-    discarded either way, so it does not change the resulting graph.
+    counts are recorded on the result.  A label outside the int64 range is
+    a parse error.
     """
-    del directed_input  # direction is always dropped
     path = Path(path)
     ids: dict[int, int] = {}
     us: list[int] = []
@@ -149,6 +129,11 @@ def load_edge_list(path, directed_input: bool = False) -> SimpleGraph:
                 raise GraphParseError(
                     path, line_no, f"non-integer vertex label in {tokens!r}"
                 ) from None
+            if not (_INT64_MIN <= a <= _INT64_MAX
+                    and _INT64_MIN <= b <= _INT64_MAX):
+                raise GraphParseError(
+                    path, line_no, f"vertex label outside int64 in {tokens!r}"
+                )
             u = ids.setdefault(a, len(ids))
             v = ids.setdefault(b, len(ids))
             us.append(u)

@@ -8,7 +8,7 @@ hairpins (2-stars), tripins (3-stars) and triangles all have closed forms:
 every one is a short signed combination of r-th powers of polynomials in
 (a, b, c).
 
-This module evaluates those closed forms (scalar and vectorized), provides
+This module evaluates those closed forms (at a point or over arrays), provides
 a small-r brute-force oracle that sums over an explicitly built probability
 matrix instead, and carries the restricted-sum fold identities that the
 derivation rests on so they can be checked against direct enumeration.
@@ -102,11 +102,11 @@ class ExpectedFeatures:
 def _closed_form_terms(a, b, c):
     """Signed (coefficient, base) terms of the four closed forms.
 
-    Returns the term lists for 2E(edges), 2E(hairpins), 6E(triangles) and
-    6E(tripins), in that order.  Works for floats, Fractions and numpy
-    arrays alike.  Shared subexpressions are factored so that the degenerate
-    identities (b = 0, or a = c = 0) make the cancelling bases bitwise
-    identical, which lets the combination step return exact zeros.
+    Returns the term lists for 2E(edges), 2E(hairpins), 6E(tripins) and
+    6E(triangles), in FEATURE_NAMES order.  Works for floats, Fractions and
+    numpy arrays alike.  Shared subexpressions are factored so that the
+    degenerate identities (b = 0, or a = c = 0) make the cancelling bases
+    bitwise identical, which lets the combination step return exact zeros.
     """
     b2 = b * b
     b3 = b2 * b
@@ -128,11 +128,6 @@ def _closed_form_terms(a, b, c):
         (-1, q2 + 2 * b2),
         (2, q2),
     )
-    triangle_terms = (
-        (1, q3 + 3 * b2 * s),
-        (-3, a * (a * a + b2) + c * (b2 + c * c)),
-        (2, q3),
-    )
     # The pair-collapsed tripin coefficients are (2, 3, 6): the three
     # two-block partitions of four indices with the tail exchangeable
     # collapse as 2x(jjj) + 3x(iijj-type) + 6x(iiij-type).
@@ -145,85 +140,77 @@ def _closed_form_terms(a, b, c):
         (6, q3 + b * q2),
         (-6, q3),
     )
-    return edge_terms, hairpin_terms, triangle_terms, tripin_terms
+    triangle_terms = (
+        (1, q3 + 3 * b2 * s),
+        (-3, a * (a * a + b2) + c * (b2 + c * c)),
+        (2, q3),
+    )
+    return edge_terms, hairpin_terms, tripin_terms, triangle_terms
 
 
-def _combine_terms(terms, r):
-    """Sum coef * base**r over the terms.
+# Each closed form is this multiple of its feature's expected count.
+_MULTIPLES = (2.0, 2.0, 6.0, 6.0)
+
+
+def _combine(terms, r):
+    """Sum coef * base**r over the terms; returns (sum, [base**r, ...]).
 
     The coefficients of every closed form sum to zero, so the combination
     is rewritten as partial-sum multiples of differences of consecutive
     powers.  When all bases coincide (the degenerate initiators) every
     difference is an exact floating-point zero, and in the nearly-cancelled
-    regime the subtractions happen before any magnitude is lost.
+    regime the subtractions happen before any magnitude is lost.  Works for
+    floats, Fractions and numpy arrays alike.
     """
-    vals = [base ** r for _, base in terms]
-    total = vals[0] - vals[0]  # typed zero (float, Fraction or array)
+    powers = [base ** r for _, base in terms]
+    total = powers[0] - powers[0]  # typed zero (float, Fraction or array)
     running = 0
-    for k in range(len(vals) - 1):
+    for k in range(len(powers) - 1):
         running += terms[k][0]
-        total = total + running * (vals[k] - vals[k + 1])
-    return total
+        total = total + running * (powers[k] - powers[k + 1])
+    return total, powers
 
 
-def _combine_scalar(terms, r):
-    """Float combination plus the magnitude of the largest single term."""
-    vals = [base ** r for _, base in terms]
-    scale = max(abs(coef) * v for (coef, _), v in zip(terms, vals))
-    total = 0.0
-    running = 0
-    for k in range(len(vals) - 1):
-        running += terms[k][0]
-        total += running * (vals[k] - vals[k + 1])
-    return total, scale
+def closed_form_values(a, b, c, r: int) -> list:
+    """The four closed-form expectations, in FEATURE_NAMES order.
+
+    Clamped at zero but without the exact fallback.  (a, b, c) may be
+    floats or numpy arrays; a grid sweep passes the whole lattice at once.
+    """
+    return [np.maximum(_combine(terms, r)[0] / multiple, 0.0)
+            for terms, multiple in zip(_closed_form_terms(a, b, c), _MULTIPLES)]
 
 
-def expected_features(params: KroneckerParams) -> ExpectedFeatures:
-    """Closed-form expectations of (edges, hairpins, tripins, triangles).
+def expected_counts(a: float, b: float, c: float, r: int) -> list:
+    """Expected (edges, hairpins, tripins, triangles) at one point.
 
     Evaluated in double precision; any feature whose signed terms cancel
     below the precision guard is transparently recomputed in exact rational
     arithmetic, so results are accurate to full double precision even deep
-    in the small-b regime where the leading terms nearly cancel.
+    in the small-b regime where the leading terms nearly cancel.  The
+    arguments are not validated; ``expected_features`` is the checked entry
+    point.
     """
-    term_lists = _closed_form_terms(params.a, params.b, params.c)
+    term_lists = _closed_form_terms(a, b, c)
     exact_lists = None
-    raw = []
+    out = []
     for idx, terms in enumerate(term_lists):
-        val, scale = _combine_scalar(terms, params.r)
+        val, powers = _combine(terms, r)
+        scale = max(abs(coef) * p for (coef, _), p in zip(terms, powers))
         if scale > 0.0 and abs(val) < _CANCELLATION_GUARD * scale:
             if exact_lists is None:
                 exact_lists = _closed_form_terms(
-                    Fraction(params.a), Fraction(params.b), Fraction(params.c)
+                    Fraction(a), Fraction(b), Fraction(c)
                 )
-            val = float(_combine_terms(exact_lists[idx], params.r))
-        raw.append(max(val, 0.0))
-    edges2, hairpins2, triangles6, tripins6 = raw
-    return ExpectedFeatures(
-        e_edges=edges2 / 2.0,
-        e_hairpins=hairpins2 / 2.0,
-        e_tripins=tripins6 / 6.0,
-        e_triangles=triangles6 / 6.0,
-    )
+            val = float(_combine(exact_lists[idx], r)[0])
+        out.append(max(val, 0.0) / _MULTIPLES[idx])
+    return out
 
 
-def expected_feature_arrays(a, b, c, r: int):
-    """Vectorized closed forms over parameter arrays (no exact fallback).
-
-    Returns (edges, hairpins, tripins, triangles) arrays, clamped at zero.
-    Intended for grid sweeps where relative accuracy at the cancellation
-    floor does not matter.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    e_t, h_t, d_t, t_t = _closed_form_terms(a, b, c)
-    zero = 0.0
-    edges = np.maximum(_combine_terms(e_t, r), zero) / 2.0
-    hairpins = np.maximum(_combine_terms(h_t, r), zero) / 2.0
-    triangles = np.maximum(_combine_terms(d_t, r), zero) / 6.0
-    tripins = np.maximum(_combine_terms(t_t, r), zero) / 6.0
-    return edges, hairpins, tripins, triangles
+def expected_features(params: KroneckerParams) -> ExpectedFeatures:
+    """Closed-form expectations of (edges, hairpins, tripins, triangles)."""
+    return ExpectedFeatures(*expected_counts(params.a, params.b, params.c,
+                                             params.r))
 
 
 def probability_matrix(params: KroneckerParams) -> np.ndarray:

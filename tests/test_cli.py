@@ -210,6 +210,33 @@ def test_experiment_counts_source(tmp_path, capsys):
     assert float(leading.split(",")[4]) == pytest.approx(0.488, abs=0.005)
 
 
+@pytest.mark.parametrize("value", ["NaN", "1e400"])
+def test_non_finite_counts_rejected(tmp_path, capsys, value):
+    counts = tmp_path / "counts.json"
+    counts.write_text('{"vertices": 5242, "edges": %s, "hairpins": 10, '
+                      '"tripins": 10, "triangles": 10}' % value)
+    code, out, err = run(capsys, "fit", str(counts), "--method", "grid",
+                         "--grid-points", "3")
+    assert (code, out) == (1, "")
+    assert "'edges'" in err and "finite" in err
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"[x]\ncounts = {counts}\nmethods = grid\n")
+    code, _, err = run(capsys, "experiment", str(config),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "'edges'" in err
+    assert not (tmp_path / "out" / "fits.csv").exists()
+
+
+def test_features_label_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("1 2\n1 99999999999999999999999\n")
+    code, out, err = run(capsys, "features", str(path))
+    assert (code, out) == (1, "")
+    assert f"{path}:2:" in err and "int64" in err
+    assert "Traceback" not in err
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     # user errors -> 1
     assert run(capsys, "features", str(tmp_path / "nope.txt"))[0] == 1

@@ -15,7 +15,6 @@ from kronmoments.estimator import (
     fit_direct,
     fit_grid,
     fit_leading,
-    fit_partial,
 )
 from kronmoments.features import FeatureCounts
 from kronmoments.moments import FEATURE_NAMES, KroneckerParams, expected_features
@@ -354,9 +353,11 @@ class TestFitBest:
 
 
 class TestFitPartial:
+    """Three-feature fits: fit_best names the held-out feature."""
+
     def test_drop_tripins(self):
         spec = ObjectiveSpec(features=("edges", "hairpins", "triangles"))
-        res = fit_partial(GRQC, 13, spec, seed=0)
+        res = fit_best(GRQC, 13, spec, seed=0)
         assert res.held_out == "tripins"
         assert res.params.a == pytest.approx(1.000, abs=0.005)
         assert res.params.b == pytest.approx(0.493, abs=0.01)
@@ -365,7 +366,7 @@ class TestFitPartial:
 
     def test_drop_triangles(self):
         spec = ObjectiveSpec(features=("edges", "hairpins", "tripins"))
-        res = fit_partial(GRQC, 13, spec, seed=0)
+        res = fit_best(GRQC, 13, spec, seed=0)
         assert res.held_out == "triangles"
         assert res.objective_value == pytest.approx(0.011, abs=0.002)
         assert (res.params.b, res.params.c) == pytest.approx(
@@ -377,11 +378,13 @@ class TestFitPartial:
         obs = expectations_as_counts(params)
         for dropped in FEATURE_NAMES:
             feats = tuple(f for f in FEATURE_NAMES if f != dropped)
-            res = fit_partial(obs, 10, ObjectiveSpec(features=feats), seed=0,
+            res = fit_best(obs, 10, ObjectiveSpec(features=feats), seed=0,
                               starts=12, grid_points=11)
             assert res.held_out == dropped
             assert res.feature_ratios[dropped] == pytest.approx(1.0, abs=5e-3)
 
-    def test_requires_exactly_three(self):
-        with pytest.raises(ValueError):
-            fit_partial(GRQC, 13, ObjectiveSpec(), seed=0)
+    def test_held_out_only_with_three_features(self):
+        res = fit_best(GRQC, 13, ObjectiveSpec(), seed=0, starts=5,
+                       grid_points=11)
+        assert res.held_out is None
+        assert "held_out" not in res.to_dict()

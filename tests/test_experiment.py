@@ -173,3 +173,48 @@ def test_worker_count_does_not_change_results(tmp_path):
 
     assert stripped(out1["fits.csv"]) == stripped(out4["fits.csv"])
     assert read_rows(out1["summary.csv"]) == read_rows(out4["summary.csv"])
+
+
+def test_synthetic_sections_skip_like_counts_sections(tmp_path):
+    # at a = b = c = 0.5, r = 4 the realized degree variance stays below
+    # the degree mean, so the leading-term system is infeasible every time
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "[mixed]\n"
+        "params = 0.5,0.5,0.5\n"
+        "r = 4\n"
+        "replications = 2\n"
+        "methods = leading,grid\n"
+        "grid_points = 11\n"
+        "\n"
+        "[none]\n"
+        "params = 0.5,0.5,0.5\n"
+        "r = 4\n"
+        "replications = 2\n"
+        "methods = leading\n"
+    )
+    written = run_experiment(parse_experiment_config(cfg), tmp_path / "out")
+    rows = read_rows(written["fits.csv"])
+    by_key = {(r["graph"], r["fit_type"], r["replication"]): r for r in rows}
+    assert sorted(by_key) == [
+        ("mixed", "grid", "0"), ("mixed", "grid", "1"),
+        ("mixed", "leading", "0"), ("mixed", "leading", "1"),
+        ("none", "leading", "0"), ("none", "leading", "1"),
+    ]
+    for (graph, method, _), row in by_key.items():
+        if method == "leading":
+            assert row["objective"].startswith("skipped: ")
+            assert row["a"] == "" and row["verts"] == "16"
+        else:
+            assert row["a"] != "" and float(row["objective"]) >= 0.0
+
+    # the grid fit is the primary: re-realized and summarized; the section
+    # without any fit contributes no diff rows and empty medians
+    diffs = read_rows(written["feature_diffs.csv"])
+    assert {(d["graph"], d["replication"]) for d in diffs} == {
+        ("mixed", "0"), ("mixed", "1")}
+    summary = {row["graph"]: row for row in read_rows(written["summary.csv"])}
+    grid_a = sorted(float(by_key[("mixed", "grid", k)]["a"]) for k in "01")
+    assert float(summary["mixed"]["median_a"]) == pytest.approx(
+        sum(grid_a) / 2)
+    assert summary["none"]["median_a"] == ""

@@ -5,7 +5,6 @@ import pytest
 
 from kronmoments.features import count_features
 from kronmoments.generator import (
-    GeneratorJob,
     MAX_IN_MEMORY_POWER,
     cell_probability,
     cell_uniforms,
@@ -101,16 +100,6 @@ class TestGenerate:
             generate(KroneckerParams(0.5, 0.5, 0.5, MAX_IN_MEMORY_POWER + 1),
                      seed=0)
 
-    def test_job_wrapper(self, tmp_path):
-        job = GeneratorJob(KroneckerParams(1, 1, 1, 2), seed=0)
-        assert job.run().num_edges == 6
-        with pytest.raises(ValueError):
-            GeneratorJob(KroneckerParams(0.5, 0.5, 0.5, 18), seed=0)
-        out = tmp_path / "g.txt"
-        job = GeneratorJob(PARAMS, seed=1, out_path=str(out))
-        assert job.run() == out
-
-
 class TestFileOutput:
     def test_header_and_round_trip(self, tmp_path):
         out = tmp_path / "kron.txt"
@@ -134,7 +123,7 @@ class TestFileOutput:
                 for u, v in g_file.edge_array
             )
         }
-        assert relabeled == g_mem.edge_set()
+        assert relabeled == {(int(u), int(v)) for u, v in g_mem.edge_array}
 
     def test_bytes_identical_across_workers(self, tmp_path):
         blobs = []

@@ -10,11 +10,12 @@ from kronmoments.moments import (
     KroneckerParams,
     MAX_POWER,
     _closed_form_terms,
-    _combine_terms,
+    _combine,
     brute_force_expected,
+    closed_form_values,
     dominance_exponent,
+    expected_counts,
     expected_features,
-    expected_feature_arrays,
     fold_identity_check,
     folded_pair_sum,
     folded_quad_sum,
@@ -37,7 +38,7 @@ def rel_diff(x, y):
 def exact_expected(a, b, c, r):
     """Closed forms in exact rational arithmetic (independent precision ref)."""
     terms = _closed_form_terms(Fraction(a), Fraction(b), Fraction(c))
-    e2, h2, d6, t6 = (_combine_terms(t, r) for t in terms)
+    e2, h2, t6, d6 = (_combine(t, r)[0] for t in terms)
     return (float(e2) / 2, float(h2) / 2, float(t6) / 6, float(d6) / 6)
 
 
@@ -135,20 +136,21 @@ class TestExpectedFeatures:
             assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
 
     def test_vectorized_matches_scalar(self):
+        # the grid's array evaluation against the per-point path, which is
+        # the same combination plus the exact fallback
         rng = np.random.default_rng(9)
         a, b, c = rng.random((3, 50))
-        # keep b off the cancellation floor: the vectorized path has no
-        # exact fallback (covered by its own test above)
+        # keep b off the cancellation floor, where only the per-point path
+        # falls back to exact arithmetic (covered by its own test above)
         b = 0.05 + 0.95 * b
         a, c = np.maximum(a, c), np.minimum(a, c)
-        arrays = expected_feature_arrays(a, b, c, 9)
+        arrays = closed_form_values(a, b, c, 9)
         for k in range(50):
-            ef = expected_features(
-                KroneckerParams(float(a[k]), float(b[k]), float(c[k]), 9)
-            )
-            for arr, f in zip(arrays, FEATURES):
-                # vectorized path skips the exact-cancellation fallback
-                assert rel_diff(float(arr[k]), ef.get(f)) < 1e-9
+            point = (float(a[k]), float(b[k]), float(c[k]), 9)
+            for arr, value, want in zip(arrays, closed_form_values(*point),
+                                        expected_counts(*point)):
+                assert rel_diff(float(arr[k]), want) < 1e-9
+                assert rel_diff(float(value), want) < 1e-9
 
 
 class TestBruteForce:

@@ -1,0 +1,49 @@
+"""The reference-fit contract: grid and direct fits against the recorded table.
+
+``bench/reference_fits.json`` holds the fits of ``configs/reference-fits.cfg``
+at seed 0, recorded before the fit layer shared one objective and one
+closed-form evaluator.  This test only reads it.  The grid must land on the
+same lattice point with the same objective; the direct fit must agree to
+the benchmark's own tolerances.
+"""
+
+import configparser
+import json
+from pathlib import Path
+
+import pytest
+
+from kronmoments.estimator import ObjectiveSpec, fit_direct, fit_grid
+from kronmoments.features import FeatureCounts
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = json.loads((ROOT / "bench" / "reference_fits.json").read_text())
+CONFIG = configparser.ConfigParser(interpolation=None)
+CONFIG.read(ROOT / "configs" / "reference-fits.cfg", encoding="utf-8")
+
+
+def fit_inputs(name):
+    section = CONFIG[name]
+    counts = json.loads((ROOT / section["counts"]).read_text())
+    return (FeatureCounts.from_dict(counts), int(section["r"]),
+            ObjectiveSpec.from_code(section["objective"]))
+
+
+@pytest.mark.parametrize("name", CONFIG.sections())
+def test_grid_fit_matches_reference(name):
+    res = fit_grid(*fit_inputs(name), points_per_dim=101)
+    ref = REFERENCE[name]["grid"]
+    p = res.params
+    assert (p.a, p.b, p.c) == (ref["a"], ref["b"], ref["c"])
+    assert res.objective_value == pytest.approx(ref["objective"], rel=1e-12,
+                                                abs=0.0)
+
+
+def test_direct_fit_matches_reference_grqc():
+    res = fit_direct(*fit_inputs("ca-GrQc"), starts=50, seed=0)
+    ref = REFERENCE["ca-GrQc"]["direct"]
+    p = res.params
+    assert (p.a, p.b, p.c) == pytest.approx((ref["a"], ref["b"], ref["c"]),
+                                            rel=0.0, abs=1e-6)
+    assert res.objective_value == pytest.approx(ref["objective"], rel=1e-9,
+                                                abs=0.0)
