@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 user error (bad flags, unreadable or malformed
 input), 2 internal error.  Every command is deterministic given its flags
-and --seed; the KRONMOMENTS_WORKERS environment variable sets the worker
-count (default 1) without affecting any output bytes.
+and --seed; the KRONMOMENTS_WORKERS environment variable sets how many
+experiment replications run at once (default 1) without affecting any
+output bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .experiment import (
     FIT_CSV_COLUMNS,
 )
 from .features import FeatureCounts, count_features
-from .generator import generate_to_file
+from .generator import MAX_GENERATE_POWER, generate_to_file
 from .graph_io import GraphParseError, choose_r, load_edge_list
 from .moments import (
     FEATURE_NAMES,
@@ -83,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="json", choices=("json", "csv", "both"))
 
-    p = sub.add_parser("generate", help="sample a graph by exact coin flipping")
+    p = sub.add_parser("generate", help="sample a graph exactly by "
+                       f"grass-hopping (r <= {MAX_GENERATE_POWER})")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
@@ -177,12 +179,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_generate(args) -> int:
     params = KroneckerParams(args.a, args.b, args.c, args.r)
-    if args.r > 15:
-        print(
-            f"note: r={args.r} sweeps {4 ** args.r:.2e} cells; expect a "
-            "long run",
-            file=sys.stderr,
-        )
     out = generate_to_file(params, args.seed, args.out)
     print(str(out))
     return 0

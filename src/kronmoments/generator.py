@@ -1,25 +1,25 @@
-"""Exact sampling of stochastic Kronecker graphs by coin flipping.
+"""Exact sampling of stochastic Kronecker graphs by grass-hopping.
 
-Every upper-triangular cell (i, j), i < j, of the 2^r x 2^r probability
-matrix gets an independent Bernoulli draw, so the sampled graph follows the
-model distribution exactly (no ball-dropping approximation).  The draw for
-a cell is a pure function of (seed, i, j): the uniform deviate is the
-output of a splitmix64-style counter generator evaluated at the cell's
-linear index.  That makes the edge set independent of sweep order and
-worker count - runs with any parallelism produce bit-identical output.
+Cell (u, v) of the 2^r x 2^r probability matrix has probability
+a^i b^j c^k, where i, j and k count the bit positions at which (u, v)
+read (0, 0), differ, and read (1, 1).  So the matrix holds only
+(r+1)(r+2)/2 distinct probabilities.  The upper-triangle cells u < v are
+those with j >= 1 whose highest differing bit is (0, 1); region (i, j, k)
+holds r!/(i! j! k!) * 2^(j-1) of them.  Each region is sampled exactly
+by geometric skips between hits (Ramani, Eikmeier & Gleich, "Coin-flipping,
+ball-dropping, and grass-hopping for generating random graphs from matrices
+of edge probabilities", SIAM Review 61(3), 2019), so the expected work is
+O(edges + r^2) rather than 4^r.
 
-The full sweep touches all 4^r cells.  Rows are processed in blocks; the
-probability row P[i, :] is expanded on the fly as a Kronecker product of
-two precomputed initiator-power factors, so the full matrix is never
-materialized.
+The t-th deviate of region g is a pure function of (seed, g, t): the
+output of a splitmix64-style counter generator.  The edge set therefore
+does not depend on how many deviates are drawn at a time.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +29,14 @@ from .moments import KroneckerParams
 
 WORKERS_ENV_VAR = "KRONMOMENTS_WORKERS"
 
-# full-sweep time, not memory, is the binding constraint in memory
-MAX_IN_MEMORY_POWER = 17
-# streaming bound: 4^22 cells is already a multi-day sweep, and the row
-# expander keeps both Kronecker factors at <= 2^11 per side
-MAX_SWEEP_POWER = 22
+# the largest r whose region sizes fit int64: the biggest region at r = 34
+# is 0.40 * 2^63 cells, at r = 35 it is 1.57 * 2^63
+MAX_GENERATE_POWER = 34
+
+# deviate t of region g is stream entry (g << _REGION_SHIFT) | t; the
+# (r+1)r/2 <= 595 regions and the hits of any region that fits in memory
+# stay far inside their fields
+_REGION_SHIFT = 48
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -96,142 +99,133 @@ def cell_probability(params: KroneckerParams, i: int, j: int) -> float:
     return math.exp(log_total)
 
 
-def _initiator_power(params: KroneckerParams, k: int) -> np.ndarray:
-    if k == 0:
-        return np.array([[1.0]])
-    return reduce(np.kron, [params.theta()] * k)
+def _regions(params: KroneckerParams):
+    """Upper-triangle regions (i, j, k = r - i - j), j >= 1: i and j as
+    int64 arrays, with the multinomial r!/(i! j! k!), the cell count and
+    the cell probability."""
+    r = params.r
+    f = math.factorial
+    ijk = [(i, j, r - i - j)
+           for j in range(1, r + 1) for i in range(r - j + 1)]
+    i, j, k = np.array(ijk, dtype=np.int64).reshape(-1, 3).T
+    multinomial = np.array([f(r) // (f(x) * f(y) * f(z)) for x, y, z in ijk],
+                           dtype=np.int64)
+    sizes = multinomial << (j - 1)
+    probs = params.a ** i * params.b ** j * params.c ** k
+    return i, j, multinomial, sizes, probs
 
 
-class _RowExpander:
-    """Expands rows of the probability matrix without materializing it.
+def _hit_ranks(seed: int, sizes: np.ndarray, probs: np.ndarray,
+               batch: np.ndarray):
+    """Region and in-region rank of every hit, by geometric skips.
 
-    The matrix is the Kronecker product of a high-bit factor and a low-bit
-    factor, both small enough to precompute; a block of rows is then one
-    broadcast multiply.  Factors are capped at 2^11 per side, which covers
-    every sweep that can finish in reasonable time.
+    Each region first draws ``batch`` deviates; a region they do not carry
+    past its end is topped up from the same stream, so the hits do not
+    depend on ``batch``.  Positions are int64 cumulative sums taken across
+    all drawn regions at once; they may wrap past 2^63, but the difference
+    from a region's start is exact up to its first position past the end
+    (at most twice its size), which is as far as it is read.
     """
-
-    _MAX_FACTOR_POWER = 11
-
-    def __init__(self, params: KroneckerParams):
-        self.n = params.num_vertices
-        r = params.r
-        r_lo = min(r // 2, self._MAX_FACTOR_POWER)
-        r_hi = r - r_lo
-        if r_hi > self._MAX_FACTOR_POWER:
-            raise ValueError(
-                f"row expansion supports r <= {2 * self._MAX_FACTOR_POWER}, "
-                f"got r={r}"
-            )
-        self._lo_bits = r_lo
-        self._lo_mask = (1 << r_lo) - 1
-        self._hi = _initiator_power(params, r_hi)
-        self._lo = _initiator_power(params, r_lo)
-
-    def rows(self, i0: int, i1: int) -> np.ndarray:
-        """Probability rows i0..i1-1 as an (i1-i0, n) array."""
-        idx = np.arange(i0, i1)
-        hi_rows = self._hi[idx >> self._lo_bits]
-        lo_rows = self._lo[idx & self._lo_mask]
-        block = hi_rows[:, :, None] * lo_rows[:, None, :]
-        return block.reshape(i1 - i0, self.n)
-
-
-def _sweep_block(
-    expander: _RowExpander, seed: int, i0: int, i1: int
-) -> np.ndarray:
-    """Coin-flip every upper-triangle cell with row index in [i0, i1)."""
-    n = expander.n
-    probs = expander.rows(i0, i1)
-    rows = np.arange(i0, i1, dtype=np.uint64)
-    cols = np.arange(n, dtype=np.uint64)
-    cells = rows[:, None] * np.uint64(n) + cols[None, :]
-    draws = cell_uniforms(seed, cells)
-    upper = cols[None, :] > rows[:, None]
-    hit_i, hit_j = np.nonzero((draws < probs) & upper)
-    edges = np.empty((hit_i.size, 2), dtype=np.int64)
-    edges[:, 0] = hit_i + i0
-    edges[:, 1] = hit_j
-    return edges
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-probs)  # -inf at p = 1: every gap is 0
+    drawn = np.zeros_like(sizes)  # deviates drawn so far, per region
+    end = np.zeros_like(sizes)  # one past the last hit so far, per region
+    active = np.flatnonzero(probs > 0)
+    hit_g, hit_rank = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    while active.size:
+        want = np.minimum(batch[active], sizes[active] - drawn[active])
+        first = np.cumsum(want) - want
+        last = first + want - 1
+        g = np.repeat(active, want)
+        t = drawn[g] + np.arange(g.size) - np.repeat(first, want)
+        u = cell_uniforms(seed, (g << _REGION_SHIFT) | t)
+        gap = np.minimum(np.floor(np.log1p(-u) / log_q[g]), sizes[g])
+        step = gap.astype(np.int64) + 1
+        total = np.cumsum(step)
+        stop = end[g] + total - np.repeat(total[first] - step[first], want)
+        beyond = stop > sizes[g]
+        past = np.cumsum(beyond)
+        ended = np.repeat(past[first] - beyond[first], want)
+        keep = past == ended
+        hit_g.append(g[keep])
+        hit_rank.append(stop[keep] - 1)
+        drawn[active] += want
+        end[active] = stop[last]
+        unfinished = past[last] == ended[last]
+        active = active[unfinished & (drawn[active] < sizes[active])]
+    return np.concatenate(hit_g), np.concatenate(hit_rank)
 
 
-def _block_bounds(n: int):
-    rows_per_block = max(1, (1 << 20) // n)
-    for start in range(0, n, rows_per_block):
-        yield start, min(start + rows_per_block, n)
+def _unrank(r: int, i, j, multinomial, rank):
+    """Cells (u, v) for ranks within regions, as int64 arrays.
+
+    rank = pattern * 2^(j-1) + flips.  ``pattern`` ranks the arrangement of
+    bit-pair types over the r positions, top bit first, in the order
+    (0, 0) < differing < (1, 1).  The highest differing bit is (0, 1); bit
+    by bit, ``flips`` says which of the lower differing bits are (1, 0).
+    """
+    i, j, count = i.copy(), j.copy(), multinomial
+    flips = rank & ((np.int64(1) << (j - 1)) - 1)
+    pattern = rank >> (j - 1)
+    u = np.zeros_like(rank)
+    v = np.zeros_like(rank)
+    seen = np.zeros(rank.shape, dtype=bool)
+    for length in range(r, 0, -1):
+        # arrangements whose next pair is (0, 0), and differing
+        with_a = count * i // length
+        with_b = count * j // length
+        is_a = pattern < with_a
+        pattern -= np.where(is_a, 0, with_a)
+        is_c = ~is_a & (pattern >= with_b)
+        pattern -= np.where(is_c, with_b, 0)
+        is_b = ~(is_a | is_c)
+        count = np.where(is_a, with_a,
+                         np.where(is_c, count - with_a - with_b, with_b))
+        i -= is_a
+        j -= is_b
+        lower = is_b & seen
+        flipped = lower & (flips & 1).astype(bool)
+        flips >>= lower
+        seen |= is_b
+        u = 2 * u + (is_c | flipped)
+        v = 2 * v + ~(is_a | flipped)
+    return u, v
 
 
-def _sweep_blocks(params: KroneckerParams, seed: int, workers: int):
-    """Yield per-block edge arrays in ascending row order."""
-    expander = _RowExpander(params)
-    blocks = list(_block_bounds(params.num_vertices))
-    if workers <= 1:
-        for i0, i1 in blocks:
-            yield _sweep_block(expander, seed, i0, i1)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # executor.map preserves submission order, so the merged
-            # output is identical for any worker count
-            yield from pool.map(
-                lambda span: _sweep_block(expander, seed, *span), blocks
-            )
-
-
-def generate_edges(
-    params: KroneckerParams, seed: int, workers: int | None = None
-) -> np.ndarray:
+def generate_edges(params: KroneckerParams, seed: int) -> np.ndarray:
     """All sampled edges as an (m, 2) array, ascending (u, v)."""
-    if params.r > MAX_SWEEP_POWER:
-        raise ValueError(
-            f"cell indexing supports r <= {MAX_SWEEP_POWER}, got r={params.r}"
-        )
-    workers = worker_count() if workers is None else workers
-    chunks = [block for block in _sweep_blocks(params, seed, workers)
-              if block.size]
-    if not chunks:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.concatenate(chunks)
+    if params.r > MAX_GENERATE_POWER:
+        raise ValueError(f"generation supports r <= {MAX_GENERATE_POWER} "
+                         f"(region sizes must fit int64), got r={params.r}")
+    i, j, multinomial, sizes, probs = _regions(params)
+    # hits + 1 deviates end a region; this batch rarely needs a top-up
+    mean = sizes * probs
+    batch = np.minimum(np.ceil(mean + 4 * np.sqrt(mean) + 8), sizes)
+    g, rank = _hit_ranks(seed, sizes, probs, batch.astype(np.int64))
+    u, v = _unrank(params.r, i[g], j[g], multinomial[g], rank)
+    order = np.lexsort((v, u))
+    return np.stack([u[order], v[order]], axis=1)
 
 
-def generate(
-    params: KroneckerParams, seed: int, workers: int | None = None
-) -> SimpleGraph:
-    """Sample a graph in memory (capped at r <= 17; stream larger runs)."""
-    if params.r > MAX_IN_MEMORY_POWER:
-        raise ValueError(
-            f"in-memory generation capped at r <= {MAX_IN_MEMORY_POWER}; "
-            f"use generate_to_file for r={params.r}"
-        )
-    edges = generate_edges(params, seed, workers)
-    return SimpleGraph(params.num_vertices, edges)
+def generate(params: KroneckerParams, seed: int) -> SimpleGraph:
+    """Sample a graph in memory."""
+    return SimpleGraph(params.num_vertices, generate_edges(params, seed))
 
 
-def generate_to_file(
-    params: KroneckerParams, seed: int, path, workers: int | None = None
-) -> Path:
-    """Stream a sampled graph to a plain-text edge list.
+def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:
+    """Write a sampled graph to a plain-text edge list.
 
     Header comments record the parameters and seed; edge lines are
-    "u<TAB>v" with u < v in ascending (u, v) order.  Bytes are identical
-    for any worker count.
+    "u<TAB>v" with u < v in ascending (u, v) order.
     """
-    if params.r > MAX_SWEEP_POWER:
-        raise ValueError(
-            f"cell indexing supports r <= {MAX_SWEEP_POWER}, got r={params.r}"
-        )
-    workers = worker_count() if workers is None else workers
+    edges = generate_edges(params, seed)
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# stochastic Kronecker graph by exact coin flipping\n")
+        fh.write("# stochastic Kronecker graph by exact grass-hopping\n")
         fh.write(
             f"# a={params.a!r} b={params.b!r} c={params.c!r} "
             f"r={params.r} seed={seed}\n"
         )
         fh.write(f"# vertices={params.num_vertices}\n")
-        for edges in _sweep_blocks(params, seed, workers):
-            if edges.size:
-                fh.write(
-                    "".join(f"{u}\t{v}\n" for u, v in edges.tolist())
-                )
+        fh.write("".join(f"{u}\t{v}\n" for u, v in edges.tolist()))
     return path
-

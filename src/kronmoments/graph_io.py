@@ -54,10 +54,9 @@ class SimpleGraph:
         self.loops_dropped = int(loops_dropped)
         self.duplicates_dropped = int(duplicates_dropped)
 
-        self.degrees = np.zeros(self.num_vertices, dtype=np.int64)
-        if edge_array.size:
-            self.degrees += np.bincount(edge_array[:, 0], minlength=self.num_vertices)
-            self.degrees += np.bincount(edge_array[:, 1], minlength=self.num_vertices)
+        self.degrees = np.bincount(
+            edge_array.ravel(), minlength=self.num_vertices
+        ).astype(np.int64, copy=False)
 
     @property
     def num_edges(self) -> int:

@@ -160,6 +160,31 @@ def test_generate_deterministic_across_env_workers(tmp_path, capsys,
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_generate_beyond_power_bound(tmp_path, capsys):
+    out = tmp_path / "g35.txt"
+    code, stdout, err = run(capsys, "generate", "--a", "0.5", "--b", "0.3",
+                            "--c", "0.2", "--r", "35", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "r <= 34" in err
+    assert "Traceback" not in err and "note" not in err
+    assert not out.exists()
+
+
+def test_generate_large_power(tmp_path, capsys):
+    out = tmp_path / "g24.txt"
+    code, stdout, err = run(capsys, "generate", "--a", "0.5", "--b", "0.3",
+                            "--c", "0.2", "--r", "24", "--out", str(out))
+    assert code == 0
+    assert stdout.strip() == str(out)
+    assert err == ""
+    pairs = [tuple(map(int, ln.split("\t")))
+             for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert pairs == sorted(set(pairs))
+    assert all(0 <= u < v < 1 << 24 for u, v in pairs)
+
+
 def test_experiment_round_trip(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     outdir = tmp_path / "out"

@@ -5,7 +5,10 @@ import pytest
 
 from kronmoments.features import count_features
 from kronmoments.generator import (
-    MAX_IN_MEMORY_POWER,
+    MAX_GENERATE_POWER,
+    _hit_ranks,
+    _regions,
+    _unrank,
     cell_probability,
     cell_uniforms,
     generate,
@@ -84,21 +87,80 @@ class TestGenerate:
         g = generate(PARAMS, seed=2)
         assert np.all(g.edge_array[:, 0] < g.edge_array[:, 1])
 
-    def test_worker_independence(self):
-        ref = generate_edges(PARAMS, seed=11, workers=1)
-        for workers in (2, 3, 8):
-            assert np.array_equal(ref, generate_edges(PARAMS, seed=11,
-                                                      workers=workers))
+    def test_same_seed_repeats(self):
+        ref = generate_edges(PARAMS, seed=11)
+        for _ in range(3):
+            assert np.array_equal(ref, generate_edges(PARAMS, seed=11))
 
     def test_seed_changes_output(self):
         e1 = generate_edges(PARAMS, seed=1)
         e2 = generate_edges(PARAMS, seed=2)
         assert e1.shape != e2.shape or not np.array_equal(e1, e2)
 
-    def test_in_memory_cap(self):
-        with pytest.raises(ValueError):
-            generate(KroneckerParams(0.5, 0.5, 0.5, MAX_IN_MEMORY_POWER + 1),
-                     seed=0)
+    def test_power_bound(self):
+        assert MAX_GENERATE_POWER == 34
+        with pytest.raises(ValueError, match="r <= 34"):
+            generate_edges(
+                KroneckerParams(0.5, 0.3, 0.2, MAX_GENERATE_POWER + 1), seed=0)
+        # about (1.3^24 - 0.7^24) / 2 = 271 expected edges
+        g = generate(KroneckerParams(0.5, 0.3, 0.2, 24), seed=0)
+        assert g.num_vertices == 1 << 24
+        assert 271 - 6 * 271 ** 0.5 <= g.num_edges <= 271 + 6 * 271 ** 0.5
+        assert np.all(g.edge_array[:, 0] < g.edge_array[:, 1])
+        assert g.edge_array.max() < 1 << 24
+
+
+class TestGrassHopping:
+    @pytest.mark.parametrize("r", range(7))
+    def test_regions_cover_upper_triangle_once(self, r):
+        # unrank every index of every region: each cell u < v appears
+        # exactly once, with the probability its region carries
+        params = KroneckerParams(0.9, 0.5, 0.3, r)
+        i, j, multinomial, sizes, probs = _regions(params)
+        g = np.repeat(np.arange(sizes.size), sizes)
+        rank = np.arange(g.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        u, v = _unrank(r, i[g], j[g], multinomial[g], rank)
+        n = 1 << r
+        assert np.all((0 <= u) & (u < v) & (v < n))
+        cells = u * n + v
+        assert np.unique(cells).size == cells.size == n * (n - 1) // 2
+        for x, y, p in zip(u.tolist(), v.tolist(), probs[g].tolist()):
+            assert p == pytest.approx(cell_probability(params, x, y),
+                                      rel=1e-12, abs=0)
+
+    def test_certain_and_impossible_regions(self):
+        # a = c = 1, b = 0: the p = 1 regions are exactly those with j = 0
+        # (the diagonal, outside the triangle), so nothing is drawn
+        assert generate_edges(KroneckerParams(1, 0, 1, 5), seed=3).size == 0
+        # b = 1, a = c = 0: only the region with j = r has p = 1 and every
+        # other region p = 0; all of its cells are hits
+        r = 5
+        edges = generate_edges(KroneckerParams(0, 1, 0, r), seed=3)
+        n = 1 << r
+        assert len(edges) == n // 2
+        assert np.all(edges[:, 0] ^ edges[:, 1] == n - 1)
+        # mixed: p = 1 and p = 0 regions in one draw
+        params = KroneckerParams(1, 1, 0, 4)
+        i, j, _, sizes, probs = _regions(params)
+        assert set(probs.tolist()) == {0.0, 1.0}
+        got = generate_edges(params, seed=1)
+        assert len(got) == sizes[i + j == 4].sum()
+        assert all(cell_probability(params, int(x), int(y)) == 1.0
+                   for x, y in got)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_top_up_matches_one_batch(self, seed):
+        # drawing one deviate per region per round tops every region up
+        # many times; the hits must equal those from one batch that covers
+        # every region
+        *_, sizes, probs = _regions(KroneckerParams(0.99, 0.48, 0.25, 5))
+        small = _hit_ranks(seed, sizes, probs, np.ones_like(sizes))
+        large = _hit_ranks(seed, sizes, probs, sizes.copy())
+        key = [np.lexsort((rank, g)) for g, rank in (small, large)]
+        assert small[0].size > 10
+        for got, want in zip(small, large):
+            assert np.array_equal(got[key[0]], want[key[1]])
+
 
 class TestFileOutput:
     def test_header_and_round_trip(self, tmp_path):
@@ -125,11 +187,11 @@ class TestFileOutput:
         }
         assert relabeled == {(int(u), int(v)) for u, v in g_mem.edge_array}
 
-    def test_bytes_identical_across_workers(self, tmp_path):
+    def test_bytes_identical_for_same_seed(self, tmp_path):
         blobs = []
-        for workers in (1, 2, 8):
-            out = tmp_path / f"w{workers}.txt"
-            generate_to_file(PARAMS, seed=5, path=out, workers=workers)
+        for run in range(3):
+            out = tmp_path / f"run{run}.txt"
+            generate_to_file(PARAMS, seed=5, path=out)
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
