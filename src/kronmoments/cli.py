@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 user error (bad flags, unreadable or malformed
 input), 2 internal error.  Every command is deterministic given its flags
-and --seed; the KRONMOMENTS_WORKERS environment variable sets how many
-experiment replications run at once (default 1) without affecting any
-output bytes.
+and --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -150,8 +149,9 @@ def _cmd_expected(args) -> int:
     print(json.dumps({
         "a": params.a, "b": params.b, "c": params.c, "r": params.r,
         "E": exp.e_edges, "H": exp.e_hairpins, "T": exp.e_tripins,
-        "Tri": exp.e_triangles, "alpha": dom.alpha,
-    }))
+        "Tri": exp.e_triangles,
+        "alpha": dom.alpha if math.isfinite(dom.alpha) else None,
+    }, allow_nan=False))
     return 0
 
 
@@ -164,12 +164,15 @@ def _cmd_fit(args) -> int:
     result = FIT_METHODS[args.method](counts, r, spec, seed=args.seed,
                                       starts=args.starts,
                                       grid_points=args.grid_points)
+    if not math.isfinite(result.objective_value):
+        raise _UserError(f"no parameters explain these counts: the "
+                         f"{spec.code} objective is infinite at r = {r}")
 
     payload = result.to_dict()
     payload["r"] = r
     payload["objective_spec"] = spec.code
     if args.format in ("json", "both"):
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
     if args.format in ("csv", "both"):
         row = fit_csv_row(Path(args.source).name, "", result, 1 << r)
         print(",".join(str(c) for c in FIT_CSV_COLUMNS))

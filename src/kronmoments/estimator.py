@@ -26,7 +26,6 @@ from .moments import (
     KroneckerParams,
     closed_form_values,
     expected_counts,
-    expected_features,
 )
 
 DISTANCES = ("sq", "abs")
@@ -215,16 +214,16 @@ def _require_fittable(spec: ObjectiveSpec):
 
 
 def _finish(params: KroneckerParams, spec, obs, method: str, t0: float,
-            notes, diagnostics=None) -> FitResult:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        obj = evaluate_objective(params, spec, obs)
+            diagnostics=None) -> FitResult:
+    counts = expected_counts(params.a, params.b, params.c, params.r)
+    feats, notes = effective_features(spec, obs)
+    obj = _objective(spec, obs, feats)(counts)
     if not math.isfinite(obj):
-        notes = list(notes) + [
+        notes.append(
             "objective is infinite: some expectation is 0 against a "
             "nonzero observation under an expectation normalization"
-        ]
-    exp = expected_features(params)
+        )
+    exp = ExpectedFeatures(*counts)
     return FitResult(
         params=params,
         objective_value=obj,
@@ -232,7 +231,7 @@ def _finish(params: KroneckerParams, spec, obs, method: str, t0: float,
         feature_ratios=feature_ratios(exp, obs),
         method=method,
         elapsed=time.perf_counter() - t0,
-        warnings=list(notes),
+        warnings=notes,
         diagnostics=diagnostics,
     )
 
@@ -263,7 +262,7 @@ def fit_grid(
     if points_per_dim < 2:
         raise ValueError("points_per_dim must be >= 2")
     _require_fittable(spec)
-    feats, notes = effective_features(spec, obs)
+    feats, _ = effective_features(spec, obs)
 
     axis = np.linspace(0.0, 1.0, points_per_dim)
     aa, bb, cc = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -277,7 +276,7 @@ def fit_grid(
 
     idx = int(np.argmin(total))  # first minimum = lexicographically smallest
     params = KroneckerParams(float(aa[idx]), float(bb[idx]), float(cc[idx]), r)
-    return _finish(params, spec, obs, "grid", t0, notes)
+    return _finish(params, spec, obs, "grid", t0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,7 @@ def fit_direct(
     if starts < 1:
         raise ValueError("starts must be >= 1")
     _require_fittable(spec)
-    feats, notes = effective_features(spec, obs)
+    feats, _ = effective_features(spec, obs)
     objective_of = _objective(spec, obs, feats)
 
     def objective(x):
@@ -338,7 +337,7 @@ def fit_direct(
         )
     a, b, c = best[1]
     params = KroneckerParams(a, b, c, r)
-    return _finish(params, spec, obs, "direct", t0, notes)
+    return _finish(params, spec, obs, "direct", t0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +438,7 @@ def fit_leading(
     ties = np.nonzero(mismatch == best_val)[0]
     key = min((a_grid[i], b_grid[i], c_grid[i]) for i in ties)
     params = KroneckerParams(float(key[0]), float(key[1]), float(key[2]), r)
-    _, notes = effective_features(spec, obs)
-    return _finish(params, spec, obs, "leading", t0, notes,
+    return _finish(params, spec, obs, "leading", t0,
                    diagnostics={"transforms": transforms.to_dict(),
                                 "delta_mismatch": float(best_val)})
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .estimator import FIT_METHODS, FitResult, ObjectiveSpec
 from .features import FeatureCounts, count_features
-from .generator import generate, worker_count
+from .generator import generate
 from .graph_io import choose_r, load_edge_list
 from .moments import FEATURE_NAMES, KroneckerParams
 
@@ -224,11 +223,10 @@ def _one_replication(section: ExperimentSection, k: int):
     if primary is not None:
         regen = generate(primary.params, seed_k + _REREALIZE_SEED_GAP)
         reobs = count_features(regen)
-    return k, obs, rows, primary, reobs
+    return obs, rows, primary, reobs
 
 
-def run_experiment(config: ExperimentConfig, output_dir=None,
-                   workers: int | None = None) -> dict:
+def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     """Execute every section and write the CSV outputs.
 
     Returns {name: path} for the files written.  Rows are sorted by
@@ -239,7 +237,6 @@ def run_experiment(config: ExperimentConfig, output_dir=None,
     """
     output_dir = Path(output_dir or config.output_dir or "experiment-out")
     output_dir.mkdir(parents=True, exist_ok=True)
-    workers = worker_count() if workers is None else workers
 
     fit_rows = []
     diff_rows = []
@@ -254,17 +251,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None,
             fit_rows.extend(_fit_methods(section, obs, r, "")[1])
             continue
 
-        reps = range(section.replications)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(
-                    lambda k: _one_replication(section, k), reps
-                ))
-        else:
-            results = [_one_replication(section, k) for k in reps]
-
         fitted = {"a": [], "b": [], "c": []}
-        for k, obs, rows, primary, reobs in results:
+        for k in range(section.replications):
+            obs, rows, primary, reobs = _one_replication(section, k)
             fit_rows.extend(rows)
             if primary is None:
                 continue

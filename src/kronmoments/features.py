@@ -1,8 +1,9 @@
 """Exact counts of the four moment features of a graph.
 
 Edges, hairpins (2-stars) and tripins (3-stars) follow from the degree
-sequence; triangles are enumerated.  All counts are exact Python integers,
-so there is no accumulator width to overflow.
+sequence, accumulated in Python integers so no width can overflow.
+Triangles come from one sparse matrix product on the degree-ordered
+forward adjacency, in int64.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .graph_io import SimpleGraph
 
@@ -84,48 +86,27 @@ def count_degree_features(g: SimpleGraph) -> tuple[int, int, int]:
 
 
 def count_triangles(g: SimpleGraph) -> int:
-    """Exact triangle count by degree-ordered neighbor intersection.
+    """Exact triangle count as one masked sparse product.
 
-    Vertices are ranked by (degree, id); each edge is oriented from lower
-    to higher rank and each triangle is found exactly once, at its
-    lowest-ranked pair, as a common forward neighbor.  Work is bounded by
-    sum over edges of the two forward degrees, which the degree ordering
-    keeps at O(E^{3/2}).
+    Vertices are ranked by (degree, id) and each edge is oriented from
+    lower to higher rank, giving the forward adjacency L.  Entry (u, w) of
+    L @ L counts the paths u -> v -> w, so masking it with L counts each
+    triangle exactly once, at its lowest-ranked vertex (Azad, Buluc &
+    Gilbert, "Parallel triangle counting and enumeration using matrix
+    algebra", IPDPSW 2015).  The degree ordering keeps the work at
+    O(E^{3/2}).
     """
-    m = g.num_edges
-    if m == 0:
-        return 0
     n = g.num_vertices
     order = np.lexsort((np.arange(n), g.degrees))
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-
-    e = g.edge_array
-    ru = rank[e[:, 0]]
-    rv = rank[e[:, 1]]
-    src = np.where(ru < rv, e[:, 0], e[:, 1])
-    dst = np.where(ru < rv, e[:, 1], e[:, 0])
-
-    # forward adjacency in CSR form, neighbor lists sorted by id
-    sort = np.lexsort((dst, src))
-    src = src[sort]
-    dst = dst[sort]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-
-    total = 0
-    for k in range(m):
-        u = src[k]
-        v = dst[k]
-        fu = dst[indptr[u] : indptr[u + 1]]
-        fv = dst[indptr[v] : indptr[v + 1]]
-        if fv.size < fu.size:
-            fu, fv = fv, fu
-        # membership count of the shorter sorted list in the longer one
-        pos = np.searchsorted(fv, fu)
-        pos[pos == fv.size] = 0
-        total += int((fv[pos] == fu).sum())
-    return total
+    u, v = g.edge_array.T
+    forward = rank[u] < rank[v]
+    src = np.where(forward, u, v)
+    dst = np.where(forward, v, u)
+    L = sparse.csr_matrix((np.ones(src.size, dtype=np.int64), (src, dst)),
+                          shape=(n, n))
+    return int((L @ L).multiply(L).sum())
 
 
 def count_features(g: SimpleGraph) -> FeatureCounts:

