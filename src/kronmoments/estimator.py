@@ -5,8 +5,8 @@ is a squared or absolute distance and N one of four normalizations; the
 squared/expected pair is the classic moment criterion and the
 squared/observed^2 pair is a sum of squared relative errors.  Three
 minimizers are provided: an exhaustive grid sweep, a multistart bounded
-simplex search, and a closed-form solver that matches only the leading
-power term of each expected count.
+simplex search whose starts advance in lockstep, and a closed-form
+solver that matches only the leading power term of each expected count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .features import FeatureCounts
 from .moments import (
@@ -252,7 +251,8 @@ def fit_grid(
     Ties are broken toward the lexicographically smallest (a, b, c).
     points_per_dim counts points inclusive of both endpoints; 101 gives
     the exact hundredths lattice.  The lattice is ranked in double
-    precision, without the exact fallback: on the reference fixtures
+    precision by ``closed_form_values``, the evaluator the direct fit's
+    simplices use, without the exact fallback: on the reference fixtures
     re-evaluating the points the cancellation guard flags would cost about
     half a minute per fit and moved no argmin.  The reported objective of
     the winning point comes from the exact per-point path.
@@ -283,7 +283,93 @@ def fit_grid(
 # multistart derivative-free search
 # ---------------------------------------------------------------------------
 
-_SIMPLEX_OPTIONS = dict(xatol=1e-8, fatol=np.inf, maxiter=2000)
+# The constants of scipy.optimize's bounded Nelder-Mead
+# (_minimize_neldermead, non-adaptive), which _nelder_mead_lockstep
+# follows step for step.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_XATOL, _FATOL = 1e-8, np.inf
+_MAXITER = 2000
+
+
+def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
+    """Bounded Nelder-Mead on [0, 1]^n from every row of ``x0`` at once.
+
+    ``objective`` maps an (m, n) array of points to their m values.  All
+    simplices live in one (starts, n + 1, n) array, and each iteration
+    evaluates every live start's trial points in at most three calls:
+    the reflections; then the expansions and both kinds of contraction;
+    then the shrinks.  Each start takes exactly the steps of
+    scipy.optimize.minimize(method="Nelder-Mead", bounds=[(0, 1)] * n,
+    options=dict(xatol=1e-8, fatol=inf, maxiter=2000)) with a stable sort.
+    A start retires when it converges, or at once when no vertex of its
+    first simplex has a finite value (scipy would shrink such a simplex
+    until maxiter).  Returns each start's best vertex, shape (starts, n).
+    """
+    k, n = x0.shape
+    dims = np.arange(n)
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    sim[:, dims + 1, dims] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    # reflect vertices pushed past the upper bound back inside, then clip
+    sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
+    fsim = objective(sim.reshape(-1, n)).reshape(k, n + 1)
+
+    def sort(sim, fsim):
+        ind = np.argsort(fsim, axis=1, kind="stable")
+        return (np.take_along_axis(sim, ind[:, :, None], axis=1),
+                np.take_along_axis(fsim, ind, axis=1))
+
+    sim, fsim = sort(sim, fsim)
+    best = sim[:, 0].copy()
+    ids = np.flatnonzero(np.isfinite(fsim).any(axis=1))
+    sim, fsim = sim[ids], fsim[ids]
+    iterations = 1
+    while ids.size and iterations < _MAXITER:
+        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
+        if done.any():
+            best[ids[done]] = sim[done, 0]
+            ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
+            if not ids.size:
+                break
+
+        xbar = sim[:, :-1].sum(axis=1) / n
+        worst = sim[:, -1]
+        xr = np.clip((1 + _RHO) * xbar - _RHO * worst, 0.0, 1.0)
+        fxr = objective(xr)
+        expand = fxr < fsim[:, 0]
+        contract = ~expand & ~(fxr < fsim[:, -2])
+        outside = contract & (fxr < fsim[:, -1])
+        inside = contract & ~outside
+
+        # one second trial point per start that expands or contracts
+        x2 = np.where(
+            expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+            np.where(outside[:, None],
+                     (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                     (1 - _PSI) * xbar + _PSI * worst))
+        x2 = np.clip(x2, 0.0, 1.0)
+        second = expand | contract
+        f2 = np.full(ids.size, np.nan)
+        if second.any():
+            f2[second] = objective(x2[second])
+        take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
+                 | (inside & (f2 < fsim[:, -1])))
+        take_r = ~contract & ~take2
+        shrink = contract & ~take2
+        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
+        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = np.clip(s[:, :1] + _SIGMA * (s[:, 1:] - s[:, :1]),
+                               0.0, 1.0)
+            sim[shrink] = s
+            fsim[shrink, 1:] = objective(
+                s[:, 1:].reshape(-1, n)).reshape(-1, n)
+        iterations += 1
+        sim, fsim = sort(sim, fsim)
+    best[ids] = sim[:, 0]
+    return best
 
 
 def fit_direct(
@@ -297,8 +383,13 @@ def fit_direct(
 
     The objective can have kinks (absolute distance) and flat boundary
     regions, so a derivative-free simplex with box projection is used.
-    Deterministic given (seed, starts); each run stops when the simplex
-    diameter falls below 1e-8 or after 2000 iterations.
+    The starts advance in lockstep (``_nelder_mead_lockstep``): their
+    trial points are ranked together by ``closed_form_values``, in double
+    precision, the evaluator the grid uses.  Each run stops when its
+    simplex diameter falls below 1e-8 or after 2000 iterations.  Each end
+    point is then scored by ``expected_counts``, with the exact fallback;
+    the best wins, ties going to the smallest (a, b, c).  Deterministic
+    given (seed, starts).
     """
     t0 = time.perf_counter()
     spec = spec or ObjectiveSpec()
@@ -308,21 +399,15 @@ def fit_direct(
     feats, _ = effective_features(spec, obs)
     objective_of = _objective(spec, obs, feats)
 
-    def objective(x):
-        a, b, c = x.tolist()
-        return objective_of(expected_counts(
-            min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0),
-            min(max(c, 0.0), 1.0), r))
+    def objective(points):
+        return np.broadcast_to(objective_of(closed_form_values(
+            points[:, 0], points[:, 1], points[:, 2], r)), len(points))
 
-    rng = np.random.default_rng(seed)
+    x0 = np.random.default_rng(seed).random((starts, 3))
+    swap = x0[:, 0] < x0[:, 2]
+    x0[swap] = x0[swap, ::-1]  # (a, b, c) -> (c, b, a)
     best = None  # (objective, (a, b, c))
-    for _ in range(starts):
-        x0 = rng.random(3)
-        if x0[0] < x0[2]:
-            x0[0], x0[2] = x0[2], x0[0]
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       bounds=[(0.0, 1.0)] * 3, options=_SIMPLEX_OPTIONS)
-        a, b, c = (min(max(v, 0.0), 1.0) for v in res.x.tolist())
+    for a, b, c in _nelder_mead_lockstep(objective, x0).tolist():
         if a < c:
             a, c = c, a
         val = objective_of(expected_counts(a, b, c, r))

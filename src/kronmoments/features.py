@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .graph_io import SimpleGraph
 
@@ -94,8 +93,11 @@ def count_triangles(g: SimpleGraph) -> int:
     triangle exactly once, at its lowest-ranked vertex (Azad, Buluc &
     Gilbert, "Parallel triangle counting and enumeration using matrix
     algebra", IPDPSW 2015).  The degree ordering keeps the work at
-    O(E^{3/2}).
+    O(E^{3/2}).  scipy.sparse is imported here, not at module level, so
+    commands that never count triangles load numpy only.
     """
+    from scipy import sparse
+
     n = g.num_vertices
     order = np.lexsort((np.arange(n), g.degrees))
     rank = np.empty(n, dtype=np.int64)

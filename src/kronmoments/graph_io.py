@@ -69,8 +69,14 @@ class SimpleGraph:
     @classmethod
     def from_pairs(cls, pairs, num_vertices: int | None = None,
                    labels: np.ndarray | None = None) -> "SimpleGraph":
-        """Build from raw (u, v) pairs, dropping loops and duplicates."""
-        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        """Build from raw (u, v) pairs, dropping loops and duplicates.
+
+        ``pairs`` is an (m, 2) array or any iterable of pairs; an array is
+        read as is, without a copy through a Python list.
+        """
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if num_vertices is None:
             num_vertices = int(arr.max()) + 1 if arr.size else 0
         if arr.size == 0:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,21 +161,51 @@ def test_fit_deterministic_given_seed(capsys):
     assert d1 == d2
 
 
-def test_module_entry_point(tmp_path):
-    import os
-    import subprocess
-    import sys
-
+def python(*args):
+    """Run the interpreter on ``args`` with the package importable."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "kronmoments", "expected",
-         "--a", "1", "--b", "1", "--c", "1", "--r", "2"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=30)
+
+
+def test_module_entry_point(tmp_path):
+    proc = python("-m", "kronmoments", "expected",
+                  "--a", "1", "--b", "1", "--c", "1", "--r", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["E"] == 6.0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = python("-c", "import sys, kronmoments.cli; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
+
+
+# one triangle on two vertices: no parameters give it a nonzero expectation
+UNEXPLAINABLE = {"vertices": 2, "edges": 1, "hairpins": 0, "tripins": 0,
+                 "triangles": 1}
+
+
+@pytest.mark.parametrize("method, message", [
+    ("direct", "all 2 starts produced a non-finite objective"),
+    ("best", "no parameters explain these counts: the dsq-e objective is "
+             "infinite at r = 1"),
+])
+def test_unexplainable_counts_fail_fast(tmp_path, method, message):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(UNEXPLAINABLE))
+    argv = ["-m", "kronmoments", "fit", str(counts), "--objective", "dsq-e",
+            "--r", "1", "--method", method]
+    if method == "direct":
+        argv += ["--starts", "2"]
+    proc = python(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_generate_deterministic_across_env_workers(tmp_path, capsys):

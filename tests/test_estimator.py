@@ -9,7 +9,10 @@ import pytest
 from kronmoments.estimator import (
     LeadingTermInfeasible,
     ObjectiveSpec,
+    _nelder_mead_lockstep,
+    _objective,
     compute_leading_transforms,
+    effective_features,
     evaluate_objective,
     fit_best,
     fit_direct,
@@ -17,7 +20,12 @@ from kronmoments.estimator import (
     fit_leading,
 )
 from kronmoments.features import FeatureCounts
-from kronmoments.moments import FEATURE_NAMES, KroneckerParams, expected_features
+from kronmoments.moments import (
+    FEATURE_NAMES,
+    KroneckerParams,
+    closed_form_values,
+    expected_features,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -248,6 +256,46 @@ class TestFitDirect:
         res = fit_direct(GRQC, 13, starts=8, seed=3)
         again = evaluate_objective(res.params, ObjectiveSpec(), GRQC)
         assert res.objective_value == again
+
+
+class TestLockstepNelderMead:
+    """The lockstep simplex against scipy's Nelder-Mead, start by start."""
+
+    @pytest.mark.parametrize("name, r", [
+        ("ca-GrQc", 13), ("usroads", 17), ("as-skitter", 21),
+    ])
+    def test_end_points_match_scipy(self, name, r):
+        from scipy.optimize import minimize
+
+        obs, spec = load_counts(name), ObjectiveSpec()
+        objective_of = _objective(spec, obs, effective_features(spec, obs)[0])
+
+        def objective(p):
+            return objective_of(
+                closed_form_values(p[:, 0], p[:, 1], p[:, 2], r))
+
+        # fit_direct's starts at seed 0
+        x0 = np.random.default_rng(0).random((50, 3))
+        swap = x0[:, 0] < x0[:, 2]
+        x0[swap] = x0[swap, ::-1]
+        ends = _nelder_mead_lockstep(objective, x0)
+        for start, end in zip(x0, ends):
+            res = minimize(lambda x: float(objective(x[None])[0]), start,
+                           method="Nelder-Mead", bounds=[(0.0, 1.0)] * 3,
+                           options=dict(xatol=1e-8, fatol=np.inf,
+                                        maxiter=2000))
+            np.testing.assert_allclose(end, res.x, rtol=0, atol=1e-12)
+
+    def test_infinite_first_simplex_retires_at_once(self):
+        calls = []
+
+        def objective(points):
+            calls.append(len(points))
+            return np.full(len(points), np.inf)
+
+        x0 = np.random.default_rng(5).random((4, 3))
+        assert np.array_equal(_nelder_mead_lockstep(objective, x0), x0)
+        assert calls == [16]
 
 
 class TestFitLeading:

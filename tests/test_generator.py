@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from kronmoments.cli import main as cli_main
 from kronmoments.features import count_features
 from kronmoments.generator import (
     MAX_GENERATE_POWER,
@@ -193,6 +195,25 @@ class TestFileOutput:
             generate_to_file(PARAMS, seed=5, path=out)
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    # SHA-256 of `generate --out` files.  A change that alters the sampled
+    # bytes on purpose updates these and says so.
+    @pytest.mark.parametrize("a, b, c, r, seed, digest", [
+        (0.99, 0.48, 0.25, 12, 1,
+         "a23ee9be93d0485ea27cb63bdf06e2f94c48d1d784fb30d72c03fee2f5133b15"),
+        (0.5, 0.3, 0.2, 20, 7,
+         "c64b21edcc4bbccbc52fababafae4834a3c6282ed2f195af87fd9fca6b648da2"),
+        (0.9, 0.5, 0.2, 14, 0,
+         "c31eb008edbff5d066394703e51178b5f210fa8ec82e496b95254756c6bd76de"),
+    ])
+    def test_golden_bytes(self, tmp_path, capsys, a, b, c, r, seed, digest):
+        out = tmp_path / "g.txt"
+        code = cli_main(["generate", "--a", str(a), "--b", str(b),
+                         "--c", str(c), "--r", str(r), "--seed", str(seed),
+                         "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestDistribution:

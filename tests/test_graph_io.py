@@ -91,6 +91,20 @@ def test_from_pairs_rejects_bad_edges():
         SimpleGraph(2, np.array([[0, 5]]))
 
 
+def test_from_pairs_array_list_and_generator_agree():
+    pairs = [(3, 1), (1, 3), (2, 2), (0, 4), (4, 0), (1, 2), (0, 4)]
+    graphs = [
+        SimpleGraph.from_pairs(np.array(pairs)),
+        SimpleGraph.from_pairs(pairs),
+        SimpleGraph.from_pairs(p for p in pairs),
+    ]
+    for g in graphs:
+        assert g.num_vertices == 5
+        assert g.edge_array.tolist() == [[0, 4], [1, 2], [1, 3]]
+        assert np.array_equal(g.degrees, graphs[0].degrees)
+        assert (g.loops_dropped, g.duplicates_dropped) == (1, 3)
+
+
 def test_choose_r_examples():
     assert choose_r(5242) == 13
     assert choose_r(16384) == 14
