@@ -44,6 +44,9 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
 
+# edges formatted per write by generate_to_file
+_WRITE_ROWS = 1 << 16
+
 
 def _mix64(z: np.uint64) -> np.uint64:
     z = (z ^ (z >> _S30)) * _MIX1
@@ -189,8 +192,17 @@ def generate_edges(params: KroneckerParams, seed: int) -> np.ndarray:
     batch = np.minimum(np.ceil(mean + 4 * np.sqrt(mean) + 8), sizes)
     g, rank = _hit_ranks(seed, sizes, probs, batch.astype(np.int64))
     u, v = _unrank(params.r, i[g], j[g], multinomial[g], rank)
-    order = np.lexsort((v, u))
-    return np.stack([u[order], v[order]], axis=1)
+    del g, rank
+    r = params.r
+    if 2 * r > 62:
+        order = np.lexsort((v, u))
+        return np.stack([u[order], v[order]], axis=1)
+    # u, v < 2^r pack into one int64 key in (u, v) order, and one sort of
+    # it is about twenty times faster than the lexsort
+    key = (u << r) | v
+    del u, v
+    key.sort()
+    return np.stack([key >> r, key & ((1 << r) - 1)], axis=1)
 
 
 def generate(params: KroneckerParams, seed: int) -> SimpleGraph:
@@ -213,5 +225,7 @@ def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:
             f"r={params.r} seed={seed}\n"
         )
         fh.write(f"# vertices={params.num_vertices}\n")
-        fh.write("".join(f"{u}\t{v}\n" for u, v in edges.tolist()))
+        for start in range(0, len(edges), _WRITE_ROWS):
+            block = edges[start:start + _WRITE_ROWS]
+            fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
     return path

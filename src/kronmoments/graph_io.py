@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ class SimpleGraph:
     Vertex ids are 0..num_vertices-1; ``labels`` maps them back to the
     labels seen in the source file (identity when built programmatically).
     ``edge_array`` holds each edge once as (u, v) with u < v, sorted
-    lexicographically.  Degrees are precomputed.
+    lexicographically; rows that already arrive in that order are not
+    re-sorted.  Degrees are precomputed.
     Instances are treated as immutable after construction.
     """
 
@@ -40,15 +42,18 @@ class SimpleGraph:
         self.num_vertices = int(num_vertices)
         edge_array = np.asarray(edge_array, dtype=np.int64).reshape(-1, 2)
         if edge_array.size:
-            lo = edge_array.min(axis=1)
-            hi = edge_array.max(axis=1)
+            lo = np.minimum(edge_array[:, 0], edge_array[:, 1])
+            hi = np.maximum(edge_array[:, 0], edge_array[:, 1])
             if (lo == hi).any():
                 raise ValueError("edge_array contains a self-loop")
             if hi.max() >= self.num_vertices or lo.min() < 0:
                 raise ValueError("edge endpoint outside 0..num_vertices-1")
+            step = np.diff(lo)
+            if not ((step >= 0).all()
+                    and (np.diff(hi)[step == 0] >= 0).all()):
+                order = np.lexsort((hi, lo))
+                lo, hi = lo[order], hi[order]
             edge_array = np.stack([lo, hi], axis=1)
-            order = np.lexsort((edge_array[:, 1], edge_array[:, 0]))
-            edge_array = edge_array[order]
         self.edge_array = edge_array
         self.labels = labels
         self.loops_dropped = int(loops_dropped)
@@ -86,10 +91,15 @@ class SimpleGraph:
         arr = arr[~loop_mask]
         if arr.size == 0:
             return cls(num_vertices, arr, labels=labels, loops_dropped=loops)
-        lo = arr.min(axis=1)
-        hi = arr.max(axis=1)
-        keys = lo * np.int64(num_vertices) + hi
-        unique_keys = np.unique(keys)
+        # sort one key per edge and keep the first of each run: np.unique
+        # would take its far slower hash path here
+        keys = (np.minimum(arr[:, 0], arr[:, 1]) * np.int64(num_vertices)
+                + np.maximum(arr[:, 0], arr[:, 1]))
+        keys.sort()
+        keep = np.empty(keys.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        unique_keys = keys[keep]
         dups = int(keys.size - unique_keys.size)
         dedup = np.stack(
             [unique_keys // num_vertices, unique_keys % num_vertices], axis=1
@@ -112,11 +122,67 @@ def load_edge_list(path) -> SimpleGraph:
     duplicate pairs - including reversed ones - are merged; both drop
     counts are recorded on the result.  A label outside the int64 range is
     a parse error.
+
+    The whole file is first read in one ``np.loadtxt`` call.  When that
+    cannot stand for the line-by-line reading - loadtxt rejects the file,
+    finds other than two columns, or a '#' follows a label on some line,
+    which loadtxt would take for a trailing comment - the file is read
+    again line by line, and that reading raises the ``GraphParseError``
+    with the line number.  Both readings give the same labels, so the
+    graph does not depend on which one ran.
     """
     path = Path(path)
-    ids: dict[int, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
+    raw = _read_bulk(path)
+    if raw is None:
+        raw = _read_lines(path)
+    dense, labels = _densify(raw)
+    del raw
+    return SimpleGraph.from_pairs(dense, num_vertices=labels.size,
+                                  labels=labels)
+
+
+def _read_bulk(path: Path) -> np.ndarray | None:
+    """The (m, 2) labels by one ``np.loadtxt``, or None where only the
+    line-by-line reading gives the right labels or the right error."""
+    if _has_inline_comment(path):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore",
+                                    "loadtxt: input contained no data")
+            raw = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
+                             encoding="utf-8")
+    except ValueError:  # a bad token, an int64 overflow or bad UTF-8
+        return None
+    return raw if raw.shape[1] == 2 else None  # no data reads as 1 column
+
+
+def _has_inline_comment(path: Path) -> bool:
+    """Whether some '#' follows a non-blank character on its line.
+
+    Only each line's first '#' is looked at, and ``pos`` only moves
+    forward, so the scan is linear in the file size.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos = 0
+    while (mark := data.find(b"#", pos)) >= 0:
+        start = max(data.rfind(b"\n", pos, mark),
+                    data.rfind(b"\r", pos, mark)) + 1
+        if data[start:mark].strip():
+            return True
+        end = data.find(b"\n", mark)
+        if end < 0:
+            end = len(data)
+        cr = data.find(b"\r", mark, end)
+        pos = end if cr < 0 else cr
+    return False
+
+
+def _read_lines(path: Path) -> np.ndarray:
+    """The (m, 2) labels, one line at a time; raises ``GraphParseError``
+    at the first malformed line."""
+    labels: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -139,18 +205,35 @@ def load_edge_list(path) -> SimpleGraph:
                 raise GraphParseError(
                     path, line_no, f"vertex label outside int64 in {tokens!r}"
                 )
-            u = ids.setdefault(a, len(ids))
-            v = ids.setdefault(b, len(ids))
-            us.append(u)
-            vs.append(v)
+            labels.append(a)
+            labels.append(b)
+    return np.array(labels, dtype=np.int64).reshape(-1, 2)
 
-    labels = np.empty(len(ids), dtype=np.int64)
-    for label, dense in ids.items():
-        labels[dense] = label
-    pairs = np.stack(
-        [np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)], axis=1
-    ) if us else np.zeros((0, 2), dtype=np.int64)
-    return SimpleGraph.from_pairs(pairs, num_vertices=len(ids), labels=labels)
+
+def _densify(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for an (m, 2) label array, numbered in order of first
+    appearance along its rows, and the labels of those ids.
+
+    One argsort groups equal labels; the smallest position in each group
+    is that label's first appearance, so the sort need not be stable.
+    """
+    flat = raw.ravel()
+    if flat.size == 0:
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.argsort(flat)
+    ordered = flat[order]
+    starts = np.empty(flat.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    appearance = np.argsort(first)
+    labels = ordered[starts][appearance]
+    del ordered, first
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(appearance.size)
+    dense = np.empty_like(flat)
+    dense[order] = rank[np.cumsum(starts) - 1]
+    return dense.reshape(-1, 2), labels
 
 
 def choose_r(num_vertices: int) -> int:

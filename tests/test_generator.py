@@ -70,6 +70,15 @@ class TestGenerate:
         assert fc.tripins == n * (n - 1) * (n - 2) * (n - 3) // 6
         assert fc.triangles == n * (n - 1) * (n - 2) // 6
 
+    @pytest.mark.parametrize("r", [31, 32])
+    def test_edges_ascending_on_both_sides_of_the_one_key_sort(self, r):
+        # up to r = 31 one (u << r) | v key is sorted; past it, a lexsort
+        edges = generate_edges(KroneckerParams(0.5, 0.3, 0.2, r), seed=3)
+        rows = [tuple(e) for e in edges.tolist()]
+        assert len(rows) > 100
+        assert rows == sorted(set(rows))
+        assert all(0 <= u < v < 1 << r for u, v in rows)
+
     def test_zero_offdiagonal_empty(self):
         g = generate(KroneckerParams(0.9, 0.0, 0.4, 5), seed=9)
         assert g.num_edges == 0

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from kronmoments.graph_io import GraphParseError, SimpleGraph, choose_r, load_edge_list
+from kronmoments.graph_io import (
+    GraphParseError,
+    SimpleGraph,
+    _read_bulk,
+    _read_lines,
+    choose_r,
+    load_edge_list,
+)
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -103,6 +110,177 @@ def test_from_pairs_array_list_and_generator_agree():
         assert g.edge_array.tolist() == [[0, 4], [1, 2], [1, 3]]
         assert np.array_equal(g.degrees, graphs[0].degrees)
         assert (g.loops_dropped, g.duplicates_dropped) == (1, 3)
+
+
+INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
+def reference_load(path):
+    """The edge list read one line at a time with Python ints, dicts and
+    sets: (labels, sorted edges, loops dropped, duplicates dropped)."""
+    ids, edges, loops, dups = {}, set(), 0, 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            tokens = stripped.split()
+            if len(tokens) != 2:
+                raise GraphParseError(
+                    path, line_no, f"expected 2 tokens, found {len(tokens)}")
+            try:
+                a, b = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise GraphParseError(
+                    path, line_no, f"non-integer vertex label in {tokens!r}"
+                ) from None
+            if not (INT64_MIN <= a <= INT64_MAX
+                    and INT64_MIN <= b <= INT64_MAX):
+                raise GraphParseError(
+                    path, line_no, f"vertex label outside int64 in {tokens!r}")
+            u, v = ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))
+            if u == v:
+                loops += 1
+            elif (min(u, v), max(u, v)) in edges:
+                dups += 1
+            else:
+                edges.add((min(u, v), max(u, v)))
+    return list(ids), sorted(edges), loops, dups
+
+
+# labels: small, reused, negative and the int64 extremes
+LABEL_POOL = [0, 1, 2, 3, 7, 42, 1000, -1, -5, 10 ** 12, INT64_MIN, INT64_MAX,
+              INT64_MAX - 1, INT64_MIN + 1]
+# lines only the line-by-line reading accepts, lines no reading accepts,
+# and rarer whitespace
+ODD_LINES = ["1_0 2", "\u0663 5", "x 2", "1.5 2", "7", "1 2 3",
+             f"{2 ** 63} 1", f"1 {-2 ** 63 - 1}", "1 2 # trailing", "3 4#x",
+             "\x00 1", "1\u20282", "1\x0c2", "1\x1c2", "\x0b# c", "\xa0# c"]
+NEWLINES = ["\n", "\r\n", "\r"]
+
+
+def random_edge_text(rng):
+    lines = []
+    for _ in range(int(rng.integers(0, 25))):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append(rng.choice(["", "  ", "\t", " \t "]))
+        elif kind < 0.16:
+            lines.append(rng.choice(["", " ", "\t"]) + "#"
+                         + rng.choice(["", " c", " 1 2", "#", " x # y"]))
+        elif kind < 0.24 and lines:
+            parts = rng.choice(lines).split()  # reuse, reversed if a pair
+            lines.append(" ".join(parts[::-1]))
+        else:
+            pool = LABEL_POOL[:int(rng.integers(2, len(LABEL_POOL) + 1))]
+            a, b = rng.choice(pool), rng.choice(pool)
+            if rng.random() < 0.1:
+                b = a
+            lead, sep, tail = (rng.choice(["", " ", "\t", "  "]),
+                               rng.choice([" ", "\t", "  ", " \t"]),
+                               rng.choice(["", " ", "\t"]))
+            lines.append(f"{lead}{a}{sep}{b}{tail}")
+    if lines and rng.random() < 0.3:
+        lines.insert(int(rng.integers(0, len(lines) + 1)),
+                     rng.choice(ODD_LINES))
+    newline = rng.choice(NEWLINES)
+    mixed = rng.random() < 0.2
+    text = "".join(
+        line + (rng.choice(NEWLINES) if mixed else newline) for line in lines)
+    return text[:-1] if text and rng.random() < 0.2 else text
+
+
+def test_bulk_parse_matches_line_reading(tmp_path):
+    rng = np.random.default_rng(20261018)
+    paths_taken = {"bulk": 0, "lines": 0, "error": 0}
+    for case in range(400):
+        path = tmp_path / f"case{case}.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(random_edge_text(rng))
+        try:
+            want = reference_load(path)
+        except GraphParseError as exc:
+            with pytest.raises(GraphParseError) as got:
+                load_edge_list(path)
+            assert (got.value.line_number, str(got.value)) == (
+                exc.line_number, str(exc)), path.read_bytes()
+            assert _read_bulk(path) is None
+            paths_taken["error"] += 1
+            continue
+        g = load_edge_list(path)
+        labels, edges, loops, dups = want
+        assert g.labels.tolist() == labels, path.read_bytes()
+        assert g.edge_array.tolist() == [list(e) for e in edges]
+        assert g.num_vertices == len(labels)
+        assert (g.loops_dropped, g.duplicates_dropped) == (loops, dups)
+        assert np.array_equal(g.degrees, np.bincount(
+            np.array(edges, dtype=np.int64).ravel(), minlength=len(labels)))
+        bulk = _read_bulk(path)
+        if bulk is None:
+            paths_taken["lines"] += 1
+        else:
+            assert np.array_equal(bulk, _read_lines(path))
+            paths_taken["bulk"] += 1
+    assert min(paths_taken.values()) >= 20, paths_taken
+
+
+@pytest.mark.parametrize("text, line_number, message", [
+    ("1 2\n3 4 #note\n", 2, "expected 2 tokens, found 3"),
+    ("1 2\r3 4#x\r", 2, "non-integer vertex label in ['3', '4#x']"),
+    ("1 2\n5\n", 2, "expected 2 tokens, found 1"),
+    ("7\n8\n", 1, "expected 2 tokens, found 1"),
+    ("1 2 3\n", 1, "expected 2 tokens, found 3"),
+    (f"1 2\n1 {2 ** 63}\n", 2, "vertex label outside int64"),
+    ("1 2\n\x00 3\n", 2, "non-integer vertex label"),
+])
+def test_bulk_parse_falls_back_for_errors(tmp_path, text, line_number,
+                                          message):
+    path = tmp_path / "bad.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert _read_bulk(path) is None
+    with pytest.raises(GraphParseError) as exc:
+        load_edge_list(path)
+    assert exc.value.line_number == line_number
+    assert message in str(exc.value)
+
+
+def test_bad_utf8_raises_as_line_reading_does(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"1 2\n\xff\xfe 3\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_edge_list(path)
+
+
+def test_sorted_and_shuffled_edges_build_the_same_graph():
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 40, 300):
+        adj = np.triu(rng.random((n, n)) < 0.2, 1)
+        ascending = np.argwhere(adj)
+        shuffled = ascending[rng.permutation(len(ascending))]
+        flip = rng.random(len(shuffled)) < 0.5
+        shuffled[flip] = shuffled[flip][:, ::-1]
+        # sorted by u alone: only the second column is out of order
+        by_u = ascending[np.lexsort((rng.random(len(ascending)),
+                                     ascending[:, 0]))]
+        graphs = [SimpleGraph(n, e) for e in (ascending, shuffled, by_u)]
+        for g in graphs:
+            assert np.array_equal(g.edge_array, ascending)
+            assert np.array_equal(g.degrees, graphs[0].degrees)
+
+
+def test_from_pairs_matches_unique_oracle():
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 20, 500):
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        g = SimpleGraph.from_pairs(pairs, num_vertices=n)
+        loops = pairs[:, 0] == pairs[:, 1]
+        rest = np.sort(pairs[~loops], axis=1)
+        keys = np.unique(rest[:, 0] * n + rest[:, 1])
+        assert g.edge_array.tolist() == np.stack(
+            [keys // n, keys % n], axis=1).tolist()
+        assert g.loops_dropped == int(loops.sum())
+        assert g.duplicates_dropped == len(rest) - len(keys)
 
 
 def test_choose_r_examples():
