@@ -150,9 +150,13 @@ def _read_bulk(path: Path) -> np.ndarray | None:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore",
                                     "loadtxt: input contained no data")
+            # numpy releases from 1.23 read a token such as "1.5" or "1e3"
+            # through a float and only warn; that token must be an error
+            warnings.simplefilter("error", DeprecationWarning)
             raw = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
                              encoding="utf-8")
-    except ValueError:  # a bad token, an int64 overflow or bad UTF-8
+    # a bad token, an int64 overflow, bad UTF-8 or a float-read token
+    except (ValueError, DeprecationWarning):
         return None
     return raw if raw.shape[1] == 2 else None  # no data reads as 1 column
 
@@ -212,28 +216,14 @@ def _read_lines(path: Path) -> np.ndarray:
 
 def _densify(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids for an (m, 2) label array, numbered in order of first
-    appearance along its rows, and the labels of those ids.
-
-    One argsort groups equal labels; the smallest position in each group
-    is that label's first appearance, so the sort need not be stable.
-    """
-    flat = raw.ravel()
-    if flat.size == 0:
-        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    order = np.argsort(flat)
-    ordered = flat[order]
-    starts = np.empty(flat.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    appearance along its rows, and the labels of those ids."""
+    labels, first, inverse = np.unique(raw.ravel(), return_index=True,
+                                       return_inverse=True)
     appearance = np.argsort(first)
-    labels = ordered[starts][appearance]
-    del ordered, first
+    del first
     rank = np.empty_like(appearance)
     rank[appearance] = np.arange(appearance.size)
-    dense = np.empty_like(flat)
-    dense[order] = rank[np.cumsum(starts) - 1]
-    return dense.reshape(-1, 2), labels
+    return rank[inverse].reshape(-1, 2), labels[appearance]
 
 
 def choose_r(num_vertices: int) -> int:

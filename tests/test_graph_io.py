@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,8 @@ def test_bulk_parse_matches_line_reading(tmp_path):
     ("1 2 3\n", 1, "expected 2 tokens, found 3"),
     (f"1 2\n1 {2 ** 63}\n", 2, "vertex label outside int64"),
     ("1 2\n\x00 3\n", 2, "non-integer vertex label"),
+    ("1.5 2\n", 1, "non-integer vertex label in ['1.5', '2']"),
+    ("1 2\n1e3 4\n", 2, "non-integer vertex label in ['1e3', '4']"),
 ])
 def test_bulk_parse_falls_back_for_errors(tmp_path, text, line_number,
                                           message):
@@ -243,6 +247,30 @@ def test_bulk_parse_falls_back_for_errors(tmp_path, text, line_number,
         load_edge_list(path)
     assert exc.value.line_number == line_number
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("text, line_number", [
+    ("1.5 2\n", 1),
+    ("1 2\n1e3 4\n", 2),
+])
+def test_float_read_tokens_fall_back(tmp_path, monkeypatch, text,
+                                     line_number):
+    # numpy releases from 1.23 read such a token through a float and cast
+    # it, with only a DeprecationWarning; this stands in for that loadtxt
+    def loadtxt_via_float(fname, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning, stacklevel=2)
+        rows = [line.split() for line in open(fname).read().splitlines()]
+        return np.array([[float(t) for t in row] for row in rows]
+                        ).astype(dtype).reshape(-1, 2)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+    path = write(tmp_path, text)
+    assert _read_bulk(path) is None
+    with pytest.raises(GraphParseError) as exc:
+        load_edge_list(path)
+    assert exc.value.line_number == line_number
+    assert "non-integer vertex label" in str(exc.value)
 
 
 def test_bad_utf8_raises_as_line_reading_does(tmp_path):
