@@ -23,6 +23,7 @@ from .moments import (
     FEATURE_NAMES,
     ExpectedFeatures,
     KroneckerParams,
+    check_power,
     closed_form_values,
     expected_counts,
 )
@@ -240,6 +241,32 @@ def _finish(params: KroneckerParams, spec, obs, method: str, t0: float,
 # ---------------------------------------------------------------------------
 
 
+# Lattice points the grid ranks per closed_form_values call: whole a-slices
+# of at most this many points (a slice larger than this is its own block).
+# At 8k points each of the evaluator's float temporaries is 64 KiB.
+_GRID_BLOCK_POINTS = 8192
+
+
+def _lattice_blocks(axis: np.ndarray):
+    """The {a >= c} lattice over ``axis`` in lexicographic (a, b, c) order.
+
+    Yields (a, b, c) arrays, one per block of consecutive a-slices; the
+    slice at axis[i] holds len(axis) * (i + 1) points.
+    """
+    n = len(axis)
+    stop = 0
+    while stop < n:
+        start, size = stop, 0
+        while stop < n and (size == 0
+                            or size + n * (stop + 1) <= _GRID_BLOCK_POINTS):
+            size += n * (stop + 1)
+            stop += 1
+        slices = range(start, stop)
+        yield (np.repeat(axis[start:stop], [n * (i + 1) for i in slices]),
+               np.concatenate([np.repeat(axis, i + 1) for i in slices]),
+               np.concatenate([np.tile(axis[:i + 1], n) for i in slices]))
+
+
 def fit_grid(
     obs: FeatureCounts,
     r: int,
@@ -256,26 +283,30 @@ def fit_grid(
     re-evaluating the points the cancellation guard flags would cost about
     half a minute per fit and moved no argmin.  The reported objective of
     the winning point comes from the exact per-point path.
+
+    The lattice is walked in lexicographic order, in blocks of whole
+    a-slices of at most about 8k points, and never built whole: the
+    evaluator's temporaries span one block, so memory grows with the
+    largest a-slice (points_per_dim^2 points), not with the lattice.  Each
+    block's first minimum competes with the other blocks' in walk order,
+    so the winner is the first minimum over the whole lattice.
     """
     t0 = time.perf_counter()
     spec = spec or ObjectiveSpec()
+    r = check_power(r)
     if points_per_dim < 2:
         raise ValueError("points_per_dim must be >= 2")
     _require_fittable(spec)
-    feats, _ = effective_features(spec, obs)
+    objective = _objective(spec, obs, effective_features(spec, obs)[0])
 
-    axis = np.linspace(0.0, 1.0, points_per_dim)
-    aa, bb, cc = np.meshgrid(axis, axis, axis, indexing="ij")
-    aa = aa.ravel()
-    bb = bb.ravel()
-    cc = cc.ravel()
-    keep = aa >= cc  # flattened order is lexicographic in (a, b, c)
-    aa, bb, cc = aa[keep], bb[keep], cc[keep]
-
-    total = _objective(spec, obs, feats)(closed_form_values(aa, bb, cc, r))
-
-    idx = int(np.argmin(total))  # first minimum = lexicographically smallest
-    params = KroneckerParams(float(aa[idx]), float(bb[idx]), float(cc[idx]), r)
+    winners = []  # (objective, a, b, c) of each block's first minimum
+    for aa, bb, cc in _lattice_blocks(np.linspace(0.0, 1.0, points_per_dim)):
+        total = objective(closed_form_values(aa, bb, cc, r))
+        idx = int(np.argmin(total))
+        winners.append((total[idx], aa[idx], bb[idx], cc[idx]))
+    # argmin takes the first minimum, so the earliest block wins a tie
+    _, a, b, c = winners[int(np.argmin([w[0] for w in winners]))]
+    params = KroneckerParams(float(a), float(b), float(c), r)
     return _finish(params, spec, obs, "grid", t0)
 
 
@@ -297,9 +328,12 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
 
     ``objective`` maps an (m, n) array of points to their m values.  All
     simplices live in one (starts, n + 1, n) array, and each iteration
-    evaluates every live start's trial points in at most three calls:
-    the reflections; then the expansions and both kinds of contraction;
-    then the shrinks.  Each start takes exactly the steps of
+    evaluates every live start's trial points in at most two calls.  The
+    reflection, expansion and both contraction points depend only on the
+    centroid and the worst vertex, so all four are ranked in one call of
+    4 x live-starts points, and each start then uses those its branch
+    needs; the shrinks take the second call.  Each start takes exactly
+    the steps of
     scipy.optimize.minimize(method="Nelder-Mead", bounds=[(0, 1)] * n,
     options=dict(xatol=1e-8, fatol=inf, maxiter=2000)) with a stable sort.
     A start retires when it converges, or at once when no vertex of its
@@ -335,24 +369,25 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
 
         xbar = sim[:, :-1].sum(axis=1) / n
         worst = sim[:, -1]
-        xr = np.clip((1 + _RHO) * xbar - _RHO * worst, 0.0, 1.0)
-        fxr = objective(xr)
+        # reflection, expansion, outside and inside contraction, in order
+        trials = np.clip(np.stack([
+            (1 + _RHO) * xbar - _RHO * worst,
+            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+            (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+            (1 - _PSI) * xbar + _PSI * worst,
+        ]), 0.0, 1.0)
+        ftrials = objective(trials.reshape(-1, n)).reshape(4, -1)
+        xr, fxr = trials[0], ftrials[0]
         expand = fxr < fsim[:, 0]
         contract = ~expand & ~(fxr < fsim[:, -2])
         outside = contract & (fxr < fsim[:, -1])
         inside = contract & ~outside
 
-        # one second trial point per start that expands or contracts
-        x2 = np.where(
-            expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
-            np.where(outside[:, None],
-                     (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
-                     (1 - _PSI) * xbar + _PSI * worst))
-        x2 = np.clip(x2, 0.0, 1.0)
-        second = expand | contract
-        f2 = np.full(ids.size, np.nan)
-        if second.any():
-            f2[second] = objective(x2[second])
+        # the second trial point of each start that expands or contracts
+        x2 = np.where(expand[:, None], trials[1],
+                      np.where(outside[:, None], trials[2], trials[3]))
+        f2 = np.where(expand, ftrials[1],
+                      np.where(outside, ftrials[2], ftrials[3]))
         take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
                  | (inside & (f2 < fsim[:, -1])))
         take_r = ~contract & ~take2
@@ -393,6 +428,7 @@ def fit_direct(
     """
     t0 = time.perf_counter()
     spec = spec or ObjectiveSpec()
+    r = check_power(r)
     if starts < 1:
         raise ValueError("starts must be >= 1")
     _require_fittable(spec)
@@ -504,6 +540,7 @@ def fit_leading(
     """
     t0 = time.perf_counter()
     spec = spec or ObjectiveSpec()
+    r = check_power(r)
     transforms = compute_leading_transforms(obs, r)
     if obs.triangles <= 0:
         raise ValueError(

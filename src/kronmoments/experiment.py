@@ -23,7 +23,7 @@ from .estimator import FIT_METHODS, FitResult, ObjectiveSpec
 from .features import FeatureCounts, count_features
 from .generator import generate
 from .graph_io import choose_r, load_edge_list
-from .moments import FEATURE_NAMES, KroneckerParams
+from .moments import FEATURE_NAMES, KroneckerParams, check_power
 
 FIT_CSV_COLUMNS = (
     "graph", "fit_type", "replication", "a", "b", "c", "verts",
@@ -96,7 +96,10 @@ def parse_experiment_config(path) -> ExperimentConfig:
             if not section.counts.exists():
                 raise ConfigError(f"[{name}] counts file not found: {section.counts}")
         if "r" in raw:
-            section.r = int(raw["r"])
+            try:
+                section.r = check_power(int(raw["r"]))
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {exc}") from None
         if "params" in raw:
             try:
                 a, b, c = (float(tok) for tok in raw["params"].split(","))

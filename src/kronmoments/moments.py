@@ -40,6 +40,15 @@ _CANCELLATION_GUARD = 1e-2
 FEATURE_NAMES = ("edges", "hairpins", "tripins", "triangles")
 
 
+def check_power(r) -> int:
+    """``r`` as an int; TypeError or ValueError unless it is in [0, MAX_POWER]."""
+    if not isinstance(r, (int, np.integer)):
+        raise TypeError(f"r must be an integer, got {r!r}")
+    if not 0 <= r <= MAX_POWER:
+        raise ValueError(f"r={r} outside [0, {MAX_POWER}]")
+    return int(r)
+
+
 @dataclass(frozen=True)
 class KroneckerParams:
     """Initiator entries (a, b, c) plus the Kronecker power r.
@@ -60,11 +69,7 @@ class KroneckerParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
-        if not isinstance(self.r, (int, np.integer)):
-            raise TypeError(f"r must be an integer, got {self.r!r}")
-        if not 0 <= self.r <= MAX_POWER:
-            raise ValueError(f"r={self.r} outside [0, {MAX_POWER}]")
-        object.__setattr__(self, "r", int(self.r))
+        object.__setattr__(self, "r", check_power(self.r))
         if self.a < self.c:
             a, c = self.a, self.c
             object.__setattr__(self, "a", c)

@@ -208,6 +208,49 @@ def test_unexplainable_counts_fail_fast(tmp_path, method, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("r", ["-1", "61"])
+def test_fit_power_out_of_range(r):
+    proc = python("-m", "kronmoments", "fit",
+                  str(FIXTURES / "ca-GrQc.counts.json"), "--r", r,
+                  "--method", "grid")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: r={r} outside [0, 60]\n"
+
+
+def test_experiment_power_out_of_range(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"[grqc]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
+                      "methods = grid\nr = -1\n")
+    proc = python("-m", "kronmoments", "experiment", str(config),
+                  "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: [grqc] r=-1 outside [0, 60]\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc/self/status")
+def test_grid_memory_is_bounded():
+    # The 201-point lattice has 4.1M points; built whole, as a meshgrid
+    # and mask, it peaked near 1 GB.  VmHWM is read as bench/job.py reads
+    # it, since ru_maxrss would carry over the test process's own peak.
+    proc = python("-c", """
+import sys
+from kronmoments.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(int(hwm) / 1024.0, file=sys.stderr)
+sys.exit(code)
+""", "fit", str(FIXTURES / "ca-GrQc.counts.json"), "--method", "grid",
+                  "--grid-points", "201")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["method"] == "grid"
+    assert float(proc.stderr) < 150.0
+
+
 def test_generate_deterministic_across_env_workers(tmp_path, capsys):
     blobs = []
     for run_index in range(3):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from kronmoments.estimator import (
+    _GRID_BLOCK_POINTS,
     LeadingTermInfeasible,
     ObjectiveSpec,
+    _lattice_blocks,
     _nelder_mead_lockstep,
     _objective,
     compute_leading_transforms,
@@ -24,6 +26,7 @@ from kronmoments.moments import (
     FEATURE_NAMES,
     KroneckerParams,
     closed_form_values,
+    expected_counts,
     expected_features,
 )
 
@@ -166,7 +169,46 @@ class TestEvaluateObjective:
         assert val > 2.5 * ours.objective_value
 
 
+def whole_lattice(points_per_dim):
+    """The a >= c grid lattice, built whole: meshgrid, then the mask."""
+    axis = np.linspace(0.0, 1.0, points_per_dim)
+    aa, bb, cc = (g.ravel() for g in
+                  np.meshgrid(axis, axis, axis, indexing="ij"))
+    keep = aa >= cc  # flattened order is lexicographic in (a, b, c)
+    return aa[keep], bb[keep], cc[keep]
+
+
+def grid_oracle(obs, r, spec, points_per_dim):
+    """The grid fit as one argmin over the whole lattice, and its objective."""
+    aa, bb, cc = whole_lattice(points_per_dim)
+    objective = _objective(spec, obs, effective_features(spec, obs)[0])
+    idx = int(np.argmin(objective(closed_form_values(aa, bb, cc, r))))
+    a, b, c = float(aa[idx]), float(bb[idx]), float(cc[idx])
+    return (a, b, c), objective(expected_counts(a, b, c, r))
+
+
 class TestFitGrid:
+    @pytest.mark.parametrize("points_per_dim", [2, 3, 11, 41, 101])
+    def test_blocks_walk_the_whole_lattice(self, points_per_dim):
+        axis = np.linspace(0.0, 1.0, points_per_dim)
+        blocks = list(_lattice_blocks(axis))
+        for got, want in zip(map(np.concatenate, zip(*blocks)),
+                             whole_lattice(points_per_dim)):
+            assert np.array_equal(got, want)
+        # whole a-slices, packed up to the block size
+        largest_slice = points_per_dim * points_per_dim
+        assert all(len(a) <= max(_GRID_BLOCK_POINTS, largest_slice)
+                   for a, _, _ in blocks)
+
+    @pytest.mark.parametrize("code", ["dsq-f2", "dsq-e", "dabs-f"])
+    @pytest.mark.parametrize("points_per_dim", [2, 3, 11, 41, 101])
+    def test_matches_whole_lattice_sweep(self, points_per_dim, code):
+        spec = ObjectiveSpec.from_code(code)
+        res = fit_grid(GRQC, 13, spec, points_per_dim=points_per_dim)
+        params, objective = grid_oracle(GRQC, 13, spec, points_per_dim)
+        assert (res.params.a, res.params.b, res.params.c) == params
+        assert res.objective_value == objective
+
     def test_exact_on_grid_minimum(self):
         params = KroneckerParams(0.5, 0.5, 0.5, 8)
         obs = expectations_as_counts(params)
@@ -199,6 +241,26 @@ class TestFitGrid:
         spec = ObjectiveSpec(distance="sq", normalization="e")
         res = fit_grid(obs, 4, spec, points_per_dim=5)
         assert (res.params.a, res.params.b, res.params.c) == (0.0, 0.0, 0.0)
+
+    def test_tie_across_blocks_goes_to_the_first(self):
+        # the b=0 plane again, now with a zero in every block of the sweep
+        obs = FeatureCounts(16, 0, 0, 0, 0)
+        spec = ObjectiveSpec(distance="sq", normalization="e")
+        assert len(list(_lattice_blocks(np.linspace(0.0, 1.0, 101)))) > 1
+        res = fit_grid(obs, 4, spec, points_per_dim=101)
+        assert (res.params.a, res.params.b, res.params.c) == (0.0, 0.0, 0.0)
+        assert grid_oracle(obs, 4, spec, 101)[0] == (0.0, 0.0, 0.0)
+
+    def test_power_checked_before_the_sweep(self, monkeypatch):
+        import kronmoments.estimator as estimator
+
+        def no_sweep(*args):
+            raise AssertionError("the lattice was evaluated")
+
+        monkeypatch.setattr(estimator, "closed_form_values", no_sweep)
+        for r in (-1, 61):
+            with pytest.raises(ValueError, match=rf"r={r} outside \[0, 60\]"):
+                fit_grid(GRQC, r)
 
     def test_needs_three_features(self):
         with pytest.raises(ValueError):
@@ -261,13 +323,18 @@ class TestFitDirect:
 class TestLockstepNelderMead:
     """The lockstep simplex against scipy's Nelder-Mead, start by start."""
 
-    @pytest.mark.parametrize("name, r", [
-        ("ca-GrQc", 13), ("usroads", 17), ("as-skitter", 21),
+    @pytest.mark.parametrize("name, r, code", [
+        pytest.param("ca-GrQc", 13, "dsq-f2", id="ca-GrQc-13"),
+        pytest.param("usroads", 17, "dsq-f2", id="usroads-17"),
+        pytest.param("as-skitter", 21, "dsq-f2", id="as-skitter-21"),
+        # kinked, and infinite wherever an expectation is 0
+        pytest.param("ca-GrQc", 13, "dabs-f", id="ca-GrQc-13-dabs-f"),
+        pytest.param("ca-GrQc", 13, "dsq-e", id="ca-GrQc-13-dsq-e"),
     ])
-    def test_end_points_match_scipy(self, name, r):
+    def test_end_points_match_scipy(self, name, r, code):
         from scipy.optimize import minimize
 
-        obs, spec = load_counts(name), ObjectiveSpec()
+        obs, spec = load_counts(name), ObjectiveSpec.from_code(code)
         objective_of = _objective(spec, obs, effective_features(spec, obs)[0])
 
         def objective(p):
