@@ -20,7 +20,6 @@ from .features import (
     count_triangles,
 )
 from .generator import (
-    cell_probability,
     generate,
     generate_edges,
     generate_to_file,
@@ -30,11 +29,8 @@ from .moments import (
     DominanceExponent,
     ExpectedFeatures,
     KroneckerParams,
-    brute_force_expected,
     dominance_exponent,
     expected_features,
-    fold_identity_check,
-    probability_matrix,
 )
 
 __version__ = "0.1.0"
@@ -51,8 +47,6 @@ __all__ = [
     "LeadingTransforms",
     "ObjectiveSpec",
     "SimpleGraph",
-    "brute_force_expected",
-    "cell_probability",
     "choose_r",
     "compute_leading_transforms",
     "count_degree_features",
@@ -65,11 +59,9 @@ __all__ = [
     "fit_direct",
     "fit_grid",
     "fit_leading",
-    "fold_identity_check",
     "generate",
     "generate_edges",
     "generate_to_file",
     "load_edge_list",
-    "probability_matrix",
     "__version__",
 ]

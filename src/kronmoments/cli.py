@@ -27,7 +27,7 @@ from .experiment import (
     run_experiment,
     FIT_CSV_COLUMNS,
 )
-from .features import FeatureCounts, count_features
+from .features import FeatureCounts, count_features, read_counts_json
 from .generator import MAX_GENERATE_POWER, generate_to_file
 from .graph_io import GraphParseError, choose_r, load_edge_list
 from .moments import (
@@ -105,15 +105,7 @@ def _load_counts_source(source: str) -> FeatureCounts:
     if not path.exists():
         raise _UserError(f"no such file: {source}")
     if path.suffix == ".json":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise _UserError(f"{source}: invalid counts JSON: {exc}") from exc
-        try:
-            return FeatureCounts.from_dict(data)
-        except KeyError as exc:
-            raise _UserError(f"{source}: counts JSON missing key {exc}") from exc
+        return read_counts_json(path)
     graph = load_edge_list(path)
     if graph.loops_dropped or graph.duplicates_dropped:
         print(

@@ -203,7 +203,8 @@ def feature_ratios(exp: ExpectedFeatures, obs: FeatureCounts) -> dict:
     return out
 
 
-def _require_fittable(spec: ObjectiveSpec):
+def _require_fittable(spec: ObjectiveSpec, obs: FeatureCounts):
+    """The features a fit of ``obs`` uses; ValueError if there are none."""
     # three free parameters need at least three moment equations
     if len(spec.features) < 3:
         raise ValueError(
@@ -211,6 +212,14 @@ def _require_fittable(spec: ObjectiveSpec):
             f"got {spec.features!r} (smaller subsets are fine for "
             f"evaluation only)"
         )
+    feats, _ = effective_features(spec, obs)
+    if not feats:
+        raise ValueError(
+            f"nothing to fit: every feature in {spec.features!r} is "
+            f"observed as 0 and dropped under normalization "
+            f"{spec.normalization!r}"
+        )
+    return feats
 
 
 def _finish(params: KroneckerParams, spec, obs, method: str, t0: float,
@@ -296,8 +305,7 @@ def fit_grid(
     r = check_power(r)
     if points_per_dim < 2:
         raise ValueError("points_per_dim must be >= 2")
-    _require_fittable(spec)
-    objective = _objective(spec, obs, effective_features(spec, obs)[0])
+    objective = _objective(spec, obs, _require_fittable(spec, obs))
 
     winners = []  # (objective, a, b, c) of each block's first minimum
     for aa, bb, cc in _lattice_blocks(np.linspace(0.0, 1.0, points_per_dim)):
@@ -431,9 +439,7 @@ def fit_direct(
     r = check_power(r)
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    _require_fittable(spec)
-    feats, _ = effective_features(spec, obs)
-    objective_of = _objective(spec, obs, feats)
+    objective_of = _objective(spec, obs, _require_fittable(spec, obs))
 
     def objective(points):
         return np.broadcast_to(objective_of(closed_form_values(

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import configparser
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .estimator import FIT_METHODS, FitResult, ObjectiveSpec
-from .features import FeatureCounts, count_features
+from .features import FeatureCounts, count_features, read_counts_json
 from .generator import generate
 from .graph_io import choose_r, load_edge_list
 from .moments import FEATURE_NAMES, KroneckerParams, check_power
@@ -63,13 +62,30 @@ class ExperimentConfig:
     output_dir: Path | None = None
 
 
+def _int_setting(section: str, raw: dict, key: str, default: int,
+                 minimum: int | None = None) -> int:
+    """Integer ``key`` of a section, ConfigError unless it is >= minimum."""
+    if key not in raw:
+        return default
+    try:
+        value = int(raw[key])
+    except ValueError:
+        raise ConfigError(
+            f"[{section}] {key} must be an integer, got {raw[key]!r}"
+        ) from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"[{section}] {key} must be >= {minimum}")
+    return value
+
+
 def parse_experiment_config(path) -> ExperimentConfig:
     """Parse the flat key=value config (one experiment block per section).
 
     Recognized keys: graph, counts, params (a,b,c), r, replications,
     objective (code like dsq-f2), features (comma list), methods, seed,
     starts, grid_points, output (section-independent output directory).
-    Referenced paths must exist at parse time.
+    Referenced paths must exist at parse time; replications and starts
+    must be >= 1, grid_points >= 2.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
@@ -118,10 +134,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
             raise ConfigError(
                 f"[{name}] give exactly one of graph, counts, params"
             )
-        if "replications" in raw:
-            section.replications = int(raw["replications"])
-            if section.replications < 1:
-                raise ConfigError(f"[{name}] replications must be >= 1")
+        section.replications = _int_setting(name, raw, "replications", 1, 1)
         features = FEATURE_NAMES
         if "features" in raw:
             features = tuple(tok.strip() for tok in raw["features"].split(","))
@@ -136,9 +149,9 @@ def parse_experiment_config(path) -> ExperimentConfig:
                 if m not in FIT_METHODS:
                     raise ConfigError(f"[{name}] unknown method {m!r}")
             section.methods = methods
-        section.seed = int(raw.get("seed", 0))
-        section.starts = int(raw.get("starts", 50))
-        section.grid_points = int(raw.get("grid_points", 100))
+        section.seed = _int_setting(name, raw, "seed", 0)
+        section.starts = _int_setting(name, raw, "starts", 50, 1)
+        section.grid_points = _int_setting(name, raw, "grid_points", 100, 2)
         sections.append(section)
     if not sections:
         raise ConfigError(f"{path} defines no experiment sections")
@@ -177,8 +190,7 @@ def source_csv_row(graph: str, obs: FeatureCounts) -> dict:
 
 def _load_counts(section: ExperimentSection) -> FeatureCounts:
     if section.counts is not None:
-        with open(section.counts, "r", encoding="utf-8") as fh:
-            return FeatureCounts.from_dict(json.load(fh))
+        return read_counts_json(section.counts)
     graph = load_edge_list(section.graph)
     return count_features(graph)
 

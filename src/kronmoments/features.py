@@ -8,6 +8,7 @@ forward adjacency, in int64.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 
@@ -56,6 +57,28 @@ class FeatureCounts:
                     f"count {key!r} must be a finite number >= 0, got {v!r}")
             values[key] = v
         return cls(**values)
+
+
+def read_counts_json(path) -> FeatureCounts:
+    """Counts from a JSON object file, as the features command prints them.
+
+    Invalid JSON, a top level that is not an object, a missing key or a
+    bad count raises ValueError naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid counts JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: counts JSON must be an object, "
+                         f"got {type(data).__name__}")
+    try:
+        return FeatureCounts.from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: counts JSON missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def count_degree_features(g: SimpleGraph) -> tuple[int, int, int]:

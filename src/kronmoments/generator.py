@@ -68,26 +68,6 @@ def cell_uniforms(seed: int, cell_indices: np.ndarray) -> np.ndarray:
     return (z >> _S11) * _TO_UNIT
 
 
-def cell_probability(params: KroneckerParams, i: int, j: int) -> float:
-    """Edge probability of cell (i, j): the product over bit positions of
-    the initiator entry selected by the bits of i and j.
-
-    Computed as exp of the summed logs, with an exact-zero shortcut when
-    any factor is zero.
-    """
-    n = params.num_vertices
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"cell ({i}, {j}) outside 0..{n - 1}")
-    theta = ((params.a, params.b), (params.b, params.c))
-    log_total = 0.0
-    for s in range(params.r):
-        entry = theta[(i >> s) & 1][(j >> s) & 1]
-        if entry == 0.0:
-            return 0.0
-        log_total += math.log(entry)
-    return math.exp(log_total)
-
-
 def _regions(params: KroneckerParams):
     """Upper-triangle regions (i, j, k = r - i - j), j >= 1: i and j as
     int64 arrays, with the multinomial r!/(i! j! k!), the cell count and

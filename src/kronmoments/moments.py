@@ -8,10 +8,9 @@ hairpins (2-stars), tripins (3-stars) and triangles all have closed forms:
 every one is a short signed combination of r-th powers of polynomials in
 (a, b, c).
 
-This module evaluates those closed forms (at a point or over arrays), provides
-a small-r brute-force oracle that sums over an explicitly built probability
-matrix instead, and carries the restricted-sum fold identities that the
-derivation rests on so they can be checked against direct enumeration.
+This module evaluates those closed forms, at a point (with an exact
+rational fallback where the signed terms cancel) or over arrays.  The
+brute-force and fold-identity oracles that check them live with the tests.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +25,6 @@ import numpy as np
 # base**r stays below double-precision overflow for every base that can
 # occur (max is (a+b)^3 + (b+c)^3 <= 16, and 16^60 < 1.8e72 < 1.8e308).
 MAX_POWER = 60
-
-# brute_force_expected builds the full 2^r x 2^r matrix.
-BRUTE_FORCE_MAX_POWER = 7
 
 # When a closed form cancels down to less than this fraction of its largest
 # term, double precision no longer carries enough signal; the value is then
@@ -79,10 +73,6 @@ class KroneckerParams:
     @property
     def num_vertices(self) -> int:
         return 1 << self.r
-
-    def theta(self) -> np.ndarray:
-        """The 2x2 initiator matrix."""
-        return np.array([[self.a, self.b], [self.b, self.c]])
 
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "r": self.r}
@@ -218,91 +208,12 @@ def expected_features(params: KroneckerParams) -> ExpectedFeatures:
                                              params.r))
 
 
-def probability_matrix(params: KroneckerParams) -> np.ndarray:
-    """The explicit 2^r x 2^r edge-probability matrix (small r only)."""
-    if params.r > BRUTE_FORCE_MAX_POWER:
-        raise ValueError(
-            f"explicit matrix limited to r <= {BRUTE_FORCE_MAX_POWER}, got r={params.r}"
-        )
-    if params.r == 0:
-        return np.array([[1.0]])
-    return reduce(np.kron, [params.theta()] * params.r)
-
-
-@lru_cache(maxsize=16)
-def _pair_columns(n: int):
-    pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
-@lru_cache(maxsize=16)
-def _triple_columns(n: int):
-    trips = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
-    return trips[:, 0], trips[:, 1], trips[:, 2]
-
-
-def brute_force_expected(params: KroneckerParams) -> ExpectedFeatures:
-    """Oracle: restricted sums over the explicitly built probability matrix.
-
-    Every sum runs over index tuples with all entries distinct, enumerated
-    directly (sorted representatives times the count of their orderings).
-    No fold identity and no Kronecker power reduction is involved, so this
-    is an independent check of ``expected_features``.
-    """
-    if params.r > BRUTE_FORCE_MAX_POWER:
-        raise ValueError(
-            f"brute force limited to r <= {BRUTE_FORCE_MAX_POWER}, got r={params.r}"
-        )
-    p = probability_matrix(params)
-    n = p.shape[0]
-    g = p.copy()
-    np.fill_diagonal(g, 0.0)
-
-    edges2 = float(g.sum())
-
-    if n >= 3:
-        j2, k2 = _pair_columns(n)
-        # sum over centers i and unordered {j, k}; zeroed diagonal removes
-        # any tuple with j = i or k = i
-        work = g[:, j2]
-        work *= g[:, k2]
-        hairpins2 = 2.0 * float(work.sum())
-        i3, j3, k3 = _triple_columns(n)
-        triangles6 = 6.0 * float((p[i3, j3] * p[i3, k3] * p[j3, k3]).sum())
-    else:
-        hairpins2 = 0.0
-        triangles6 = 0.0
-
-    if n >= 4:
-        j3, k3, l3 = _triple_columns(n)
-        work = g[:, j3]
-        work *= g[:, k3]
-        work *= g[:, l3]
-        tripins6 = 6.0 * float(work.sum())
-    else:
-        tripins6 = 0.0
-
-    return ExpectedFeatures(
-        e_edges=edges2 / 2.0,
-        e_hairpins=hairpins2 / 2.0,
-        e_tripins=tripins6 / 6.0,
-        e_triangles=triangles6 / 6.0,
-    )
-
-
 class DominanceExponent(NamedTuple):
     """How fast the non-lead closed-form terms vanish relative to the lead."""
 
     alpha: float
     lead_dominant: bool   # alpha > 1/2: dropping non-lead terms is below sampling noise
     diagonal_sum_zero: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "lead_dominant": self.lead_dominant,
-            "diagonal_sum_zero": self.diagonal_sum_zero,
-        }
 
 
 def dominance_exponent(params: KroneckerParams) -> DominanceExponent:
@@ -312,138 +223,3 @@ def dominance_exponent(params: KroneckerParams) -> DominanceExponent:
         return DominanceExponent(math.inf, True, True)
     alpha = math.log2((params.a + 2 * params.b + params.c) / s)
     return DominanceExponent(alpha, alpha > 0.5, False)
-
-
-# ---------------------------------------------------------------------------
-# Restricted-sum fold identities.
-#
-# A "restricted" sum runs over all index tuples whose entries are pairwise
-# distinct.  Each identity rewrites it in terms of unrestricted sums over
-# partial diagonals.  restricted_sum() enumerates directly and is the
-# reference the identities are checked against.
-# ---------------------------------------------------------------------------
-
-
-def restricted_sum(f: np.ndarray) -> float:
-    """Direct enumeration of sum f over all-distinct index tuples (2-4 dims)."""
-    f = np.asarray(f, dtype=float)
-    ndim = f.ndim
-    if ndim not in (2, 3, 4):
-        raise ValueError(f"need a 2-, 3- or 4-index tensor, got ndim={ndim}")
-    n = f.shape[0]
-    if any(dim != n for dim in f.shape):
-        raise ValueError("all index ranges must match")
-    total = 0.0
-    for tup in permutations(range(n), ndim):
-        total += f[tup]
-    return total
-
-
-def folded_pair_sum(f: np.ndarray) -> float:
-    """Two indices: full sum minus the diagonal."""
-    f = np.asarray(f, dtype=float)
-    return float(f.sum() - np.einsum("ii->", f))
-
-
-def folded_triple_sum(f: np.ndarray) -> float:
-    """Three indices, no symmetry assumed."""
-    f = np.asarray(f, dtype=float)
-    return float(
-        f.sum()
-        - np.einsum("ijj->", f)
-        - np.einsum("iji->", f)
-        - np.einsum("iij->", f)
-        + 2.0 * np.einsum("iii->", f)
-    )
-
-
-def folded_quad_sum(f: np.ndarray) -> float:
-    """Four indices, no symmetry assumed."""
-    f = np.asarray(f, dtype=float)
-    three = (
-        np.einsum("ijki->", f)
-        + np.einsum("ijkj->", f)
-        + np.einsum("ijkk->", f)
-        + np.einsum("ijik->", f)
-        + np.einsum("ijjk->", f)
-        + np.einsum("iijk->", f)
-    )
-    two = (
-        2.0
-        * (
-            np.einsum("ijjj->", f)
-            + np.einsum("ijii->", f)
-            + np.einsum("iiji->", f)
-            + np.einsum("iiij->", f)
-        )
-        + np.einsum("ijij->", f)
-        + np.einsum("ijji->", f)
-        + np.einsum("iijj->", f)
-    )
-    return float(f.sum() - three + two - 6.0 * np.einsum("iiii->", f))
-
-
-def folded_triple_sum_tail_exchangeable(f: np.ndarray) -> float:
-    """Three indices with f[i, j, k] == f[i, k, j]."""
-    f = np.asarray(f, dtype=float)
-    return float(
-        f.sum()
-        - np.einsum("ijj->", f)
-        - 2.0 * np.einsum("iij->", f)
-        + 2.0 * np.einsum("iii->", f)
-    )
-
-
-def folded_quad_sum_tail_exchangeable(f: np.ndarray) -> float:
-    """Four indices with the last three exchangeable.
-
-    Derived from the general four-index identity: under tail
-    exchangeability the six single-pair collapses merge 3+3, and the seven
-    two-block collapses merge as 2x(i,jjj) + 3x(ii,jj) + 6x(iii,j).
-    """
-    f = np.asarray(f, dtype=float)
-    return float(
-        f.sum()
-        - 3.0 * (np.einsum("iijk->", f) + np.einsum("ijjk->", f))
-        + 2.0 * np.einsum("ijjj->", f)
-        + 3.0 * np.einsum("iijj->", f)
-        + 6.0 * np.einsum("iiij->", f)
-        - 6.0 * np.einsum("iiii->", f)
-    )
-
-
-def folded_triple_sum_fully_exchangeable(f: np.ndarray) -> float:
-    """Three indices with f symmetric in all of them."""
-    f = np.asarray(f, dtype=float)
-    return float(
-        f.sum() - 3.0 * np.einsum("iij->", f) + 2.0 * np.einsum("iii->", f)
-    )
-
-
-_FOLD_VARIANTS = {
-    (2, "none"): folded_pair_sum,
-    (3, "none"): folded_triple_sum,
-    (4, "none"): folded_quad_sum,
-    (3, "tail"): folded_triple_sum_tail_exchangeable,
-    (4, "tail"): folded_quad_sum_tail_exchangeable,
-    (3, "full"): folded_triple_sum_fully_exchangeable,
-}
-
-
-def fold_identity_check(
-    f: np.ndarray, exchangeable: str = "none", rel_tol: float = 1e-12
-) -> bool:
-    """Check one fold identity against direct distinct-tuple enumeration.
-
-    ``exchangeable`` selects the variant: "none" for a general tensor,
-    "tail" when all indices after the first are exchangeable, "full" when
-    every index is (three-index tensors only).  The caller is responsible
-    for handing in a tensor with the claimed symmetry.
-    """
-    f = np.asarray(f, dtype=float)
-    key = (f.ndim, exchangeable)
-    if key not in _FOLD_VARIANTS:
-        raise ValueError(f"no fold identity for ndim={f.ndim}, exchangeable={exchangeable!r}")
-    direct = restricted_sum(f)
-    folded = _FOLD_VARIANTS[key](f)
-    return abs(direct - folded) <= rel_tol * max(abs(direct), abs(folded), 1.0)

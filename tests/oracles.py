@@ -1,0 +1,215 @@
+"""Independent oracles the tests check the package against.
+
+- ``brute_force_expected`` sums over the explicitly built 2^r x 2^r
+  probability matrix (small r only), with no fold identity and no
+  Kronecker power reduction.
+- ``exact_expected`` evaluates the closed forms in exact rational
+  arithmetic, a precision reference for the double-precision path.
+- ``restricted_sum`` and the ``folded_*`` sums are the restricted-sum fold
+  identities the closed-form derivation rests on, and the direct
+  enumeration they are checked against.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import combinations, permutations
+
+import numpy as np
+
+from kronmoments.moments import (
+    ExpectedFeatures,
+    KroneckerParams,
+    _closed_form_terms,
+    _combine,
+)
+
+# brute_force_expected builds the full 2^r x 2^r matrix.
+BRUTE_FORCE_MAX_POWER = 7
+
+
+def probability_matrix(params: KroneckerParams) -> np.ndarray:
+    """The explicit 2^r x 2^r edge-probability matrix (small r only)."""
+    if params.r > BRUTE_FORCE_MAX_POWER:
+        raise ValueError(
+            f"explicit matrix limited to r <= {BRUTE_FORCE_MAX_POWER}, got r={params.r}"
+        )
+    if params.r == 0:
+        return np.array([[1.0]])
+    theta = np.array([[params.a, params.b], [params.b, params.c]])
+    return reduce(np.kron, [theta] * params.r)
+
+
+@lru_cache(maxsize=16)
+def _pair_columns(n: int):
+    pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+@lru_cache(maxsize=16)
+def _triple_columns(n: int):
+    trips = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    return trips[:, 0], trips[:, 1], trips[:, 2]
+
+
+def brute_force_expected(params: KroneckerParams) -> ExpectedFeatures:
+    """Oracle: restricted sums over the explicitly built probability matrix.
+
+    Every sum runs over index tuples with all entries distinct, enumerated
+    directly (sorted representatives times the count of their orderings).
+    No fold identity and no Kronecker power reduction is involved, so this
+    is an independent check of ``expected_features``.
+    """
+    if params.r > BRUTE_FORCE_MAX_POWER:
+        raise ValueError(
+            f"brute force limited to r <= {BRUTE_FORCE_MAX_POWER}, got r={params.r}"
+        )
+    p = probability_matrix(params)
+    n = p.shape[0]
+    g = p.copy()
+    np.fill_diagonal(g, 0.0)
+
+    edges2 = float(g.sum())
+
+    if n >= 3:
+        j2, k2 = _pair_columns(n)
+        # sum over centers i and unordered {j, k}; zeroed diagonal removes
+        # any tuple with j = i or k = i
+        work = g[:, j2]
+        work *= g[:, k2]
+        hairpins2 = 2.0 * float(work.sum())
+        i3, j3, k3 = _triple_columns(n)
+        triangles6 = 6.0 * float((p[i3, j3] * p[i3, k3] * p[j3, k3]).sum())
+    else:
+        hairpins2 = 0.0
+        triangles6 = 0.0
+
+    if n >= 4:
+        j3, k3, l3 = _triple_columns(n)
+        work = g[:, j3]
+        work *= g[:, k3]
+        work *= g[:, l3]
+        tripins6 = 6.0 * float(work.sum())
+    else:
+        tripins6 = 0.0
+
+    return ExpectedFeatures(
+        e_edges=edges2 / 2.0,
+        e_hairpins=hairpins2 / 2.0,
+        e_tripins=tripins6 / 6.0,
+        e_triangles=triangles6 / 6.0,
+    )
+
+
+def exact_expected(a, b, c, r):
+    """Closed forms in exact rational arithmetic (independent precision ref)."""
+    terms = _closed_form_terms(Fraction(a), Fraction(b), Fraction(c))
+    e2, h2, t6, d6 = (_combine(t, r)[0] for t in terms)
+    return (float(e2) / 2, float(h2) / 2, float(t6) / 6, float(d6) / 6)
+
+
+# ---------------------------------------------------------------------------
+# Restricted-sum fold identities.
+#
+# A "restricted" sum runs over all index tuples whose entries are pairwise
+# distinct.  Each identity rewrites it in terms of unrestricted sums over
+# partial diagonals.  restricted_sum() enumerates directly and is the
+# reference the identities are checked against.
+# ---------------------------------------------------------------------------
+
+
+def restricted_sum(f: np.ndarray) -> float:
+    """Direct enumeration of sum f over all-distinct index tuples (2-4 dims)."""
+    f = np.asarray(f, dtype=float)
+    ndim = f.ndim
+    if ndim not in (2, 3, 4):
+        raise ValueError(f"need a 2-, 3- or 4-index tensor, got ndim={ndim}")
+    n = f.shape[0]
+    if any(dim != n for dim in f.shape):
+        raise ValueError("all index ranges must match")
+    total = 0.0
+    for tup in permutations(range(n), ndim):
+        total += f[tup]
+    return total
+
+
+def folded_pair_sum(f: np.ndarray) -> float:
+    """Two indices: full sum minus the diagonal."""
+    f = np.asarray(f, dtype=float)
+    return float(f.sum() - np.einsum("ii->", f))
+
+
+def folded_triple_sum(f: np.ndarray) -> float:
+    """Three indices, no symmetry assumed."""
+    f = np.asarray(f, dtype=float)
+    return float(
+        f.sum()
+        - np.einsum("ijj->", f)
+        - np.einsum("iji->", f)
+        - np.einsum("iij->", f)
+        + 2.0 * np.einsum("iii->", f)
+    )
+
+
+def folded_quad_sum(f: np.ndarray) -> float:
+    """Four indices, no symmetry assumed."""
+    f = np.asarray(f, dtype=float)
+    three = (
+        np.einsum("ijki->", f)
+        + np.einsum("ijkj->", f)
+        + np.einsum("ijkk->", f)
+        + np.einsum("ijik->", f)
+        + np.einsum("ijjk->", f)
+        + np.einsum("iijk->", f)
+    )
+    two = (
+        2.0
+        * (
+            np.einsum("ijjj->", f)
+            + np.einsum("ijii->", f)
+            + np.einsum("iiji->", f)
+            + np.einsum("iiij->", f)
+        )
+        + np.einsum("ijij->", f)
+        + np.einsum("ijji->", f)
+        + np.einsum("iijj->", f)
+    )
+    return float(f.sum() - three + two - 6.0 * np.einsum("iiii->", f))
+
+
+def folded_triple_sum_tail_exchangeable(f: np.ndarray) -> float:
+    """Three indices with f[i, j, k] == f[i, k, j]."""
+    f = np.asarray(f, dtype=float)
+    return float(
+        f.sum()
+        - np.einsum("ijj->", f)
+        - 2.0 * np.einsum("iij->", f)
+        + 2.0 * np.einsum("iii->", f)
+    )
+
+
+def folded_quad_sum_tail_exchangeable(f: np.ndarray) -> float:
+    """Four indices with the last three exchangeable.
+
+    Derived from the general four-index identity: under tail
+    exchangeability the six single-pair collapses merge 3+3, and the seven
+    two-block collapses merge as 2x(i,jjj) + 3x(ii,jj) + 6x(iii,j).
+    """
+    f = np.asarray(f, dtype=float)
+    return float(
+        f.sum()
+        - 3.0 * (np.einsum("iijk->", f) + np.einsum("ijjk->", f))
+        + 2.0 * np.einsum("ijjj->", f)
+        + 3.0 * np.einsum("iijj->", f)
+        + 6.0 * np.einsum("iiij->", f)
+        - 6.0 * np.einsum("iiii->", f)
+    )
+
+
+def folded_triple_sum_fully_exchangeable(f: np.ndarray) -> float:
+    """Three indices with f symmetric in all of them."""
+    f = np.asarray(f, dtype=float)
+    return float(
+        f.sum() - 3.0 * np.einsum("iij->", f) + 2.0 * np.einsum("iii->", f)
+    )

@@ -22,10 +22,9 @@ from kronmoments.estimator import ObjectiveSpec, evaluate_objective, fit_best, f
 from kronmoments.features import FeatureCounts, count_features
 from kronmoments.generator import generate
 from kronmoments.graph_io import SimpleGraph, load_edge_list
-from kronmoments.moments import (
-    KroneckerParams,
+from kronmoments.moments import KroneckerParams, expected_features
+from oracles import (
     brute_force_expected,
-    expected_features,
     folded_pair_sum,
     folded_quad_sum,
     folded_quad_sum_tail_exchangeable,

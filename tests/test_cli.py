@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from kronmoments.cli import main
-from kronmoments.moments import KroneckerParams, brute_force_expected
+from kronmoments.moments import KroneckerParams
+from oracles import brute_force_expected
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -353,6 +354,49 @@ def test_non_finite_counts_rejected(tmp_path, capsys, value):
                        "--out", str(tmp_path / "out"))
     assert code == 1
     assert "'edges'" in err
+    assert not (tmp_path / "out" / "fits.csv").exists()
+
+
+@pytest.mark.parametrize("counts, features", [
+    ('{"vertices": 0, "edges": 0, "hairpins": 0, "tripins": 0, '
+     '"triangles": 0}', "edges,hairpins,tripins,triangles"),
+    ('{"vertices": 100, "edges": 50, "hairpins": 0, "tripins": 0, '
+     '"triangles": 0}', "hairpins,tripins,triangles"),
+], ids=["all-zero", "edges-only"])
+@pytest.mark.parametrize("method", ["grid", "direct", "best"])
+def test_fit_with_no_usable_feature(tmp_path, capsys, counts, features,
+                                    method):
+    path = tmp_path / "zeros.json"
+    path.write_text(counts)
+    code, out, err = run(capsys, "fit", str(path), "--method", method,
+                         "--features", features, "--starts", "2",
+                         "--grid-points", "3")
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("error: nothing to fit") and "'f2'" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{not json", "invalid counts JSON"),
+    ("[1, 2]", "must be an object, got list"),
+    ('{"vertices": 5, "edges": 1, "hairpins": 0, "tripins": 0}',
+     "missing key 'triangles'"),
+], ids=["invalid", "list", "missing-key"])
+def test_bad_counts_json(tmp_path, capsys, content, message):
+    counts = tmp_path / "counts.json"
+    counts.write_text(content)
+    code, out, err = run(capsys, "fit", str(counts), "--method", "grid",
+                         "--grid-points", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {counts}: ")
+    assert message in err and "Traceback" not in err
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"[x]\ncounts = {counts}\nmethods = grid\n")
+    code, out, err = run(capsys, "experiment", str(config),
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {counts}: ")
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "out" / "fits.csv").exists()
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from kronmoments.cli import main as cli_main
 from kronmoments.experiment import (
     ConfigError,
     parse_experiment_config,
@@ -193,3 +194,25 @@ def test_synthetic_sections_skip_like_counts_sections(tmp_path):
     assert float(summary["mixed"]["median_a"]) == pytest.approx(
         sum(grid_a) / 2)
     assert summary["none"]["median_a"] == ""
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("starts = 0", r"\[x\] starts must be >= 1"),
+    ("grid_points = 1", r"\[x\] grid_points must be >= 2"),
+    ("seed = x", r"\[x\] seed must be an integer"),
+    ("starts = 2.5", r"\[x\] starts must be an integer"),
+    ("grid_points = many", r"\[x\] grid_points must be an integer"),
+    ("replications = one", r"\[x\] replications must be an integer"),
+])
+def test_bad_section_setting_is_a_config_error(tmp_path, capsys, setting,
+                                                message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[x]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
+                   f"methods = grid,direct\n{setting}\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_experiment_config(cfg)
+    out = tmp_path / "out"
+    assert cli_main(["experiment", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (out / "fits.csv").exists()

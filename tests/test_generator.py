@@ -11,7 +11,6 @@ from kronmoments.generator import (
     _hit_ranks,
     _regions,
     _unrank,
-    cell_probability,
     cell_uniforms,
     generate,
     generate_edges,
@@ -19,41 +18,34 @@ from kronmoments.generator import (
 )
 from kronmoments.graph_io import load_edge_list
 from kronmoments.moments import KroneckerParams, expected_features
+from oracles import probability_matrix
 
 PARAMS = KroneckerParams(0.99, 0.48, 0.25, 8)
 
 
 class TestCellProbability:
+    # cell probabilities as the explicit matrix oracle holds them
     def test_corners(self):
-        p = KroneckerParams(0.99, 0.48, 0.25, 5)
-        assert cell_probability(p, 0, 0) == pytest.approx(0.99 ** 5, rel=1e-12)
-        assert cell_probability(p, 0, 31) == pytest.approx(0.48 ** 5, rel=1e-12)
-        assert cell_probability(p, 31, 31) == pytest.approx(0.25 ** 5, rel=1e-12)
+        p = probability_matrix(KroneckerParams(0.99, 0.48, 0.25, 5))
+        assert p[0, 0] == pytest.approx(0.99 ** 5, rel=1e-12)
+        assert p[0, 31] == pytest.approx(0.48 ** 5, rel=1e-12)
+        assert p[31, 31] == pytest.approx(0.25 ** 5, rel=1e-12)
 
     def test_bit_decomposition(self):
-        p = KroneckerParams(0.99, 0.48, 0.25, 3)
+        p = probability_matrix(KroneckerParams(0.99, 0.48, 0.25, 3))
         # 5 = 101, 3 = 011: factor per bit position (1,1), (0,1), (1,0)
-        assert cell_probability(p, 5, 3) == pytest.approx(
-            0.48 * 0.48 * 0.25, rel=1e-12
-        )
+        assert p[5, 3] == pytest.approx(0.48 * 0.48 * 0.25, rel=1e-12)
 
     def test_exact_zero_factor(self):
-        p = KroneckerParams(0.9, 0.0, 0.4, 4)
-        assert cell_probability(p, 0, 1) == 0.0
+        p = probability_matrix(KroneckerParams(0.9, 0.0, 0.4, 4))
+        assert p[0, 1] == 0.0
 
     def test_symmetry(self):
-        p = KroneckerParams(0.9, 0.5, 0.3, 4)
+        p = probability_matrix(KroneckerParams(0.9, 0.5, 0.3, 4))
         rng = np.random.default_rng(0)
         for _ in range(20):
             i, j = rng.integers(0, 16, 2)
-            assert cell_probability(p, int(i), int(j)) == pytest.approx(
-                cell_probability(p, int(j), int(i)), rel=1e-14
-            )
-
-    def test_bounds(self):
-        p = KroneckerParams(0.9, 0.5, 0.3, 2)
-        with pytest.raises(ValueError):
-            cell_probability(p, 0, 4)
+            assert p[i, j] == pytest.approx(p[j, i], rel=1e-14)
 
 
 class TestGenerate:
@@ -134,9 +126,9 @@ class TestGrassHopping:
         assert np.all((0 <= u) & (u < v) & (v < n))
         cells = u * n + v
         assert np.unique(cells).size == cells.size == n * (n - 1) // 2
+        cell = probability_matrix(params)
         for x, y, p in zip(u.tolist(), v.tolist(), probs[g].tolist()):
-            assert p == pytest.approx(cell_probability(params, x, y),
-                                      rel=1e-12, abs=0)
+            assert p == pytest.approx(cell[x, y], rel=1e-12, abs=0)
 
     def test_certain_and_impossible_regions(self):
         # a = c = 1, b = 0: the p = 1 regions are exactly those with j = 0
@@ -155,8 +147,8 @@ class TestGrassHopping:
         assert set(probs.tolist()) == {0.0, 1.0}
         got = generate_edges(params, seed=1)
         assert len(got) == sizes[i + j == 4].sum()
-        assert all(cell_probability(params, int(x), int(y)) == 1.0
-                   for x, y in got)
+        cell = probability_matrix(params)
+        assert all(cell[x, y] == 1.0 for x, y in got)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_top_up_matches_one_batch(self, seed):
@@ -244,9 +236,10 @@ class TestDistribution:
         for s in range(runs):
             for u, v in generate(params, seed=s).edge_array:
                 counts[u, v] += 1
+        cell = probability_matrix(params)
         for i in range(n):
             for j in range(i + 1, n):
-                p = cell_probability(params, i, j)
+                p = cell[i, j]
                 band = 4 * math.sqrt(p * (1 - p) / runs)
                 assert abs(counts[i, j] / runs - p) <= band, (i, j)
 

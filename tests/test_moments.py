@@ -1,22 +1,21 @@
 import math
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from kronmoments.moments import (
-    BRUTE_FORCE_MAX_POWER,
     KroneckerParams,
     MAX_POWER,
-    _closed_form_terms,
-    _combine,
-    brute_force_expected,
     closed_form_values,
     dominance_exponent,
     expected_counts,
     expected_features,
-    fold_identity_check,
+)
+from oracles import (
+    BRUTE_FORCE_MAX_POWER,
+    brute_force_expected,
+    exact_expected,
     folded_pair_sum,
     folded_quad_sum,
     folded_quad_sum_tail_exchangeable,
@@ -33,13 +32,6 @@ FEATURES = ("edges", "hairpins", "tripins", "triangles")
 def rel_diff(x, y):
     m = max(abs(x), abs(y))
     return abs(x - y) / m if m > 0 else 0.0
-
-
-def exact_expected(a, b, c, r):
-    """Closed forms in exact rational arithmetic (independent precision ref)."""
-    terms = _closed_form_terms(Fraction(a), Fraction(b), Fraction(c))
-    e2, h2, t6, d6 = (_combine(t, r)[0] for t in terms)
-    return (float(e2) / 2, float(h2) / 2, float(t6) / 6, float(d6) / 6)
 
 
 class TestKroneckerParams:
@@ -285,25 +277,22 @@ class TestFoldIdentities:
         f4 = np.full((1, 1, 1, 1), 2.2)
         assert folded_quad_sum(f4) == pytest.approx(0.0, abs=1e-13)
 
-    def test_check_driver(self):
-        rng = np.random.default_rng(8)
-        assert fold_identity_check(rng.random((4, 4)))
-        f = self.symmetrize_tail(rng.random((3, 3, 3, 3)))
-        assert fold_identity_check(f, exchangeable="tail")
-        with pytest.raises(ValueError):
-            fold_identity_check(rng.random((2, 2)), exchangeable="tail")
-
     def test_probability_products(self):
         # the tensors the expected-count derivation actually folds
         rng = np.random.default_rng(12)
         p = rng.random((4, 4))
         p = (p + p.T) / 2
         f3 = p[:, :, None] * p[:, None, :]          # hairpin term
-        assert fold_identity_check(f3, exchangeable="tail")
         tri = f3 * p[None, :, :]                     # triangle term
-        assert fold_identity_check(tri, exchangeable="full")
         f4 = p[:, :, None, None] * p[:, None, :, None] * p[:, None, None, :]
-        assert fold_identity_check(f4, exchangeable="tail")
+        for tensor, folded in ((f3, folded_triple_sum_tail_exchangeable),
+                               (tri, folded_triple_sum_fully_exchangeable),
+                               (f4, folded_quad_sum_tail_exchangeable)):
+            direct = restricted_sum(tensor)
+            got = folded(tensor)
+            assert abs(direct - got) <= 1e-12 * max(
+                abs(direct), abs(got), 1.0
+            ), folded.__name__
 
 
 class TestDominanceExponent:
