@@ -223,10 +223,18 @@ def _require_fittable(spec: ObjectiveSpec, obs: FeatureCounts):
 
 
 def _finish(params: KroneckerParams, spec, obs, method: str, t0: float,
-            diagnostics=None) -> FitResult:
+            diagnostics=None, fitted=None) -> FitResult:
+    """The result at ``params``; ``fitted`` names the features the fit
+    matched, and fewer than three of them earn a warning."""
     counts = expected_counts(params.a, params.b, params.c, params.r)
     feats, notes = effective_features(spec, obs)
     obj = _objective(spec, obs, feats)(counts)
+    if fitted is not None and len(fitted) < 3:
+        notes.append(
+            f"only {len(fitted)} usable feature"
+            f"{'' if len(fitted) == 1 else 's'} for three parameters: the "
+            "fit is underdetermined"
+        )
     if not math.isfinite(obj):
         notes.append(
             "objective is infinite: some expectation is 0 against a "
@@ -305,7 +313,8 @@ def fit_grid(
     r = check_power(r)
     if points_per_dim < 2:
         raise ValueError("points_per_dim must be >= 2")
-    objective = _objective(spec, obs, _require_fittable(spec, obs))
+    feats = _require_fittable(spec, obs)
+    objective = _objective(spec, obs, feats)
 
     winners = []  # (objective, a, b, c) of each block's first minimum
     for aa, bb, cc in _lattice_blocks(np.linspace(0.0, 1.0, points_per_dim)):
@@ -315,7 +324,7 @@ def fit_grid(
     # argmin takes the first minimum, so the earliest block wins a tie
     _, a, b, c = winners[int(np.argmin([w[0] for w in winners]))]
     params = KroneckerParams(float(a), float(b), float(c), r)
-    return _finish(params, spec, obs, "grid", t0)
+    return _finish(params, spec, obs, "grid", t0, fitted=feats)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +448,8 @@ def fit_direct(
     r = check_power(r)
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    objective_of = _objective(spec, obs, _require_fittable(spec, obs))
+    feats = _require_fittable(spec, obs)
+    objective_of = _objective(spec, obs, feats)
 
     def objective(points):
         return np.broadcast_to(objective_of(closed_form_values(
@@ -464,7 +474,7 @@ def fit_direct(
         )
     a, b, c = best[1]
     params = KroneckerParams(a, b, c, r)
-    return _finish(params, spec, obs, "direct", t0)
+    return _finish(params, spec, obs, "direct", t0, fitted=feats)
 
 
 # ---------------------------------------------------------------------------

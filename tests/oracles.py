@@ -8,6 +8,9 @@
 - ``restricted_sum`` and the ``folded_*`` sums are the restricted-sum fold
   identities the closed-form derivation rests on, and the direct
   enumeration they are checked against.
+- ``sparse_product_triangles`` counts triangles as one masked
+  ``scipy.sparse`` product, the count the package made before its wedge
+  check.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from kronmoments.graph_io import SimpleGraph
 from kronmoments.moments import (
     ExpectedFeatures,
     KroneckerParams,
@@ -213,3 +217,28 @@ def folded_triple_sum_fully_exchangeable(f: np.ndarray) -> float:
     return float(
         f.sum() - 3.0 * np.einsum("iij->", f) + 2.0 * np.einsum("iii->", f)
     )
+
+
+def sparse_product_triangles(g: SimpleGraph) -> int:
+    """Exact triangle count as one masked sparse product.
+
+    Vertices are ranked by (degree, id) and each edge is oriented from
+    lower to higher rank, giving the forward adjacency L.  Entry (u, w) of
+    L @ L counts the paths u -> v -> w, so masking it with L counts each
+    triangle exactly once, at its lowest-ranked vertex (Azad, Buluc &
+    Gilbert, "Parallel triangle counting and enumeration using matrix
+    algebra", IPDPSW 2015).
+    """
+    from scipy import sparse
+
+    n = g.num_vertices
+    order = np.lexsort((np.arange(n), g.degrees))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    u, v = g.edge_array.T
+    forward = rank[u] < rank[v]
+    src = np.where(forward, u, v)
+    dst = np.where(forward, v, u)
+    L = sparse.csr_matrix((np.ones(src.size, dtype=np.int64), (src, dst)),
+                          shape=(n, n))
+    return int((L @ L).multiply(L).sum())

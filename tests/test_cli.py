@@ -186,6 +186,26 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_commands_leave_scipy_unloaded(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n2 3\n1 3\n3 4\n")
+    config = tmp_path / "exp.cfg"
+    config.write_text("[syn]\nparams = 0.99,0.48,0.25\nr = 8\n"
+                      "methods = best\nstarts = 2\ngrid_points = 5\n")
+    proc = python("-c", """
+import sys
+from kronmoments.cli import main
+codes = [main(["features", sys.argv[1]]),
+         main(["experiment", sys.argv[2], "--out", sys.argv[3]])]
+print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),
+      file=sys.stderr)
+""", str(graph), str(config), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[0])["triangles"] == 1
+    assert (tmp_path / "out" / "fits.csv").exists()
+    assert proc.stderr.splitlines()[-1] == "[0, 0] []"
+
+
 # one triangle on two vertices: no parameters give it a nonzero expectation
 UNEXPLAINABLE = {"vertices": 2, "edges": 1, "hairpins": 0, "tripins": 0,
                  "triangles": 1}
@@ -231,13 +251,10 @@ def test_experiment_power_out_of_range(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                    reason="reads VmHWM from /proc/self/status")
-def test_grid_memory_is_bounded():
-    # The 201-point lattice has 4.1M points; built whole, as a meshgrid
-    # and mask, it peaked near 1 GB.  VmHWM is read as bench/job.py reads
-    # it, since ru_maxrss would carry over the test process's own peak.
-    proc = python("-c", """
+# Runs the CLI on argv and prints its peak memory in MB (VmHWM) to stderr.
+# VmHWM is read as bench/job.py reads it, since ru_maxrss would carry
+# over the test process's own peak.
+PEAK_SCRIPT = """
 import sys
 from kronmoments.cli import main
 code = main(sys.argv[1:])
@@ -245,11 +262,38 @@ with open("/proc/self/status", encoding="ascii") as fh:
     hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
 print(int(hwm) / 1024.0, file=sys.stderr)
 sys.exit(code)
-""", "fit", str(FIXTURES / "ca-GrQc.counts.json"), "--method", "grid",
+"""
+
+needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                 reason="reads VmHWM from /proc/self/status")
+
+
+@needs_vmhwm
+def test_grid_memory_is_bounded():
+    # The 201-point lattice has 4.1M points; built whole, as a meshgrid
+    # and mask, it peaked near 1 GB.
+    proc = python("-c", PEAK_SCRIPT, "fit",
+                  str(FIXTURES / "ca-GrQc.counts.json"), "--method", "grid",
                   "--grid-points", "201")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["method"] == "grid"
     assert float(proc.stderr) < 150.0
+
+
+@needs_vmhwm
+def test_triangle_count_memory_is_bounded(tmp_path, capsys):
+    # The r = 18 sample has 730k edges.  Counted as a masked sparse
+    # product L @ L, features peaked at 194 MB; the chunked wedge check
+    # peaks near 120 MB, most of it the edge-list parse.
+    graph = tmp_path / "g18.txt"
+    code, _, _ = run(capsys, "generate", "--a", "0.99", "--b", "0.48",
+                     "--c", "0.25", "--r", "18", "--seed", "1",
+                     "--out", str(graph))
+    assert code == 0
+    proc = python("-c", PEAK_SCRIPT, "features", str(graph))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["triangles"] == 9947
+    assert float(proc.stderr.splitlines()[-1]) < 160.0
 
 
 def test_generate_deterministic_across_env_workers(tmp_path, capsys):
@@ -374,6 +418,31 @@ def test_fit_with_no_usable_feature(tmp_path, capsys, counts, features,
     assert (code, out) == (1, "")
     assert "Traceback" not in err and err.count("\n") == 1
     assert err.startswith("error: nothing to fit") and "'f2'" in err
+
+
+@pytest.mark.parametrize("method", ["grid", "direct", "best"])
+def test_fit_warns_when_underdetermined(tmp_path, capsys, method):
+    # tripins and triangles observed as 0 are dropped under f2, leaving
+    # two moment equations for three parameters
+    path = tmp_path / "two.json"
+    path.write_text('{"vertices": 100, "edges": 50, "hairpins": 40, '
+                    '"tripins": 0, "triangles": 0}')
+    code, out, _ = run(capsys, "fit", str(path), "--method", method,
+                       "--starts", "2", "--grid-points", "21")
+    assert code == 0
+    assert ("only 2 usable features for three parameters: the fit is "
+            "underdetermined") in json.loads(out)["warnings"]
+
+
+@pytest.mark.parametrize("method", ["grid", "direct"])
+def test_fit_with_three_features_has_no_underdetermined_warning(
+        capsys, method):
+    code, out, _ = run(capsys, "fit", str(FIXTURES / "ca-GrQc.counts.json"),
+                       "--method", method, "--starts", "2",
+                       "--grid-points", "5")
+    assert code == 0
+    assert not any("underdetermined" in w
+                   for w in json.loads(out)["warnings"])
 
 
 @pytest.mark.parametrize("content, message", [
