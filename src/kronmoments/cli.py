@@ -17,8 +17,10 @@ from pathlib import Path
 from .estimator import (
     FIT_METHODS,
     FitFailure,
+    FitProblem,
     LeadingTermInfeasible,
     ObjectiveSpec,
+    unexplained,
 )
 from .experiment import (
     ConfigError,
@@ -153,12 +155,13 @@ def _cmd_fit(args) -> int:
     features = tuple(tok.strip() for tok in args.features.split(",") if tok.strip())
     spec = ObjectiveSpec.from_code(args.objective, features=features)
 
-    result = FIT_METHODS[args.method](counts, r, spec, seed=args.seed,
-                                      starts=args.starts,
-                                      grid_points=args.grid_points)
+    (result,) = FIT_METHODS[args.method](
+        [FitProblem(counts, r, args.seed, args.starts)], spec,
+        args.grid_points)
+    if isinstance(result, Exception):
+        raise result
     if not math.isfinite(result.objective_value):
-        raise _UserError(f"no parameters explain these counts: the "
-                         f"{spec.code} objective is infinite at r = {r}")
+        raise _UserError(unexplained(spec, r))
 
     payload = result.to_dict()
     payload["r"] = r

@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .moments import (
     ExpectedFeatures,
     KroneckerParams,
     check_power,
+    closed_form_by_power,
     closed_form_values,
     expected_counts,
 )
@@ -37,6 +39,25 @@ _FORBIDDEN = {("abs", "f2"), ("abs", "e2")}
 
 class FitFailure(RuntimeError):
     """No start produced a finite objective value."""
+
+
+def unexplained(spec: "ObjectiveSpec", r: int) -> str:
+    """Why a fit whose objective is infinite at its best point fails."""
+    return (f"no parameters explain these counts: the {spec.code} "
+            f"objective is infinite at r = {r}")
+
+
+class FitProblem(NamedTuple):
+    """One fit of a batch: observed counts at power ``r``.
+
+    ``seed`` and ``starts`` pick the direct fit's starting points; the
+    other methods ignore them.
+    """
+
+    obs: FeatureCounts
+    r: int
+    seed: int = 0
+    starts: int = 50
 
 
 class LeadingTermInfeasible(ValueError):
@@ -258,7 +279,7 @@ def _finish(params: KroneckerParams, spec, obs, method: str, t0: float,
 # ---------------------------------------------------------------------------
 
 
-# Lattice points the grid ranks per closed_form_values call: whole a-slices
+# Lattice points the grid ranks per closed-form evaluation: whole a-slices
 # of at most this many points (a slice larger than this is its own block).
 # At 8k points each of the evaluator's float temporaries is 64 KiB.
 _GRID_BLOCK_POINTS = 8192
@@ -284,6 +305,55 @@ def _lattice_blocks(axis: np.ndarray):
                np.concatenate([np.tile(axis[:i + 1], n) for i in slices]))
 
 
+def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
+    """Exhaustive sweep of an equally spaced grid on {[0,1]^3 : a >= c},
+    for every problem at once.
+
+    Returns one entry per problem: its FitResult, or the ValueError that
+    rejected it.  The lattice is walked once.  Each block's bases are
+    built once, its closed forms are taken once per distinct power, and
+    each problem's objective ranks the block at its own power, so every
+    problem gets the argmin and objective it gets alone.
+    """
+    t0 = time.perf_counter()
+    out = [None] * len(problems)
+    fits = []  # (index, problem, features matched, objective)
+    for i, p in enumerate(problems):
+        try:
+            p = p._replace(r=check_power(p.r))
+            if grid_points < 2:
+                raise ValueError("points_per_dim must be >= 2")
+            feats = _require_fittable(spec, p.obs)
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        fits.append((i, p, feats, _objective(spec, p.obs, feats)))
+    if not fits:
+        return out
+
+    winners = [[] for _ in fits]  # (objective, a, b, c) per block
+    at_power = {}  # r -> [(objective, winners), ...] of the problems at r
+    for (_, p, _, objective), won in zip(fits, winners):
+        at_power.setdefault(p.r, []).append((objective, won))
+    axis = np.linspace(0.0, 1.0, grid_points)
+    for aa, bb, cc in _lattice_blocks(axis):
+        for values, ranked in zip(closed_form_by_power(aa, bb, cc, at_power),
+                                  at_power.values()):
+            for objective, won in ranked:
+                total = objective(values)
+                idx = int(np.argmin(total))
+                won.append((total[idx], aa[idx], bb[idx], cc[idx]))
+    share = (time.perf_counter() - t0) / len(problems)
+    for (i, p, feats, _), won in zip(fits, winners):
+        t1 = time.perf_counter()
+        # argmin takes the first minimum, so the earliest block wins a tie
+        _, a, b, c = won[int(np.argmin([w[0] for w in won]))]
+        params = KroneckerParams(float(a), float(b), float(c), p.r)
+        out[i] = _finish(params, spec, p.obs, "grid", t1 - share,
+                         fitted=feats)
+    return out
+
+
 def fit_grid(
     obs: FeatureCounts,
     r: int,
@@ -295,8 +365,8 @@ def fit_grid(
     Ties are broken toward the lexicographically smallest (a, b, c).
     points_per_dim counts points inclusive of both endpoints; 101 gives
     the exact hundredths lattice.  The lattice is ranked in double
-    precision by ``closed_form_values``, the evaluator the direct fit's
-    simplices use, without the exact fallback: on the reference fixtures
+    precision by ``closed_form_by_power``, the closed forms the direct
+    fit's simplices use, without the exact fallback: on the reference fixtures
     re-evaluating the points the cancellation guard flags would cost about
     half a minute per fit and moved no argmin.  The reported objective of
     the winning point comes from the exact per-point path.
@@ -306,25 +376,11 @@ def fit_grid(
     evaluator's temporaries span one block, so memory grows with the
     largest a-slice (points_per_dim^2 points), not with the lattice.  Each
     block's first minimum competes with the other blocks' in walk order,
-    so the winner is the first minimum over the whole lattice.
+    so the winner is the first minimum over the whole lattice.  This is a
+    batch of one (``_fit_grid_batch``).
     """
-    t0 = time.perf_counter()
-    spec = spec or ObjectiveSpec()
-    r = check_power(r)
-    if points_per_dim < 2:
-        raise ValueError("points_per_dim must be >= 2")
-    feats = _require_fittable(spec, obs)
-    objective = _objective(spec, obs, feats)
-
-    winners = []  # (objective, a, b, c) of each block's first minimum
-    for aa, bb, cc in _lattice_blocks(np.linspace(0.0, 1.0, points_per_dim)):
-        total = objective(closed_form_values(aa, bb, cc, r))
-        idx = int(np.argmin(total))
-        winners.append((total[idx], aa[idx], bb[idx], cc[idx]))
-    # argmin takes the first minimum, so the earliest block wins a tie
-    _, a, b, c = winners[int(np.argmin([w[0] for w in winners]))]
-    params = KroneckerParams(float(a), float(b), float(c), r)
-    return _finish(params, spec, obs, "grid", t0, fitted=feats)
+    return _one(_fit_grid_batch([FitProblem(obs, r)], spec or ObjectiveSpec(),
+                                points_per_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +399,22 @@ _MAXITER = 2000
 def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
     """Bounded Nelder-Mead on [0, 1]^n from every row of ``x0`` at once.
 
-    ``objective`` maps an (m, n) array of points to their m values.  All
-    simplices live in one (starts, n + 1, n) array, and each iteration
-    evaluates every live start's trial points in at most two calls.  The
-    reflection, expansion and both contraction points depend only on the
-    centroid and the worst vertex, so all four are ranked in one call of
-    4 x live-starts points, and each start then uses those its branch
-    needs; the shrinks take the second call.  Each start takes exactly
-    the steps of
+    ``objective(points, rows)`` maps an (m, n) array of points to their m
+    values; ``rows[i]`` is the row of ``x0`` whose simplex point i belongs
+    to, so one call can rank the starts of several problems, each against
+    its own data.  All simplices live in one (starts, n + 1, n) array, and
+    each iteration evaluates every live start's trial points in at most
+    two calls.  The reflection, expansion and both contraction points
+    depend only on the centroid and the worst vertex, so all four are
+    ranked in one call of 4 x live-starts points, and each start then uses
+    those its branch needs; the shrinks take the second call.  Each start
+    takes exactly the steps of
     scipy.optimize.minimize(method="Nelder-Mead", bounds=[(0, 1)] * n,
-    options=dict(xatol=1e-8, fatol=inf, maxiter=2000)) with a stable sort.
-    A start retires when it converges, or at once when no vertex of its
-    first simplex has a finite value (scipy would shrink such a simplex
-    until maxiter).  Returns each start's best vertex, shape (starts, n).
+    options=dict(xatol=1e-8, fatol=inf, maxiter=2000)) with a stable sort,
+    whatever else shares the array.  A start retires when it converges, or
+    at once when no vertex of its first simplex has a finite value (scipy
+    would shrink such a simplex until maxiter).  Returns each start's best
+    vertex, shape (starts, n).
     """
     k, n = x0.shape
     dims = np.arange(n)
@@ -363,7 +422,8 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
     sim[:, dims + 1, dims] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
     # reflect vertices pushed past the upper bound back inside, then clip
     sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
-    fsim = objective(sim.reshape(-1, n)).reshape(k, n + 1)
+    fsim = objective(sim.reshape(-1, n),
+                     np.repeat(np.arange(k), n + 1)).reshape(k, n + 1)
 
     def sort(sim, fsim):
         ind = np.argsort(fsim, axis=1, kind="stable")
@@ -393,7 +453,8 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
             (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
             (1 - _PSI) * xbar + _PSI * worst,
         ]), 0.0, 1.0)
-        ftrials = objective(trials.reshape(-1, n)).reshape(4, -1)
+        ftrials = objective(trials.reshape(-1, n),
+                            np.tile(ids, 4)).reshape(4, -1)
         xr, fxr = trials[0], ftrials[0]
         expand = fxr < fsim[:, 0]
         contract = ~expand & ~(fxr < fsim[:, -2])
@@ -417,11 +478,108 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
                                0.0, 1.0)
             sim[shrink] = s
             fsim[shrink, 1:] = objective(
-                s[:, 1:].reshape(-1, n)).reshape(-1, n)
+                s[:, 1:].reshape(-1, n), np.repeat(ids[shrink], n)
+            ).reshape(-1, n)
         iterations += 1
         sim, fsim = sort(sim, fsim)
     best[ids] = sim[:, 0]
     return best
+
+
+def _lockstep_objective(spec: ObjectiveSpec, fits, owner: np.ndarray):
+    """objective(points, rows) for a lockstep over several problems.
+
+    ``fits`` holds (problem, features matched) pairs, and start row ``j``
+    belongs to ``fits[owner[j]]``.  Each point is scored against its own
+    problem's counts at its own power: the closed forms come from one call
+    over all points, and each feature's term is taken once, on the gathered
+    observations.  A feature that a problem does not match scores an exact
+    0.0 on its points, so every sum has the bits that problem's own
+    objective gives.
+    """
+    powers = np.array([p.r for p, _ in fits])
+    observed = np.array([[float(p.obs.get(f)) for f in spec.features]
+                         for p, _ in fits])
+    matched = np.array([[f in feats for f in spec.features]
+                        for _, feats in fits])
+    columns = [(j, FEATURE_NAMES.index(f), matched[:, j].all())
+               for j, f in enumerate(spec.features)]
+    one_power = int(powers[0]) if (powers == powers[0]).all() else None
+
+    def objective(points, rows):
+        problem = owner[rows]
+        expected = closed_form_values(
+            points[:, 0], points[:, 1], points[:, 2],
+            powers[problem] if one_power is None else one_power)
+        total = 0.0
+        for j, k, everywhere in columns:
+            term = spec.term(observed[problem, j], expected[k])
+            if not everywhere:
+                term = np.where(matched[problem, j], term, 0.0)
+            total = total + term
+        return total
+
+    return objective
+
+
+def _fit_direct_batch(problems, spec: ObjectiveSpec,
+                      grid_points=None) -> list:
+    """Best of each problem's ``starts`` bounded Nelder-Mead runs, with the
+    starts of every problem in one lockstep.
+
+    Returns one entry per problem: its FitResult, or the ValueError or
+    FitFailure that problem gave.  A problem whose starts all end on a
+    non-finite objective fails alone; the others go on.
+    """
+    t0 = time.perf_counter()
+    out = [None] * len(problems)
+    fits = []  # (index, problem, features matched)
+    for i, p in enumerate(problems):
+        try:
+            p = p._replace(r=check_power(p.r))
+            if p.starts < 1:
+                raise ValueError("starts must be >= 1")
+            fits.append((i, p, _require_fittable(spec, p.obs)))
+        except ValueError as exc:
+            out[i] = exc
+    if not fits:
+        return out
+
+    x0 = []
+    for _, p, _ in fits:
+        starts = np.random.default_rng(p.seed).random((p.starts, 3))
+        swap = starts[:, 0] < starts[:, 2]
+        starts[swap] = starts[swap, ::-1]  # (a, b, c) -> (c, b, a)
+        x0.append(starts)
+    owner = np.repeat(np.arange(len(fits)), [p.starts for _, p, _ in fits])
+    ends = _nelder_mead_lockstep(
+        _lockstep_objective(spec, [f[1:] for f in fits], owner),
+        np.concatenate(x0)).tolist()
+    share = (time.perf_counter() - t0) / len(problems)
+
+    first = 0
+    for i, p, feats in fits:
+        t1 = time.perf_counter()
+        objective_of = _objective(spec, p.obs, feats)
+        best = None  # (objective, (a, b, c))
+        for a, b, c in ends[first:first + p.starts]:
+            if a < c:
+                a, c = c, a
+            val = objective_of(expected_counts(a, b, c, p.r))
+            if not math.isfinite(val):
+                continue
+            cand = (val, (a, b, c))
+            if best is None or cand < best:
+                best = cand
+        first += p.starts
+        if best is None:
+            out[i] = FitFailure(
+                f"all {p.starts} starts produced a non-finite objective")
+            continue
+        params = KroneckerParams(*best[1], p.r)
+        out[i] = _finish(params, spec, p.obs, "direct", t1 - share,
+                         fitted=feats)
+    return out
 
 
 def fit_direct(
@@ -437,44 +595,14 @@ def fit_direct(
     regions, so a derivative-free simplex with box projection is used.
     The starts advance in lockstep (``_nelder_mead_lockstep``): their
     trial points are ranked together by ``closed_form_values``, in double
-    precision, the evaluator the grid uses.  Each run stops when its
+    precision, the closed forms the grid uses.  Each run stops when its
     simplex diameter falls below 1e-8 or after 2000 iterations.  Each end
     point is then scored by ``expected_counts``, with the exact fallback;
     the best wins, ties going to the smallest (a, b, c).  Deterministic
-    given (seed, starts).
+    given (seed, starts).  This is a batch of one (``_fit_direct_batch``).
     """
-    t0 = time.perf_counter()
-    spec = spec or ObjectiveSpec()
-    r = check_power(r)
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-    feats = _require_fittable(spec, obs)
-    objective_of = _objective(spec, obs, feats)
-
-    def objective(points):
-        return np.broadcast_to(objective_of(closed_form_values(
-            points[:, 0], points[:, 1], points[:, 2], r)), len(points))
-
-    x0 = np.random.default_rng(seed).random((starts, 3))
-    swap = x0[:, 0] < x0[:, 2]
-    x0[swap] = x0[swap, ::-1]  # (a, b, c) -> (c, b, a)
-    best = None  # (objective, (a, b, c))
-    for a, b, c in _nelder_mead_lockstep(objective, x0).tolist():
-        if a < c:
-            a, c = c, a
-        val = objective_of(expected_counts(a, b, c, r))
-        if not math.isfinite(val):
-            continue
-        cand = (val, (a, b, c))
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        raise FitFailure(
-            f"all {starts} starts produced a non-finite objective"
-        )
-    a, b, c = best[1]
-    params = KroneckerParams(a, b, c, r)
-    return _finish(params, spec, obs, "direct", t0, fitted=feats)
+    return _one(_fit_direct_batch([FitProblem(obs, r, seed, starts)],
+                                  spec or ObjectiveSpec()))
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +714,75 @@ def fit_leading(
 # ---------------------------------------------------------------------------
 
 
+def _fit_leading_batch(problems, spec: ObjectiveSpec,
+                       grid_points=None) -> list:
+    """``fit_leading`` on each problem, or the ValueError it raised."""
+    out = []
+    for p in problems:
+        try:
+            out.append(fit_leading(p.obs, p.r, spec))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def _fit_best_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
+    """``fit_best`` on every problem, each method run as one batch.
+
+    Returns one entry per problem: its FitResult, or the error of a
+    method that could not be skipped.
+    """
+    t0 = time.perf_counter()
+    by_method = {method: FIT_METHODS[method](problems, spec, grid_points)
+                 for method in ("direct", "grid", "leading")}
+    share = (time.perf_counter() - t0) / max(len(problems), 1)
+    held_out = None
+    if len(spec.features) == 3:
+        held_out = next(f for f in FEATURE_NAMES if f not in spec.features)
+    out = []
+    for i in range(len(problems)):
+        t1 = time.perf_counter()
+        candidates = []
+        diagnostics = {}
+        notes = []
+        error = None
+        for method, skippable in (("direct", FitFailure), ("grid", ()),
+                                  ("leading", ValueError)):
+            res = by_method[method][i]
+            if isinstance(res, skippable):
+                diagnostics[method] = {"error": str(res)}
+                notes.append(f"{method} fit skipped: {res}")
+                continue
+            if isinstance(res, Exception):
+                error = res
+                break
+            p = res.params
+            diagnostics[method] = {
+                "params": p.to_dict(),
+                "objective": res.objective_value,
+                "elapsed": res.elapsed,
+            }
+            candidates.append((res.objective_value, (p.a, p.b, p.c), res))
+        if error is not None:
+            out.append(error)
+            continue
+
+        obj, _, winner = min(candidates, key=lambda cand: cand[:2])
+        diagnostics["winner"] = winner.method
+        out.append(FitResult(
+            params=winner.params,
+            objective_value=obj,
+            expected=winner.expected,
+            feature_ratios=winner.feature_ratios,
+            method="best",
+            elapsed=share + time.perf_counter() - t1,
+            warnings=winner.warnings + notes,
+            held_out=held_out,
+            diagnostics=diagnostics,
+        ))
+    return out
+
+
 def fit_best(
     obs: FeatureCounts,
     r: int,
@@ -601,59 +798,29 @@ def fit_best(
     result carries per-method diagnostics and the winner's parameters.
     With exactly three features, ``held_out`` names the fourth, whose E/F
     ratio on the result cross-validates the fit on a moment it never saw.
+    This is a batch of one (``_fit_best_batch``).
     """
-    t0 = time.perf_counter()
-    spec = spec or ObjectiveSpec()
-    candidates = []
-    diagnostics = {}
-    notes = []
-    for method, skippable in (("direct", FitFailure), ("grid", ()),
-                              ("leading", ValueError)):
-        try:
-            res = FIT_METHODS[method](obs, r, spec, seed=seed, starts=starts,
-                                      grid_points=grid_points)
-        except skippable as exc:
-            diagnostics[method] = {"error": str(exc)}
-            notes.append(f"{method} fit skipped: {exc}")
-            continue
-        p = res.params
-        diagnostics[method] = {
-            "params": p.to_dict(),
-            "objective": res.objective_value,
-            "elapsed": res.elapsed,
-        }
-        candidates.append((res.objective_value, (p.a, p.b, p.c), res))
+    return _one(_fit_best_batch([FitProblem(obs, r, seed, starts)],
+                                spec or ObjectiveSpec(), grid_points))
 
-    obj, _, winner = min(candidates, key=lambda cand: cand[:2])
-    diagnostics["winner"] = winner.method
-    held_out = None
-    if len(spec.features) == 3:
-        held_out = next(f for f in FEATURE_NAMES if f not in spec.features)
-    return FitResult(
-        params=winner.params,
-        objective_value=obj,
-        expected=winner.expected,
-        feature_ratios=winner.feature_ratios,
-        method="best",
-        elapsed=time.perf_counter() - t0,
-        warnings=winner.warnings + notes,
-        held_out=held_out,
-        diagnostics=diagnostics,
-    )
+
+def _one(results: list) -> FitResult:
+    """The result of a batch of one; raises the error it gave instead."""
+    (res,) = results
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 # The one dispatch point from a method name to its fit, for the CLI, the
 # experiment harness and fit_best.  Every entry takes
-# (obs, r, spec, seed=, starts=, grid_points=) and ignores what it does
-# not use.
+# (problems, spec, grid_points), a list of FitProblem under one objective,
+# and returns one entry per problem: its FitResult, or the ValueError or
+# FitFailure that problem gave, so one bad problem does not stop the rest.
+# Each ignores what it does not use.
 FIT_METHODS = {
-    "direct": lambda obs, r, spec, seed, starts, grid_points:
-        fit_direct(obs, r, spec, starts=starts, seed=seed),
-    "grid": lambda obs, r, spec, seed, starts, grid_points:
-        fit_grid(obs, r, spec, points_per_dim=grid_points),
-    "leading": lambda obs, r, spec, seed, starts, grid_points:
-        fit_leading(obs, r, spec),
-    "best": lambda obs, r, spec, seed, starts, grid_points:
-        fit_best(obs, r, spec, seed=seed, starts=starts,
-                 grid_points=grid_points),
+    "direct": _fit_direct_batch,
+    "grid": _fit_grid_batch,
+    "leading": _fit_leading_batch,
+    "best": _fit_best_batch,
 }

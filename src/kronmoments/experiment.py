@@ -13,12 +13,21 @@ from __future__ import annotations
 
 import configparser
 import csv
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import FIT_METHODS, FitResult, ObjectiveSpec
+from .estimator import (
+    FIT_METHODS,
+    FitProblem,
+    FitResult,
+    ObjectiveSpec,
+    unexplained,
+)
 from .features import FeatureCounts, count_features, read_counts_json
 from .generator import generate
 from .graph_io import choose_r, load_edge_list
@@ -195,60 +204,88 @@ def _load_counts(section: ExperimentSection) -> FeatureCounts:
     return count_features(graph)
 
 
-def _fit_methods(section: ExperimentSection, obs: FeatureCounts, r: int,
-                 replication):
-    """Fit ``obs`` with each of the section's methods, in order.
+class _Source(NamedTuple):
+    """Counts to fit: a counts or graph section, or one replication."""
 
-    Returns the fits by method and one fits.csv row per method.  A method
-    that raises ValueError (an infeasible leading-term system, for one)
-    gets a ``skipped: ...`` row in place of a fit.
+    section: ExperimentSection
+    replication: object  # "" for a counts or graph section
+    obs: FeatureCounts
+    r: int
+
+
+def _fit_all(sources: list) -> dict:
+    """Fit every source with each of its section's methods.
+
+    Fits that share an objective, a method and grid_points run as one
+    batch.  Returns {(source index, method): FitResult or the error}.
+    """
+    batches = {}
+    for i, src in enumerate(sources):
+        sec = src.section
+        for method in sec.methods:
+            batches.setdefault((sec.objective, method, sec.grid_points),
+                               []).append(i)
+    outcomes = {}
+    for (spec, method, grid_points), members in batches.items():
+        problems = [FitProblem(sources[i].obs, sources[i].r,
+                               sources[i].section.seed,
+                               sources[i].section.starts) for i in members]
+        for i, res in zip(members,
+                          FIT_METHODS[method](problems, spec, grid_points)):
+            outcomes[i, method] = res
+    return outcomes
+
+
+def _fit_rows(src: _Source, outcomes: dict, index: int):
+    """One fits.csv row per method of ``src``'s section, in order.
+
+    Returns the fits by method and the rows.  A method that gave an error
+    (an infeasible leading-term system, or no start with a finite
+    objective) or an infinite objective gets a ``skipped: ...`` row in
+    place of a fit.  Every warning of a fit and every skip reason goes to
+    stderr, one line each, prefixed ``[section] method replication:``.
     """
     fits = {}
     rows = []
-    for method in section.methods:
-        try:
-            res = FIT_METHODS[method](
-                obs, r, section.objective, seed=section.seed,
-                starts=section.starts, grid_points=section.grid_points)
-        except ValueError as exc:
+    sec = src.section
+    for method in sec.methods:
+        res = outcomes[index, method]
+        if isinstance(res, Exception):
+            notes, reason = [], str(res)
+        else:
+            notes, reason = list(res.warnings), None
+            if not math.isfinite(res.objective_value):
+                reason = unexplained(sec.objective, src.r)
+        if reason is None:
+            fits[method] = res
+            rows.append(fit_csv_row(sec.name, src.replication, res,
+                                    1 << src.r))
+        else:
+            notes.append(f"skipped: {reason}")
             row = {name: "" for name in FIT_CSV_COLUMNS}
-            row.update(graph=section.name, fit_type=method,
-                       replication=replication, verts=1 << r,
-                       objective=f"skipped: {exc}")
+            row.update(graph=sec.name, fit_type=method,
+                       replication=src.replication, verts=1 << src.r,
+                       objective=f"skipped: {reason}")
             rows.append(row)
-            continue
-        fits[method] = res
-        rows.append(fit_csv_row(section.name, replication, res, 1 << r))
+        label = " ".join(str(x) for x in (method, src.replication) if x != "")
+        for note in notes:
+            print(f"[{sec.name}] {label}: {note}", file=sys.stderr)
     return fits, rows
-
-
-def _one_replication(section: ExperimentSection, k: int):
-    """Realize, fit, and re-realize one synthetic replication.
-
-    The primary fit is the first listed method that produced one; without
-    it there is nothing to re-realize, and both it and the re-realized
-    counts are None.
-    """
-    seed_k = section.seed + k
-    graph = generate(section.params, seed_k)
-    obs = count_features(graph)
-    fits, rows = _fit_methods(section, obs, section.params.r, k)
-    primary = next((fits[m] for m in section.methods if m in fits), None)
-    reobs = None
-    if primary is not None:
-        regen = generate(primary.params, seed_k + _REREALIZE_SEED_GAP)
-        reobs = count_features(regen)
-    return obs, rows, primary, reobs
 
 
 def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     """Execute every section and write the CSV outputs.
 
-    Returns {name: path} for the files written.  Rows are sorted by
-    (graph, method, replication); synthetic sections contribute
-    per-replication parameter rows, relative feature differences for both
-    the fitted expectations and a re-realization, feature distributions,
-    and a median summary against the generating truth.
+    Returns {name: path} for the files written.  Every section's counts
+    are read, and every synthetic replication realized, before any fit;
+    the fits then run in batches (see ``_fit_all``), and each synthetic
+    replication's primary fit is re-realized afterwards.  Seeds depend
+    only on the section and the replication, so the output is what fitting
+    one source at a time gives.  Rows are sorted by (graph, method,
+    replication); synthetic sections contribute per-replication parameter
+    rows, relative feature differences for both the fitted expectations
+    and a re-realization, feature distributions, and a median summary
+    against the generating truth.
     """
     output_dir = Path(output_dir or config.output_dir or "experiment-out")
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -258,57 +295,73 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     dist_rows = []
     summary_rows = []
 
+    sources = []
     for section in config.sections:
         if not section.synthetic:
             obs = _load_counts(section)
             r = section.r if section.r is not None else choose_r(obs.vertices)
             fit_rows.append(source_csv_row(section.name, obs))
-            fit_rows.extend(_fit_methods(section, obs, r, "")[1])
+            sources.append(_Source(section, "", obs, r))
             continue
-
-        fitted = {"a": [], "b": [], "c": []}
         for k in range(section.replications):
-            obs, rows, primary, reobs = _one_replication(section, k)
-            fit_rows.extend(rows)
-            if primary is None:
-                continue
-            p = primary.params
-            fitted["a"].append(p.a)
-            fitted["b"].append(p.b)
-            fitted["c"].append(p.c)
-            exp_fit = primary.expected
-            for name in FEATURE_NAMES:
-                truth = obs.get(name)
-                if truth:
-                    d_fit = (truth - exp_fit.get(name)) / truth
-                    d_regen = (truth - reobs.get(name)) / truth
-                else:
-                    d_fit = d_regen = ""
-                diff_rows.append({
-                    "graph": section.name, "replication": k, "feature": name,
-                    "rel_diff_fit": d_fit, "rel_diff_regen": d_regen,
-                })
-            for kind, counts in (
-                ("realized", obs),
-                ("expected_at_fit", exp_fit),
-                ("re_realized", reobs),
-            ):
-                row = {"graph": section.name, "replication": k, "kind": kind}
-                for name in FEATURE_NAMES:
-                    row[name] = counts.get(name)
-                dist_rows.append(row)
+            obs = count_features(generate(section.params, section.seed + k))
+            sources.append(_Source(section, k, obs, section.params.r))
+    outcomes = _fit_all(sources)
 
+    fitted = {}  # synthetic section name -> {"a": [...], "b": ..., "c": ...}
+    for i, src in enumerate(sources):
+        fits, rows = _fit_rows(src, outcomes, i)
+        fit_rows.extend(rows)
+        section, k, obs = src.section, src.replication, src.obs
+        if not section.synthetic:
+            continue
+        params = fitted.setdefault(section.name, {"a": [], "b": [], "c": []})
+        # the primary fit is the first listed method that produced one;
+        # without it there is nothing to re-realize
+        primary = next((fits[m] for m in section.methods if m in fits), None)
+        if primary is None:
+            continue
+        p = primary.params
+        params["a"].append(p.a)
+        params["b"].append(p.b)
+        params["c"].append(p.c)
+        reobs = count_features(generate(p, section.seed + k
+                                        + _REREALIZE_SEED_GAP))
+        exp_fit = primary.expected
+        for name in FEATURE_NAMES:
+            truth = obs.get(name)
+            if truth:
+                d_fit = (truth - exp_fit.get(name)) / truth
+                d_regen = (truth - reobs.get(name)) / truth
+            else:
+                d_fit = d_regen = ""
+            diff_rows.append({
+                "graph": section.name, "replication": k, "feature": name,
+                "rel_diff_fit": d_fit, "rel_diff_regen": d_regen,
+            })
+        for kind, counts in (
+            ("realized", obs),
+            ("expected_at_fit", exp_fit),
+            ("re_realized", reobs),
+        ):
+            row = {"graph": section.name, "replication": k, "kind": kind}
+            for name in FEATURE_NAMES:
+                row[name] = counts.get(name)
+            dist_rows.append(row)
+
+    for section in config.sections:
+        if not section.synthetic:
+            continue
         truth = section.params
         summary = {
             "graph": section.name,
             "replications": section.replications,
             "true_a": truth.a, "true_b": truth.b, "true_c": truth.c,
         }
-        for key in ("a", "b", "c"):
+        for key, values in fitted[section.name].items():
             summary[f"median_{key}"] = (
-                f"{float(np.median(fitted[key])):.10g}" if fitted[key] else "")
+                f"{float(np.median(values)):.10g}" if values else "")
         summary_rows.append(summary)
-
     def _row_key(row):
         rep = row["replication"]
         return (row["graph"], row["fit_type"],

@@ -48,15 +48,13 @@ class KroneckerParams:
     """Initiator entries (a, b, c) plus the Kronecker power r.
 
     (a, b, c) and (c, b, a) describe the same graph distribution, so
-    instances are canonicalized to a >= c on construction; ``swapped``
-    records whether the caller's a and c were exchanged.
+    instances are canonicalized to a >= c on construction.
     """
 
     a: float
     b: float
     c: float
     r: int
-    swapped: bool = False
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
@@ -68,7 +66,6 @@ class KroneckerParams:
             a, c = self.a, self.c
             object.__setattr__(self, "a", c)
             object.__setattr__(self, "c", a)
-            object.__setattr__(self, "swapped", True)
 
     @property
     def num_vertices(self) -> int:
@@ -166,14 +163,46 @@ def _combine(terms, r):
     return total, powers
 
 
-def closed_form_values(a, b, c, r: int) -> list:
+def _values(term_lists, r: int) -> list:
+    return [np.maximum(_combine(terms, r)[0] / multiple, 0.0)
+            for terms, multiple in zip(term_lists, _MULTIPLES)]
+
+
+def closed_form_values(a, b, c, r) -> list:
     """The four closed-form expectations, in FEATURE_NAMES order.
 
     Clamped at zero but without the exact fallback.  (a, b, c) may be
-    floats or numpy arrays; a grid sweep passes the whole lattice at once.
+    floats or numpy arrays; a grid sweep passes a block of the lattice at
+    once.  ``r`` is one power, or an integer array that gives each point
+    of 1-d arrays (a, b, c) its own power, as a lockstep simplex over
+    several problems does.  The bases are built once for all points; each
+    distinct power is then taken with a scalar exponent, so every value has
+    the bits of a call with that power alone (numpy squares by a fast path
+    that an array exponent does not take).
     """
-    return [np.maximum(_combine(terms, r)[0] / multiple, 0.0)
-            for terms, multiple in zip(_closed_form_terms(a, b, c), _MULTIPLES)]
+    term_lists = _closed_form_terms(a, b, c)
+    if np.ndim(r) == 0:
+        return _values(term_lists, r)
+    out = np.empty((len(_MULTIPLES), len(r)))
+    # the distinct powers by counting: np.unique may hash, and its table
+    # outweighs every other temporary here
+    for power in np.flatnonzero(np.bincount(r)):
+        at = np.flatnonzero(r == power)
+        out[:, at] = _values([[(coef, base[at]) for coef, base in terms]
+                              for terms in term_lists], int(power))
+    return list(out)
+
+
+def closed_form_by_power(a, b, c, powers):
+    """Yield ``closed_form_values(a, b, c, r)`` for each r of ``powers``.
+
+    The bases are built once, so a grid sweep ranks a lattice block at
+    several powers for the cost of the powers alone, and holds one power's
+    values at a time.
+    """
+    term_lists = _closed_form_terms(a, b, c)
+    for r in powers:
+        yield _values(term_lists, r)
 
 
 def expected_counts(a: float, b: float, c: float, r: int) -> list:
@@ -213,13 +242,12 @@ class DominanceExponent(NamedTuple):
 
     alpha: float
     lead_dominant: bool   # alpha > 1/2: dropping non-lead terms is below sampling noise
-    diagonal_sum_zero: bool
 
 
 def dominance_exponent(params: KroneckerParams) -> DominanceExponent:
     """alpha = log2((a+2b+c)/(a+c)); the second edge term scales as N^-alpha."""
     s = params.a + params.c
     if s == 0.0:
-        return DominanceExponent(math.inf, True, True)
+        return DominanceExponent(math.inf, True)
     alpha = math.log2((params.a + 2 * params.b + params.c) / s)
-    return DominanceExponent(alpha, alpha > 0.5, False)
+    return DominanceExponent(alpha, alpha > 0.5)

@@ -8,11 +8,17 @@ import pytest
 
 from kronmoments.estimator import (
     _GRID_BLOCK_POINTS,
+    FitFailure,
+    FitProblem,
     LeadingTermInfeasible,
     ObjectiveSpec,
+    _fit_direct_batch,
+    _fit_grid_batch,
     _lattice_blocks,
+    _lockstep_objective,
     _nelder_mead_lockstep,
     _objective,
+    _require_fittable,
     compute_leading_transforms,
     effective_features,
     evaluate_objective,
@@ -258,6 +264,7 @@ class TestFitGrid:
             raise AssertionError("the lattice was evaluated")
 
         monkeypatch.setattr(estimator, "closed_form_values", no_sweep)
+        monkeypatch.setattr(estimator, "closed_form_by_power", no_sweep)
         for r in (-1, 61):
             with pytest.raises(ValueError, match=rf"r={r} outside \[0, 60\]"):
                 fit_grid(GRQC, r)
@@ -345,7 +352,9 @@ class TestLockstepNelderMead:
         x0 = np.random.default_rng(0).random((50, 3))
         swap = x0[:, 0] < x0[:, 2]
         x0[swap] = x0[swap, ::-1]
-        ends = _nelder_mead_lockstep(objective, x0)
+        # the lockstep also passes each point's start row; one problem
+        # has no use for it
+        ends = _nelder_mead_lockstep(lambda p, rows: objective(p), x0)
         for start, end in zip(x0, ends):
             res = minimize(lambda x: float(objective(x[None])[0]), start,
                            method="Nelder-Mead", bounds=[(0.0, 1.0)] * 3,
@@ -356,13 +365,103 @@ class TestLockstepNelderMead:
     def test_infinite_first_simplex_retires_at_once(self):
         calls = []
 
-        def objective(points):
+        def objective(points, rows):
             calls.append(len(points))
             return np.full(len(points), np.inf)
 
         x0 = np.random.default_rng(5).random((4, 3))
         assert np.array_equal(_nelder_mead_lockstep(objective, x0), x0)
         assert calls == [16]
+
+
+# Two batches whose problems differ in r.  r = 2 pins the scalar-exponent
+# rule, and r = 13 and 21 are the reference fixtures' powers.  Under dsq-f2
+# one problem drops a feature observed as 0; under dsq-e (which drops
+# nothing) the counts of one problem have a zero expectation everywhere at
+# r = 0, so all of its starts are infinite.
+BATCHES = {
+    "dsq-f2": [
+        (GRQC, 13),
+        (FeatureCounts(4, 3, 6, 2, 1), 2),
+        (load_counts("as-skitter"), 21),
+        (FeatureCounts(100, 50, 40, 10, 0), 7),  # triangles dropped
+    ],
+    "dsq-e": [
+        (GRQC, 13),
+        (FeatureCounts(1, 1, 1, 1, 1), 0),  # no finite start
+        (FeatureCounts(4, 3, 6, 2, 1), 2),
+        (load_counts("as-skitter"), 21),
+    ],
+}
+UNEXPLAINED = (FeatureCounts(1, 1, 1, 1, 1), 0)
+
+
+def batch(code, starts=6):
+    """The batch's spec and problems, each with its own seed."""
+    return ObjectiveSpec.from_code(code), [
+        FitProblem(obs, r, seed=k, starts=starts)
+        for k, (obs, r) in enumerate(BATCHES[code])]
+
+
+class TestBatch:
+    """A batch gives every problem what it gets run alone."""
+
+    @pytest.mark.parametrize("code", sorted(BATCHES))
+    def test_lockstep_end_points_match_each_problem_alone(self, code):
+        spec, problems = batch(code)
+        fits = [(p, _require_fittable(spec, p.obs)) for p in problems]
+        x0 = [np.random.default_rng(p.seed).random((p.starts, 3))
+              for p in problems]
+        owner = np.repeat(np.arange(len(problems)),
+                          [p.starts for p in problems])
+        ends = _nelder_mead_lockstep(_lockstep_objective(spec, fits, owner),
+                                     np.concatenate(x0))
+        first = 0
+        for (p, feats), start in zip(fits, x0):
+            objective_of = _objective(spec, p.obs, feats)
+
+            def alone(points, rows, r=p.r):
+                return objective_of(closed_form_values(
+                    points[:, 0], points[:, 1], points[:, 2], r))
+
+            assert np.array_equal(ends[first:first + p.starts],
+                                  _nelder_mead_lockstep(alone, start))
+            first += p.starts
+
+    @pytest.mark.parametrize("code", sorted(BATCHES))
+    def test_direct_fits_match_fit_direct(self, code):
+        spec, problems = batch(code)
+        for p, res in zip(problems, _fit_direct_batch(problems, spec)):
+            if (p.obs, p.r) == UNEXPLAINED:
+                # only this problem fails
+                assert isinstance(res, FitFailure)
+                with pytest.raises(FitFailure, match=str(res)):
+                    fit_direct(p.obs, p.r, spec, starts=p.starts, seed=p.seed)
+                continue
+            alone = fit_direct(p.obs, p.r, spec, starts=p.starts, seed=p.seed)
+            assert res.params == alone.params
+            assert res.objective_value == alone.objective_value
+            assert res.warnings == alone.warnings
+
+    @pytest.mark.parametrize("code", sorted(BATCHES))
+    def test_grid_fits_match_the_whole_lattice_sweep(self, code):
+        spec, problems = batch(code)
+        for p, res in zip(problems, _fit_grid_batch(problems, spec, 21)):
+            params, objective = grid_oracle(p.obs, p.r, spec, 21)
+            assert (res.params.a, res.params.b, res.params.c) == params
+            assert res.objective_value == objective  # inf for UNEXPLAINED
+            assert res.warnings == fit_grid(p.obs, p.r, spec, 21).warnings
+
+    def test_bad_problem_is_rejected_alone(self):
+        spec, problems = batch("dsq-f2")
+        problems[1] = problems[1]._replace(r=61)
+        problems[2] = problems[2]._replace(starts=0)
+        direct = _fit_direct_batch(problems, spec)
+        grid = _fit_grid_batch(problems, spec, 11)
+        assert str(direct[1]) == str(grid[1]) == "r=61 outside [0, 60]"
+        assert str(direct[2]) == "starts must be >= 1"
+        for res in direct[:1] + direct[3:] + grid[:1] + grid[2:]:
+            assert res.method in ("direct", "grid")
 
 
 class TestFitLeading:

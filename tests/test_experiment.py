@@ -216,3 +216,69 @@ def test_bad_section_setting_is_a_config_error(tmp_path, capsys, setting,
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
     assert not (out / "fits.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["direct", "grid"])
+def test_failed_fit_is_skipped_without_stopping_the_batch(tmp_path, capsys,
+                                                          method):
+    # no parameters give these counts a nonzero expectation at r = 0, so
+    # the dsq-e objective is infinite everywhere; the good section shares
+    # the bad one's batch and is still fitted
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": 1, "edges": 1, "hairpins": 1, '
+                   '"tripins": 1, "triangles": 1}')
+    cfg = tmp_path / "exp.cfg"
+    common = f"objective = dsq-e\nmethods = {method}\nstarts = 5\n" \
+             "grid_points = 11\n"
+    cfg.write_text(
+        f"[good]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\nr = 13\n"
+        f"{common}\n[bad]\ncounts = {bad}\nr = 0\n{common}")
+    out = tmp_path / "out"
+    assert cli_main(["experiment", str(cfg), "--out", str(out)]) == 0
+    rows = {(r["graph"], r["fit_type"]): r
+            for r in read_rows(out / "fits.csv")}
+    skipped = rows["bad", method]
+    assert skipped["objective"].startswith("skipped: ")
+    assert skipped["a"] == "" and skipped["verts"] == "1"
+    good = rows["good", method]
+    assert float(good["objective"]) >= 0.0 and good["a"] != ""
+    err = capsys.readouterr().err
+    assert f"[bad] {method}: {skipped['objective']}\n" in err
+    assert "[good]" not in err
+
+
+def test_fit_warnings_reach_stderr(tmp_path, capsys):
+    # zero tripins and triangles: both are dropped under dsq-f2, which
+    # leaves two moment equations for three parameters
+    counts = tmp_path / "counts.json"
+    counts.write_text('{"vertices": 100, "edges": 50, "hairpins": 40, '
+                      '"tripins": 0, "triangles": 0}')
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[zeros]\ncounts = {counts}\nmethods = grid\n"
+                   "grid_points = 11\n")
+    out = tmp_path / "out"
+    assert cli_main(["experiment", str(cfg), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{out / 'fits.csv'}\n"
+    assert captured.err.splitlines() == [
+        "[zeros] grid: feature 'tripins' observed as 0; dropped under "
+        "normalization 'f2'",
+        "[zeros] grid: feature 'triangles' observed as 0; dropped under "
+        "normalization 'f2'",
+        "[zeros] grid: only 2 usable features for three parameters: the "
+        "fit is underdetermined",
+    ]
+    assert float(read_rows(out / "fits.csv")[0]["objective"]) >= 0.0
+
+
+def test_synthetic_warnings_name_the_replication(tmp_path, capsys):
+    # a = b = c = 0.5 at r = 4: the leading-term system is infeasible in
+    # every replication
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[s]\nparams = 0.5,0.5,0.5\nr = 4\nreplications = 2\n"
+                   "methods = leading\n")
+    run_experiment(parse_experiment_config(cfg), tmp_path / "out")
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "[s] leading 0", "[s] leading 1"]
+    assert all(": skipped: " in line for line in lines)

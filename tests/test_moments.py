@@ -7,6 +7,7 @@ import pytest
 from kronmoments.moments import (
     KroneckerParams,
     MAX_POWER,
+    closed_form_by_power,
     closed_form_values,
     dominance_exponent,
     expected_counts,
@@ -38,9 +39,6 @@ class TestKroneckerParams:
     def test_canonicalization(self):
         p = KroneckerParams(0.2, 0.5, 0.9, 3)
         assert (p.a, p.c) == (0.9, 0.2)
-        assert p.swapped
-        q = KroneckerParams(0.9, 0.5, 0.2, 3)
-        assert not q.swapped
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -143,6 +141,25 @@ class TestExpectedFeatures:
                                         expected_counts(*point)):
                 assert rel_diff(float(arr[k]), want) < 1e-9
                 assert rel_diff(float(value), want) < 1e-9
+
+
+    def test_per_point_powers_match_each_power_alone(self):
+        # every distinct power is taken with a scalar exponent, so a point
+        # gets the bits that a call at its power alone gives; r = 2 pins
+        # this, as numpy squares by a fast path that an array exponent
+        # does not take
+        rng = np.random.default_rng(11)
+        a, b, c = rng.random((3, 300))
+        powers = (2, 13, 21)
+        r = rng.choice(powers, 300)
+        mixed = closed_form_values(a, b, c, r)
+        table = list(closed_form_by_power(a, b, c, powers))
+        for power, row in zip(powers, table):
+            alone = closed_form_values(a, b, c, power)
+            at = r == power
+            for got_mixed, got_row, want in zip(mixed, row, alone):
+                assert np.array_equal(got_mixed[at], want[at])
+                assert np.array_equal(got_row, want)
 
 
 class TestBruteForce:
@@ -321,4 +338,3 @@ class TestDominanceExponent:
     def test_zero_diagonal(self):
         dom = dominance_exponent(KroneckerParams(0, 0.7, 0, 4))
         assert math.isinf(dom.alpha)
-        assert dom.diagonal_sum_zero

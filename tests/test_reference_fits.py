@@ -4,7 +4,8 @@
 at seed 0, recorded before the fit layer shared one objective and one
 closed-form evaluator.  This test only reads it.  The grid must land on the
 same lattice point with the same objective; the direct fit must agree to
-the benchmark's own tolerances.
+the benchmark's own tolerances, alone and with all eight fits in one batch,
+as the experiment runs them.
 """
 
 import configparser
@@ -13,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from kronmoments.estimator import ObjectiveSpec, fit_direct, fit_grid
+from kronmoments.estimator import (
+    FitProblem,
+    ObjectiveSpec,
+    _fit_direct_batch,
+    fit_direct,
+    fit_grid,
+)
 from kronmoments.features import FeatureCounts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,11 +46,30 @@ def test_grid_fit_matches_reference(name):
                                                 abs=0.0)
 
 
-def test_direct_fit_matches_reference_grqc():
-    res = fit_direct(*fit_inputs("ca-GrQc"), starts=50, seed=0)
-    ref = REFERENCE["ca-GrQc"]["direct"]
+def assert_direct_matches(res, ref):
     p = res.params
     assert (p.a, p.b, p.c) == pytest.approx((ref["a"], ref["b"], ref["c"]),
                                             rel=0.0, abs=1e-6)
     assert res.objective_value == pytest.approx(ref["objective"], rel=1e-9,
                                                 abs=0.0)
+
+
+def test_direct_fit_matches_reference_grqc():
+    res = fit_direct(*fit_inputs("ca-GrQc"), starts=50, seed=0)
+    assert_direct_matches(res, REFERENCE["ca-GrQc"]["direct"])
+
+
+@pytest.fixture(scope="module")
+def direct_batch():
+    """All eight direct fits in one lockstep, by section name."""
+    names = CONFIG.sections()
+    specs = {fit_inputs(name)[2] for name in names}
+    assert len(specs) == 1  # one objective, so one batch
+    problems = [FitProblem(*fit_inputs(name)[:2], seed=0, starts=50)
+                for name in names]
+    return dict(zip(names, _fit_direct_batch(problems, specs.pop())))
+
+
+@pytest.mark.parametrize("name", CONFIG.sections())
+def test_direct_fits_match_reference_as_one_batch(direct_batch, name):
+    assert_direct_matches(direct_batch[name], REFERENCE[name]["direct"])
