@@ -114,7 +114,7 @@ class ObjectiveSpec:
                    features=tuple(features))
 
     def term(self, F, E):
-        """D(F, E) / N(F, E) for one feature, at a float E or over an array.
+        """D(F, E) / N(F, E) for one feature, elementwise over arrays.
 
         An exact match scores 0; a miss against a zero normalization scores
         +inf, since such parameters cannot explain the data.
@@ -123,8 +123,6 @@ class ObjectiveSpec:
         norm = self.normalization
         n = (F if norm == "f" else F * F if norm == "f2"
              else E if norm == "e" else E * E)
-        if isinstance(d, float):
-            return 0.0 if d == 0.0 else math.inf if n == 0.0 else d / n
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(d == 0.0, 0.0, np.where(n == 0.0, np.inf, d / n))
 
@@ -179,23 +177,34 @@ def effective_features(spec: ObjectiveSpec, obs: FeatureCounts):
     return tuple(kept), notes
 
 
-def _objective(spec: ObjectiveSpec, obs: FeatureCounts, feats):
-    """The objective over ``feats`` as a function of the four expectations.
+def _scorer(spec: ObjectiveSpec, fits):
+    """score(expected, problem): the objective of every problem of a batch.
 
-    The returned function takes the expectations in FEATURE_NAMES order,
-    as floats or as arrays over a grid, and sums ``spec.term`` in the
-    order of ``feats``.
+    ``fits`` holds one (observed counts, features matched) pair per
+    problem.  ``expected`` holds the four expectations in FEATURE_NAMES
+    order, as floats or as arrays; ``problem`` is one index into ``fits``,
+    or an index array aligned with the expectations.  Each feature's term
+    is taken once, on the gathered observations, in the order of
+    ``spec.features``.  A feature a problem does not match scores an exact
+    0.0, so every sum has the bits of that problem's objective alone.
     """
-    pairs = [(FEATURE_NAMES.index(f), float(obs.get(f))) for f in feats]
-    term = spec.term
+    observed = np.array([[float(obs.get(f)) for f in spec.features]
+                         for obs, _ in fits])
+    matched = np.array([[f in feats for f in spec.features]
+                        for _, feats in fits])
+    columns = [(j, FEATURE_NAMES.index(f), matched[:, j].all())
+               for j, f in enumerate(spec.features)]
 
-    def objective(expected):
+    def score(expected, problem):
         total = 0.0
-        for k, F in pairs:
-            total = total + term(F, expected[k])
+        for j, k, everywhere in columns:
+            term = spec.term(observed[problem, j], expected[k])
+            if not everywhere:
+                term = np.where(matched[problem, j], term, 0.0)
+            total = total + term
         return total
 
-    return objective
+    return score
 
 
 def evaluate_objective(
@@ -211,8 +220,8 @@ def evaluate_objective(
     feats, notes = effective_features(spec, obs)
     for note in notes:
         warnings.warn(note, stacklevel=2)
-    return _objective(spec, obs, feats)(
-        expected_counts(params.a, params.b, params.c, params.r))
+    counts = expected_counts(params.a, params.b, params.c, params.r)
+    return float(_scorer(spec, [(obs, feats)])(counts, 0))
 
 
 def feature_ratios(exp: ExpectedFeatures, obs: FeatureCounts) -> dict:
@@ -249,7 +258,7 @@ def _finish(params: KroneckerParams, spec, obs, method: str, t0: float,
     matched, and fewer than three of them earn a warning."""
     counts = expected_counts(params.a, params.b, params.c, params.r)
     feats, notes = effective_features(spec, obs)
-    obj = _objective(spec, obs, feats)(counts)
+    obj = float(_scorer(spec, [(obs, feats)])(counts, 0))
     if fitted is not None and len(fitted) < 3:
         notes.append(
             f"only {len(fitted)} usable feature"
@@ -312,39 +321,38 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     Returns one entry per problem: its FitResult, or the ValueError that
     rejected it.  The lattice is walked once.  Each block's bases are
     built once, its closed forms are taken once per distinct power, and
-    each problem's objective ranks the block at its own power, so every
-    problem gets the argmin and objective it gets alone.
+    the batch's scorer ranks the block for each problem at its own power,
+    so every problem gets the argmin and objective it gets alone.
     """
     t0 = time.perf_counter()
     out = [None] * len(problems)
-    fits = []  # (index, problem, features matched, objective)
+    fits = []  # (index, problem, features matched)
     for i, p in enumerate(problems):
         try:
             p = p._replace(r=check_power(p.r))
             if grid_points < 2:
                 raise ValueError("points_per_dim must be >= 2")
-            feats = _require_fittable(spec, p.obs)
+            fits.append((i, p, _require_fittable(spec, p.obs)))
         except ValueError as exc:
             out[i] = exc
-            continue
-        fits.append((i, p, feats, _objective(spec, p.obs, feats)))
     if not fits:
         return out
 
+    score = _scorer(spec, [(p.obs, feats) for _, p, feats in fits])
     winners = [[] for _ in fits]  # (objective, a, b, c) per block
-    at_power = {}  # r -> [(objective, winners), ...] of the problems at r
-    for (_, p, _, objective), won in zip(fits, winners):
-        at_power.setdefault(p.r, []).append((objective, won))
+    at_power = {}  # r -> [(j, winners), ...] of the fits j at power r
+    for j, ((_, p, _), won) in enumerate(zip(fits, winners)):
+        at_power.setdefault(p.r, []).append((j, won))
     axis = np.linspace(0.0, 1.0, grid_points)
     for aa, bb, cc in _lattice_blocks(axis):
         for values, ranked in zip(closed_form_by_power(aa, bb, cc, at_power),
                                   at_power.values()):
-            for objective, won in ranked:
-                total = objective(values)
+            for j, won in ranked:
+                total = score(values, j)
                 idx = int(np.argmin(total))
                 won.append((total[idx], aa[idx], bb[idx], cc[idx]))
     share = (time.perf_counter() - t0) / len(problems)
-    for (i, p, feats, _), won in zip(fits, winners):
+    for (i, p, feats), won in zip(fits, winners):
         t1 = time.perf_counter()
         # argmin takes the first minimum, so the earliest block wins a tie
         _, a, b, c = won[int(np.argmin([w[0] for w in won]))]
@@ -486,50 +494,19 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
     return best
 
 
-def _lockstep_objective(spec: ObjectiveSpec, fits, owner: np.ndarray):
-    """objective(points, rows) for a lockstep over several problems.
-
-    ``fits`` holds (problem, features matched) pairs, and start row ``j``
-    belongs to ``fits[owner[j]]``.  Each point is scored against its own
-    problem's counts at its own power: the closed forms come from one call
-    over all points, and each feature's term is taken once, on the gathered
-    observations.  A feature that a problem does not match scores an exact
-    0.0 on its points, so every sum has the bits that problem's own
-    objective gives.
-    """
-    powers = np.array([p.r for p, _ in fits])
-    observed = np.array([[float(p.obs.get(f)) for f in spec.features]
-                         for p, _ in fits])
-    matched = np.array([[f in feats for f in spec.features]
-                        for _, feats in fits])
-    columns = [(j, FEATURE_NAMES.index(f), matched[:, j].all())
-               for j, f in enumerate(spec.features)]
-    one_power = int(powers[0]) if (powers == powers[0]).all() else None
-
-    def objective(points, rows):
-        problem = owner[rows]
-        expected = closed_form_values(
-            points[:, 0], points[:, 1], points[:, 2],
-            powers[problem] if one_power is None else one_power)
-        total = 0.0
-        for j, k, everywhere in columns:
-            term = spec.term(observed[problem, j], expected[k])
-            if not everywhere:
-                term = np.where(matched[problem, j], term, 0.0)
-            total = total + term
-        return total
-
-    return objective
-
-
 def _fit_direct_batch(problems, spec: ObjectiveSpec,
                       grid_points=None) -> list:
     """Best of each problem's ``starts`` bounded Nelder-Mead runs, with the
     starts of every problem in one lockstep.
 
     Returns one entry per problem: its FitResult, or the ValueError or
-    FitFailure that problem gave.  A problem whose starts all end on a
-    non-finite objective fails alone; the others go on.
+    FitFailure that problem gave.  The lockstep ranks each point by
+    ``closed_form_values`` at its problem's power and the batch's scorer
+    against its problem's counts.  Each problem's end points are then
+    scored in one scorer call on ``expected_counts``, and one lexsort
+    picks the smallest objective, ties going to the smallest (a, b, c); a
+    non-finite end is skipped, and a problem whose ends are all non-finite
+    fails alone while the others go on.
     """
     t0 = time.perf_counter()
     out = [None] * len(problems)
@@ -545,38 +522,41 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
     if not fits:
         return out
 
-    x0 = []
-    for _, p, _ in fits:
-        starts = np.random.default_rng(p.seed).random((p.starts, 3))
-        swap = starts[:, 0] < starts[:, 2]
-        starts[swap] = starts[swap, ::-1]  # (a, b, c) -> (c, b, a)
-        x0.append(starts)
+    score = _scorer(spec, [(p.obs, feats) for _, p, feats in fits])
+    powers = np.array([p.r for _, p, _ in fits])
+    one_power = int(powers[0]) if (powers == powers[0]).all() else None
     owner = np.repeat(np.arange(len(fits)), [p.starts for _, p, _ in fits])
-    ends = _nelder_mead_lockstep(
-        _lockstep_objective(spec, [f[1:] for f in fits], owner),
-        np.concatenate(x0)).tolist()
+
+    def objective(points, rows):
+        problem = owner[rows]
+        return score(closed_form_values(
+            points[:, 0], points[:, 1], points[:, 2],
+            powers[problem] if one_power is None else one_power), problem)
+
+    x0 = np.concatenate([np.random.default_rng(p.seed).random((p.starts, 3))
+                         for _, p, _ in fits])
+    swap = x0[:, 0] < x0[:, 2]
+    x0[swap] = x0[swap, ::-1]  # (a, b, c) -> (c, b, a)
+    ends = _nelder_mead_lockstep(objective, x0)
+    swap = ends[:, 0] < ends[:, 2]
+    ends[swap] = ends[swap, ::-1]
     share = (time.perf_counter() - t0) / len(problems)
 
     first = 0
-    for i, p, feats in fits:
+    for j, (i, p, feats) in enumerate(fits):
         t1 = time.perf_counter()
-        objective_of = _objective(spec, p.obs, feats)
-        best = None  # (objective, (a, b, c))
-        for a, b, c in ends[first:first + p.starts]:
-            if a < c:
-                a, c = c, a
-            val = objective_of(expected_counts(a, b, c, p.r))
-            if not math.isfinite(val):
-                continue
-            cand = (val, (a, b, c))
-            if best is None or cand < best:
-                best = cand
+        mine = ends[first:first + p.starts]
         first += p.starts
-        if best is None:
+        values = score(np.array([expected_counts(a, b, c, p.r)
+                                 for a, b, c in mine.tolist()]).T, j)
+        finite = np.flatnonzero(np.isfinite(values))
+        if not finite.size:
             out[i] = FitFailure(
                 f"all {p.starts} starts produced a non-finite objective")
             continue
-        params = KroneckerParams(*best[1], p.r)
+        a, b, c = mine[finite].T
+        best = finite[np.lexsort((c, b, a, values[finite]))[0]]
+        params = KroneckerParams(*mine[best].tolist(), p.r)
         out[i] = _finish(params, spec, p.obs, "direct", t1 - share,
                          fitted=feats)
     return out
@@ -597,9 +577,12 @@ def fit_direct(
     trial points are ranked together by ``closed_form_values``, in double
     precision, the closed forms the grid uses.  Each run stops when its
     simplex diameter falls below 1e-8 or after 2000 iterations.  Each end
-    point is then scored by ``expected_counts``, with the exact fallback;
-    the best wins, ties going to the smallest (a, b, c).  Deterministic
-    given (seed, starts).  This is a batch of one (``_fit_direct_batch``).
+    point is then scored on ``expected_counts``, with the exact fallback;
+    the best finite objective wins, ties going to the smallest (a, b, c),
+    and FitFailure is raised when no end is finite.  Every objective value
+    here, as in the grid and ``evaluate_objective``, comes from one scorer
+    (``_scorer``).  Deterministic given (seed, starts).  This is a batch
+    of one (``_fit_direct_batch``).
     """
     return _one(_fit_direct_batch([FitProblem(obs, r, seed, starts)],
                                   spec or ObjectiveSpec()))
@@ -668,19 +651,23 @@ def compute_leading_transforms(obs: FeatureCounts, r: int) -> LeadingTransforms:
     )
 
 
+# The leading-term fit sweeps b over [0, 1] in steps of 1e-4.
+_B_STEPS = 10_000
+
+
 def fit_leading(
     obs: FeatureCounts,
     r: int,
     spec: ObjectiveSpec | None = None,
-    b_step: float = 1e-4,
 ) -> FitResult:
     """Closed-form leading-term estimate plus a 1-d sweep for b.
 
     a(b) = x_hat - b and c(b) = y_hat - b (clamped to [0, 1]) satisfy the
     leading edge and hairpin equations; b is then chosen on a uniform grid
-    to minimize |a^3 + c^3 + 3 b^2 (a + c) - delta|, the leading triangle
-    mismatch.  ``spec`` only selects the objective reported on the result
-    (default squared relative errors over all four features).
+    of step 1e-4 to minimize |a^3 + c^3 + 3 b^2 (a + c) - delta|, the
+    leading triangle mismatch.  ``spec`` only selects the objective
+    reported on the result (default squared relative errors over all four
+    features).
     """
     t0 = time.perf_counter()
     spec = spec or ObjectiveSpec()
@@ -692,8 +679,7 @@ def fit_leading(
             "pick b"
         )
 
-    steps = int(round(1.0 / b_step))
-    b_grid = np.linspace(0.0, 1.0, steps + 1)
+    b_grid = np.linspace(0.0, 1.0, _B_STEPS + 1)
     a_grid = np.clip(transforms.x_hat - b_grid, 0.0, 1.0)
     c_grid = np.clip(transforms.y_hat - b_grid, 0.0, 1.0)
     mismatch = np.abs(

@@ -53,6 +53,10 @@ class SimpleGraph:
                     and (np.diff(hi)[step == 0] >= 0).all()):
                 order = np.lexsort((hi, lo))
                 lo, hi = lo[order], hi[order]
+                step = np.diff(lo)
+            # in (lo, hi) order a duplicate sits next to its twin
+            if (np.diff(hi)[step == 0] == 0).any():
+                raise ValueError("edge_array contains a duplicate edge")
             edge_array = np.stack([lo, hi], axis=1)
         self.edge_array = edge_array
         self.labels = labels

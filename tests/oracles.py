@@ -11,6 +11,8 @@
 - ``sparse_product_triangles`` counts triangles as one masked
   ``scipy.sparse`` product, the count the package made before its wedge
   check.
+- ``plain_objective`` is the fit objective of one problem as a plain sum
+  over its features, written without the package's scorer.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from kronmoments.graph_io import SimpleGraph
 from kronmoments.moments import (
+    FEATURE_NAMES,
     ExpectedFeatures,
     KroneckerParams,
     _closed_form_terms,
@@ -242,3 +245,30 @@ def sparse_product_triangles(g: SimpleGraph) -> int:
     L = sparse.csr_matrix((np.ones(src.size, dtype=np.int64), (src, dst)),
                           shape=(n, n))
     return int((L @ L).multiply(L).sum())
+
+
+def plain_objective(spec, obs):
+    """The objective of ``obs`` under ``spec``, one feature at a time.
+
+    Returns objective(expected), where ``expected`` holds the four
+    expectations in FEATURE_NAMES order, as floats or as arrays.  A feature
+    observed as 0 is left out under the observed-count normalizations.  A
+    term is D / N: 0 at an exact match, +inf where N is 0.
+    """
+    feats = [f for f in spec.features
+             if not (spec.normalization in ("f", "f2") and obs.get(f) == 0)]
+
+    def objective(expected):
+        total = 0.0
+        for f in feats:
+            F = float(obs.get(f))
+            E = np.asarray(expected[FEATURE_NAMES.index(f)], dtype=float)
+            miss = F - E
+            d = miss * miss if spec.distance == "sq" else np.abs(miss)
+            n = {"f": F, "f2": F * F, "e": E, "e2": E * E}[spec.normalization]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                total = total + np.where(
+                    d == 0.0, 0.0, np.where(n == 0.0, np.inf, d / n))
+        return total
+
+    return objective

@@ -15,12 +15,8 @@ from kronmoments.estimator import (
     _fit_direct_batch,
     _fit_grid_batch,
     _lattice_blocks,
-    _lockstep_objective,
     _nelder_mead_lockstep,
-    _objective,
-    _require_fittable,
     compute_leading_transforms,
-    effective_features,
     evaluate_objective,
     fit_best,
     fit_direct,
@@ -35,6 +31,7 @@ from kronmoments.moments import (
     expected_counts,
     expected_features,
 )
+from oracles import plain_objective
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -187,7 +184,7 @@ def whole_lattice(points_per_dim):
 def grid_oracle(obs, r, spec, points_per_dim):
     """The grid fit as one argmin over the whole lattice, and its objective."""
     aa, bb, cc = whole_lattice(points_per_dim)
-    objective = _objective(spec, obs, effective_features(spec, obs)[0])
+    objective = plain_objective(spec, obs)
     idx = int(np.argmin(objective(closed_form_values(aa, bb, cc, r))))
     a, b, c = float(aa[idx]), float(bb[idx]), float(cc[idx])
     return (a, b, c), objective(expected_counts(a, b, c, r))
@@ -327,6 +324,39 @@ class TestFitDirect:
         assert res.objective_value == again
 
 
+class TestDirectEndPoints:
+    """How the direct fit picks among its lockstep's end points."""
+
+    # at r = 1 the one nonzero expectation is E(edges) = b, so ends with
+    # equal b tie exactly, and b = 0 leaves the observed edge at an
+    # infinite dsq-e objective
+    OBS, SPEC = FeatureCounts(2, 1, 0, 0, 0), ObjectiveSpec.from_code("dsq-e")
+
+    def fit(self, monkeypatch, ends):
+        import kronmoments.estimator as estimator
+
+        monkeypatch.setattr(estimator, "_nelder_mead_lockstep",
+                            lambda objective, x0: np.array(ends))
+        return fit_direct(self.OBS, 1, self.SPEC, starts=len(ends))
+
+    def test_smallest_tied_end_wins_and_non_finite_is_skipped(
+            self, monkeypatch):
+        res = self.fit(monkeypatch, [
+            (0.125, 0.0, 0.0),  # infinite
+            (0.75, 0.5, 0.25),
+            (0.125, 0.25, 0.0),  # finite, but a larger objective
+            (0.25, 0.5, 0.625),  # a < c: ranked as (0.625, 0.5, 0.25)
+            (0.5, 0.5, 0.125),
+        ])
+        assert (res.params.a, res.params.b, res.params.c) == \
+            (0.5, 0.5, 0.125)
+        assert res.objective_value == 0.5
+
+    def test_all_non_finite_ends_fail(self, monkeypatch):
+        with pytest.raises(FitFailure, match="all 2 starts"):
+            self.fit(monkeypatch, [(0.5, 0.0, 0.25), (0.125, 0.0, 0.0)])
+
+
 class TestLockstepNelderMead:
     """The lockstep simplex against scipy's Nelder-Mead, start by start."""
 
@@ -342,7 +372,7 @@ class TestLockstepNelderMead:
         from scipy.optimize import minimize
 
         obs, spec = load_counts(name), ObjectiveSpec.from_code(code)
-        objective_of = _objective(spec, obs, effective_features(spec, obs)[0])
+        objective_of = plain_objective(spec, obs)
 
         def objective(p):
             return objective_of(
@@ -407,18 +437,25 @@ class TestBatch:
     """A batch gives every problem what it gets run alone."""
 
     @pytest.mark.parametrize("code", sorted(BATCHES))
-    def test_lockstep_end_points_match_each_problem_alone(self, code):
+    def test_lockstep_end_points_match_each_problem_alone(self, code,
+                                                          monkeypatch):
+        import kronmoments.estimator as estimator
+
+        # the batch's one lockstep, as _fit_direct_batch runs it
+        runs = []
+
+        def recorded(objective, x0):
+            runs.append((x0.copy(), _nelder_mead_lockstep(objective, x0)))
+            return runs[-1][1].copy()
+
+        monkeypatch.setattr(estimator, "_nelder_mead_lockstep", recorded)
         spec, problems = batch(code)
-        fits = [(p, _require_fittable(spec, p.obs)) for p in problems]
-        x0 = [np.random.default_rng(p.seed).random((p.starts, 3))
-              for p in problems]
-        owner = np.repeat(np.arange(len(problems)),
-                          [p.starts for p in problems])
-        ends = _nelder_mead_lockstep(_lockstep_objective(spec, fits, owner),
-                                     np.concatenate(x0))
+        _fit_direct_batch(problems, spec)
+        ((x0, ends),) = runs
         first = 0
-        for (p, feats), start in zip(fits, x0):
-            objective_of = _objective(spec, p.obs, feats)
+        for p in problems:
+            start = x0[first:first + p.starts]
+            objective_of = plain_objective(spec, p.obs)
 
             def alone(points, rows, r=p.r):
                 return objective_of(closed_form_values(

@@ -100,6 +100,17 @@ def test_from_pairs_rejects_bad_edges():
         SimpleGraph(2, np.array([[0, 5]]))
 
 
+@pytest.mark.parametrize("edges", [
+    [[0, 1], [1, 0], [1, 2]],  # unsorted, the twin reversed
+    [[1, 2], [2, 1]],  # both reversed against each other
+    [[0, 1], [0, 1], [1, 2]],  # already sorted
+    [[1, 2], [0, 3], [2, 1]],  # twins apart
+])
+def test_constructor_rejects_duplicate_edges(edges):
+    with pytest.raises(ValueError, match="duplicate edge"):
+        SimpleGraph(4, np.array(edges))
+
+
 def test_from_pairs_array_list_and_generator_agree():
     pairs = [(3, 1), (1, 3), (2, 2), (0, 4), (4, 0), (1, 2), (0, 4)]
     graphs = [
