@@ -8,6 +8,7 @@ and --seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -25,13 +26,14 @@ from .estimator import (
 from .experiment import (
     ConfigError,
     fit_csv_row,
+    fit_power,
     parse_experiment_config,
     run_experiment,
     FIT_CSV_COLUMNS,
 )
 from .features import FeatureCounts, count_features, read_counts_json
 from .generator import MAX_GENERATE_POWER, generate_to_file
-from .graph_io import GraphParseError, choose_r, load_edge_list
+from .graph_io import GraphParseError, load_edge_list
 from .moments import (
     FEATURE_NAMES,
     KroneckerParams,
@@ -151,7 +153,7 @@ def _cmd_expected(args) -> int:
 
 def _cmd_fit(args) -> int:
     counts = _load_counts_source(args.source)
-    r = args.r if args.r is not None else choose_r(max(counts.vertices, 1))
+    r = fit_power(counts, args.r)
     features = tuple(tok.strip() for tok in args.features.split(",") if tok.strip())
     spec = ObjectiveSpec.from_code(args.objective, features=features)
 
@@ -170,8 +172,9 @@ def _cmd_fit(args) -> int:
         print(json.dumps(payload, allow_nan=False))
     if args.format in ("csv", "both"):
         row = fit_csv_row(Path(args.source).name, "", result, 1 << r)
-        print(",".join(str(c) for c in FIT_CSV_COLUMNS))
-        print(",".join(str(row[c]) for c in FIT_CSV_COLUMNS))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(FIT_CSV_COLUMNS)
+        writer.writerow(row[c] for c in FIT_CSV_COLUMNS)
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -134,7 +134,7 @@ class FitResult:
     expected: ExpectedFeatures
     feature_ratios: dict
     method: str
-    elapsed: float
+    elapsed: float = 0.0  # its share of its batch's wall time (_timed)
     warnings: list = field(default_factory=list)
     held_out: str | None = None
     diagnostics: dict | None = None
@@ -252,7 +252,7 @@ def _require_fittable(spec: ObjectiveSpec, obs: FeatureCounts):
     return feats
 
 
-def _finish(params: KroneckerParams, spec, obs, method: str, t0: float,
+def _finish(params: KroneckerParams, spec, obs, method: str,
             diagnostics=None, fitted=None) -> FitResult:
     """The result at ``params``; ``fitted`` names the features the fit
     matched, and fewer than three of them earn a warning."""
@@ -277,7 +277,6 @@ def _finish(params: KroneckerParams, spec, obs, method: str, t0: float,
         expected=exp,
         feature_ratios=feature_ratios(exp, obs),
         method=method,
-        elapsed=time.perf_counter() - t0,
         warnings=notes,
         diagnostics=diagnostics,
     )
@@ -324,7 +323,6 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     the batch's scorer ranks the block for each problem at its own power,
     so every problem gets the argmin and objective it gets alone.
     """
-    t0 = time.perf_counter()
     out = [None] * len(problems)
     fits = []  # (index, problem, features matched)
     for i, p in enumerate(problems):
@@ -351,14 +349,11 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
                 total = score(values, j)
                 idx = int(np.argmin(total))
                 won.append((total[idx], aa[idx], bb[idx], cc[idx]))
-    share = (time.perf_counter() - t0) / len(problems)
     for (i, p, feats), won in zip(fits, winners):
-        t1 = time.perf_counter()
         # argmin takes the first minimum, so the earliest block wins a tie
         _, a, b, c = won[int(np.argmin([w[0] for w in won]))]
         params = KroneckerParams(float(a), float(b), float(c), p.r)
-        out[i] = _finish(params, spec, p.obs, "grid", t1 - share,
-                         fitted=feats)
+        out[i] = _finish(params, spec, p.obs, "grid", fitted=feats)
     return out
 
 
@@ -387,8 +382,7 @@ def fit_grid(
     so the winner is the first minimum over the whole lattice.  This is a
     batch of one (``_fit_grid_batch``).
     """
-    return _one(_fit_grid_batch([FitProblem(obs, r)], spec or ObjectiveSpec(),
-                                points_per_dim))
+    return _one("grid", FitProblem(obs, r), spec, points_per_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +502,6 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
     non-finite end is skipped, and a problem whose ends are all non-finite
     fails alone while the others go on.
     """
-    t0 = time.perf_counter()
     out = [None] * len(problems)
     fits = []  # (index, problem, features matched)
     for i, p in enumerate(problems):
@@ -540,11 +533,9 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
     ends = _nelder_mead_lockstep(objective, x0)
     swap = ends[:, 0] < ends[:, 2]
     ends[swap] = ends[swap, ::-1]
-    share = (time.perf_counter() - t0) / len(problems)
 
     first = 0
     for j, (i, p, feats) in enumerate(fits):
-        t1 = time.perf_counter()
         mine = ends[first:first + p.starts]
         first += p.starts
         values = score(np.array([expected_counts(a, b, c, p.r)
@@ -557,8 +548,7 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
         a, b, c = mine[finite].T
         best = finite[np.lexsort((c, b, a, values[finite]))[0]]
         params = KroneckerParams(*mine[best].tolist(), p.r)
-        out[i] = _finish(params, spec, p.obs, "direct", t1 - share,
-                         fitted=feats)
+        out[i] = _finish(params, spec, p.obs, "direct", fitted=feats)
     return out
 
 
@@ -584,8 +574,7 @@ def fit_direct(
     (``_scorer``).  Deterministic given (seed, starts).  This is a batch
     of one (``_fit_direct_batch``).
     """
-    return _one(_fit_direct_batch([FitProblem(obs, r, seed, starts)],
-                                  spec or ObjectiveSpec()))
+    return _one("direct", FitProblem(obs, r, seed, starts), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -655,23 +644,9 @@ def compute_leading_transforms(obs: FeatureCounts, r: int) -> LeadingTransforms:
 _B_STEPS = 10_000
 
 
-def fit_leading(
-    obs: FeatureCounts,
-    r: int,
-    spec: ObjectiveSpec | None = None,
-) -> FitResult:
-    """Closed-form leading-term estimate plus a 1-d sweep for b.
-
-    a(b) = x_hat - b and c(b) = y_hat - b (clamped to [0, 1]) satisfy the
-    leading edge and hairpin equations; b is then chosen on a uniform grid
-    of step 1e-4 to minimize |a^3 + c^3 + 3 b^2 (a + c) - delta|, the
-    leading triangle mismatch.  ``spec`` only selects the objective
-    reported on the result (default squared relative errors over all four
-    features).
-    """
-    t0 = time.perf_counter()
-    spec = spec or ObjectiveSpec()
-    r = check_power(r)
+def _leading(problem: FitProblem, spec: ObjectiveSpec) -> FitResult:
+    """The leading-term fit of one problem (see ``fit_leading``)."""
+    obs, r = problem.obs, check_power(problem.r)
     transforms = compute_leading_transforms(obs, r)
     if obs.triangles <= 0:
         raise ValueError(
@@ -690,26 +665,42 @@ def fit_leading(
     ties = np.nonzero(mismatch == best_val)[0]
     key = min((a_grid[i], b_grid[i], c_grid[i]) for i in ties)
     params = KroneckerParams(float(key[0]), float(key[1]), float(key[2]), r)
-    return _finish(params, spec, obs, "leading", t0,
+    return _finish(params, spec, obs, "leading",
                    diagnostics={"transforms": transforms.to_dict(),
                                 "delta_mismatch": float(best_val)})
+
+
+def _fit_leading_batch(problems, spec: ObjectiveSpec, grid_points) -> list:
+    """``_leading`` on each problem, or the ValueError it raised."""
+    out = []
+    for p in problems:
+        try:
+            out.append(_leading(p, spec))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def fit_leading(
+    obs: FeatureCounts,
+    r: int,
+    spec: ObjectiveSpec | None = None,
+) -> FitResult:
+    """Closed-form leading-term estimate plus a 1-d sweep for b.
+
+    a(b) = x_hat - b and c(b) = y_hat - b (clamped to [0, 1]) satisfy the
+    leading edge and hairpin equations; b is then chosen on a uniform grid
+    of step 1e-4 to minimize |a^3 + c^3 + 3 b^2 (a + c) - delta|, the
+    leading triangle mismatch.  ``spec`` only selects the objective
+    reported on the result (default squared relative errors over all four
+    features).  This is a batch of one (``_fit_leading_batch``).
+    """
+    return _one("leading", FitProblem(obs, r), spec)
 
 
 # ---------------------------------------------------------------------------
 # combination protocols
 # ---------------------------------------------------------------------------
-
-
-def _fit_leading_batch(problems, spec: ObjectiveSpec,
-                       grid_points=None) -> list:
-    """``fit_leading`` on each problem, or the ValueError it raised."""
-    out = []
-    for p in problems:
-        try:
-            out.append(fit_leading(p.obs, p.r, spec))
-        except ValueError as exc:
-            out.append(exc)
-    return out
 
 
 def _fit_best_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
@@ -718,54 +709,39 @@ def _fit_best_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     Returns one entry per problem: its FitResult, or the error of a
     method that could not be skipped.
     """
-    t0 = time.perf_counter()
     by_method = {method: FIT_METHODS[method](problems, spec, grid_points)
                  for method in ("direct", "grid", "leading")}
-    share = (time.perf_counter() - t0) / max(len(problems), 1)
     held_out = None
     if len(spec.features) == 3:
         held_out = next(f for f in FEATURE_NAMES if f not in spec.features)
     out = []
     for i in range(len(problems)):
-        t1 = time.perf_counter()
         candidates = []
         diagnostics = {}
         notes = []
-        error = None
         for method, skippable in (("direct", FitFailure), ("grid", ()),
                                   ("leading", ValueError)):
             res = by_method[method][i]
             if isinstance(res, skippable):
                 diagnostics[method] = {"error": str(res)}
                 notes.append(f"{method} fit skipped: {res}")
-                continue
-            if isinstance(res, Exception):
-                error = res
+            elif isinstance(res, Exception):
+                out.append(res)
                 break
-            p = res.params
-            diagnostics[method] = {
-                "params": p.to_dict(),
-                "objective": res.objective_value,
-                "elapsed": res.elapsed,
-            }
-            candidates.append((res.objective_value, (p.a, p.b, p.c), res))
-        if error is not None:
-            out.append(error)
-            continue
-
-        obj, _, winner = min(candidates, key=lambda cand: cand[:2])
-        diagnostics["winner"] = winner.method
-        out.append(FitResult(
-            params=winner.params,
-            objective_value=obj,
-            expected=winner.expected,
-            feature_ratios=winner.feature_ratios,
-            method="best",
-            elapsed=share + time.perf_counter() - t1,
-            warnings=winner.warnings + notes,
-            held_out=held_out,
-            diagnostics=diagnostics,
-        ))
+            else:
+                p = res.params
+                diagnostics[method] = {
+                    "params": p.to_dict(),
+                    "objective": res.objective_value,
+                    "elapsed": res.elapsed,
+                }
+                candidates.append((res.objective_value, (p.a, p.b, p.c), res))
+        else:
+            winner = min(candidates, key=lambda cand: cand[:2])[2]
+            diagnostics["winner"] = winner.method
+            out.append(replace(
+                winner, method="best", warnings=winner.warnings + notes,
+                held_out=held_out, diagnostics=diagnostics))
     return out
 
 
@@ -786,27 +762,42 @@ def fit_best(
     ratio on the result cross-validates the fit on a moment it never saw.
     This is a batch of one (``_fit_best_batch``).
     """
-    return _one(_fit_best_batch([FitProblem(obs, r, seed, starts)],
-                                spec or ObjectiveSpec(), grid_points))
+    return _one("best", FitProblem(obs, r, seed, starts), spec, grid_points)
 
 
-def _one(results: list) -> FitResult:
-    """The result of a batch of one; raises the error it gave instead."""
-    (res,) = results
+def _one(method: str, problem: FitProblem, spec, grid_points=None):
+    """``method``'s fit of ``problem`` as a batch of one (default spec
+    ``ObjectiveSpec()``); raises the error it gave instead."""
+    (res,) = FIT_METHODS[method]([problem], spec or ObjectiveSpec(),
+                                 grid_points)
     if isinstance(res, Exception):
         raise res
     return res
 
 
-# The one dispatch point from a method name to its fit, for the CLI, the
-# experiment harness and fit_best.  Every entry takes
+def _timed(fit):
+    """``fit`` with each result's ``elapsed`` set to an even share of the
+    batch's wall time; every fit is timed here."""
+    def timed(problems, spec: ObjectiveSpec, grid_points) -> list:
+        t0 = time.perf_counter()
+        out = fit(problems, spec, grid_points)
+        wall = time.perf_counter() - t0
+        for res in out:
+            if isinstance(res, FitResult):
+                res.elapsed = wall / len(out)
+        return out
+    return timed
+
+
+# The one dispatch point from a method name to its fit, for the public
+# fits, the CLI, the experiment harness and fit_best.  Every entry takes
 # (problems, spec, grid_points), a list of FitProblem under one objective,
 # and returns one entry per problem: its FitResult, or the ValueError or
 # FitFailure that problem gave, so one bad problem does not stop the rest.
 # Each ignores what it does not use.
 FIT_METHODS = {
-    "direct": _fit_direct_batch,
-    "grid": _fit_grid_batch,
-    "leading": _fit_leading_batch,
-    "best": _fit_best_batch,
+    "direct": _timed(_fit_direct_batch),
+    "grid": _timed(_fit_grid_batch),
+    "leading": _timed(_fit_leading_batch),
+    "best": _timed(_fit_best_batch),
 }

@@ -167,6 +167,11 @@ def parse_experiment_config(path) -> ExperimentConfig:
     return ExperimentConfig(sections=sections, output_dir=output_dir)
 
 
+def fit_power(obs: FeatureCounts, r: int | None) -> int:
+    """``r``, or by default the smallest with 2^r >= max(vertices, 1)."""
+    return r if r is not None else choose_r(max(obs.vertices, 1))
+
+
 def fit_csv_row(graph: str, replication, result: FitResult, verts: int) -> dict:
     p = result.params
     row = {
@@ -299,7 +304,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     for section in config.sections:
         if not section.synthetic:
             obs = _load_counts(section)
-            r = section.r if section.r is not None else choose_r(obs.vertices)
+            r = fit_power(obs, section.r)
             fit_rows.append(source_csv_row(section.name, obs))
             sources.append(_Source(section, "", obs, r))
             continue

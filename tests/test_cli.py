@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -138,6 +139,17 @@ def test_fit_csv_output(tmp_path, capsys):
     assert cells[1] == "leading"
     assert cells[6] == "8192"
     assert float(cells[4]) == pytest.approx(0.488, abs=0.005)
+
+
+def test_fit_csv_output_quotes_the_source_name(tmp_path, capsys):
+    source = tmp_path / "grqc,v2.json"
+    source.write_text((FIXTURES / "ca-GrQc.counts.json").read_text())
+    code, out, _ = run(capsys, "fit", str(source), "--method", "leading",
+                       "--format", "both")
+    assert code == 0
+    header, row = csv.reader(out.splitlines()[1:])
+    assert len(header) == len(row) == 13
+    assert row[:2] == ["grqc,v2.json", "leading"]
 
 
 def test_fit_partial_cross_validation(capsys):

@@ -247,6 +247,28 @@ def test_failed_fit_is_skipped_without_stopping_the_batch(tmp_path, capsys,
     assert "[good]" not in err
 
 
+def test_section_without_vertices_or_r_is_skipped(tmp_path, capsys):
+    # the default r of a graph with no vertices is 0, as for the fit
+    # command; every feature is then dropped under dsq-f2, so the section
+    # is skipped and the good one beside it is still fitted
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices": 0, "edges": 0, "hairpins": 0, '
+                     '"tripins": 0, "triangles": 0}')
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[empty]\ncounts = {empty}\nmethods = grid\n\n"
+                   f"[good]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
+                   "methods = grid\ngrid_points = 11\n")
+    out = tmp_path / "out"
+    assert cli_main(["experiment", str(cfg), "--out", str(out)]) == 0
+    rows = {(r["graph"], r["fit_type"]): r
+            for r in read_rows(out / "fits.csv")}
+    assert rows["empty", "grid"]["objective"].startswith(
+        "skipped: nothing to fit: ")
+    assert rows["empty", "grid"]["verts"] == "1"
+    assert float(rows["good", "grid"]["objective"]) >= 0.0
+    assert capsys.readouterr().err.startswith("[empty] grid: skipped: ")
+
+
 def test_fit_warnings_reach_stderr(tmp_path, capsys):
     # zero tripins and triangles: both are dropped under dsq-f2, which
     # leaves two moment equations for three parameters

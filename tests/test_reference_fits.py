@@ -1,11 +1,12 @@
-"""The reference-fit contract: grid and direct fits against the recorded table.
+"""The reference-fit contract: the fits against the recorded table.
 
 ``bench/reference_fits.json`` holds the fits of ``configs/reference-fits.cfg``
 at seed 0, recorded before the fit layer shared one objective and one
 closed-form evaluator.  This test only reads it.  The grid must land on the
 same lattice point with the same objective; the direct fit must agree to
 the benchmark's own tolerances, alone and with all eight fits in one batch,
-as the experiment runs them.
+as the experiment runs them.  The leading fit must land on the recorded point
+with the same objective, or fail as recorded.
 """
 
 import configparser
@@ -16,10 +17,12 @@ import pytest
 
 from kronmoments.estimator import (
     FitProblem,
+    LeadingTermInfeasible,
     ObjectiveSpec,
     _fit_direct_batch,
     fit_direct,
     fit_grid,
+    fit_leading,
 )
 from kronmoments.features import FeatureCounts
 
@@ -73,3 +76,18 @@ def direct_batch():
 @pytest.mark.parametrize("name", CONFIG.sections())
 def test_direct_fits_match_reference_as_one_batch(direct_batch, name):
     assert_direct_matches(direct_batch[name], REFERENCE[name]["direct"])
+
+
+@pytest.mark.parametrize("name", CONFIG.sections())
+def test_leading_fit_matches_reference(name):
+    ref = REFERENCE[name]["leading"]
+    if "skipped" in ref:
+        with pytest.raises(LeadingTermInfeasible) as excinfo:
+            fit_leading(*fit_inputs(name))
+        assert str(excinfo.value) == ref["skipped"]
+        return
+    res = fit_leading(*fit_inputs(name))
+    p = res.params
+    assert (p.a, p.b, p.c) == (ref["a"], ref["b"], ref["c"])
+    assert res.objective_value == pytest.approx(ref["objective"], rel=1e-12,
+                                                abs=0.0)
