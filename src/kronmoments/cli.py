@@ -28,6 +28,7 @@ from .experiment import (
     fit_csv_row,
     fit_power,
     parse_experiment_config,
+    parse_features,
     run_experiment,
     FIT_CSV_COLUMNS,
 )
@@ -154,8 +155,8 @@ def _cmd_expected(args) -> int:
 def _cmd_fit(args) -> int:
     counts = _load_counts_source(args.source)
     r = fit_power(counts, args.r)
-    features = tuple(tok.strip() for tok in args.features.split(",") if tok.strip())
-    spec = ObjectiveSpec.from_code(args.objective, features=features)
+    spec = ObjectiveSpec.from_code(args.objective,
+                                   features=parse_features(args.features))
 
     (result,) = FIT_METHODS[args.method](
         [FitProblem(counts, r, args.seed, args.starts)], spec,

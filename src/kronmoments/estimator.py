@@ -509,6 +509,8 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
             p = p._replace(r=check_power(p.r))
             if p.starts < 1:
                 raise ValueError("starts must be >= 1")
+            if p.seed < 0:
+                raise ValueError("seed must be >= 0")
             fits.append((i, p, _require_fittable(spec, p.obs)))
         except ValueError as exc:
             out[i] = exc

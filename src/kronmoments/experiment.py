@@ -71,20 +71,11 @@ class ExperimentConfig:
     output_dir: Path | None = None
 
 
-def _int_setting(section: str, raw: dict, key: str, default: int,
-                 minimum: int | None = None) -> int:
-    """Integer ``key`` of a section, ConfigError unless it is >= minimum."""
-    if key not in raw:
-        return default
-    try:
-        value = int(raw[key])
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} must be an integer, got {raw[key]!r}"
-        ) from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{section}] {key} must be >= {minimum}")
-    return value
+# the integer keys of a section and their smallest allowed values
+_INT_MINIMUMS = {"replications": 1, "seed": 0, "starts": 1, "grid_points": 2}
+# every key a section may set; "output" is [DEFAULT]'s, passed to each
+_SECTION_KEYS = {"graph", "counts", "params", "r", "objective", "features",
+                 "methods", "output", *_INT_MINIMUMS}
 
 
 def parse_experiment_config(path) -> ExperimentConfig:
@@ -92,9 +83,10 @@ def parse_experiment_config(path) -> ExperimentConfig:
 
     Recognized keys: graph, counts, params (a,b,c), r, replications,
     objective (code like dsq-f2), features (comma list), methods, seed,
-    starts, grid_points, output (section-independent output directory).
-    Referenced paths must exist at parse time; replications and starts
-    must be >= 1, grid_points >= 2.
+    starts, grid_points, output (section-independent output directory);
+    any other key is a ConfigError.  Referenced paths must exist at parse
+    time; replications and starts must be >= 1, seed >= 0, grid_points
+    >= 2.  A key left out keeps its ``ExperimentSection`` default.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
@@ -104,22 +96,22 @@ def parse_experiment_config(path) -> ExperimentConfig:
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    output_dir = None
-    if parser.defaults().get("output"):
-        output_dir = Path(parser.defaults()["output"])
+    output = parser.defaults().get("output")
+    output_dir = Path(output) if output else None
 
     sections = []
     for name in parser.sections():
         raw = dict(parser.items(name))
+        for key in raw:
+            if key not in _SECTION_KEYS:
+                raise ConfigError(f"[{name}] unknown key {key!r}")
         section = ExperimentSection(name=name)
-        if "graph" in raw:
-            section.graph = Path(raw["graph"])
-            if not section.graph.exists():
-                raise ConfigError(f"[{name}] graph file not found: {section.graph}")
-        if "counts" in raw:
-            section.counts = Path(raw["counts"])
-            if not section.counts.exists():
-                raise ConfigError(f"[{name}] counts file not found: {section.counts}")
+        for key in ("graph", "counts"):
+            if key in raw:
+                file = Path(raw[key])
+                if not file.exists():
+                    raise ConfigError(f"[{name}] {key} file not found: {file}")
+                setattr(section, key, file)
         if "r" in raw:
             try:
                 section.r = check_power(int(raw["r"]))
@@ -143,11 +135,9 @@ def parse_experiment_config(path) -> ExperimentConfig:
             raise ConfigError(
                 f"[{name}] give exactly one of graph, counts, params"
             )
-        section.replications = _int_setting(name, raw, "replications", 1, 1)
-        features = FEATURE_NAMES
-        if "features" in raw:
-            features = tuple(tok.strip() for tok in raw["features"].split(","))
-        code = raw.get("objective", "dsq-f2")
+        features = (parse_features(raw["features"]) if "features" in raw
+                    else section.objective.features)
+        code = raw.get("objective", section.objective.code)
         try:
             section.objective = ObjectiveSpec.from_code(code, features=features)
         except ValueError as exc:
@@ -158,9 +148,18 @@ def parse_experiment_config(path) -> ExperimentConfig:
                 if m not in FIT_METHODS:
                     raise ConfigError(f"[{name}] unknown method {m!r}")
             section.methods = methods
-        section.seed = _int_setting(name, raw, "seed", 0)
-        section.starts = _int_setting(name, raw, "starts", 50, 1)
-        section.grid_points = _int_setting(name, raw, "grid_points", 100, 2)
+        for key, minimum in _INT_MINIMUMS.items():
+            if key not in raw:
+                continue
+            try:
+                value = int(raw[key])
+            except ValueError:
+                raise ConfigError(
+                    f"[{name}] {key} must be an integer, got {raw[key]!r}"
+                ) from None
+            if value < minimum:
+                raise ConfigError(f"[{name}] {key} must be >= {minimum}")
+            setattr(section, key, value)
         sections.append(section)
     if not sections:
         raise ConfigError(f"{path} defines no experiment sections")
@@ -170,6 +169,11 @@ def parse_experiment_config(path) -> ExperimentConfig:
 def fit_power(obs: FeatureCounts, r: int | None) -> int:
     """``r``, or by default the smallest with 2^r >= max(vertices, 1)."""
     return r if r is not None else choose_r(max(obs.vertices, 1))
+
+
+def parse_features(text: str) -> tuple:
+    """Feature names from a comma-separated list; blank tokens are dropped."""
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def fit_csv_row(graph: str, replication, result: FitResult, verts: int) -> dict:

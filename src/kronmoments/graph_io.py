@@ -23,8 +23,10 @@ class GraphParseError(ValueError):
 class SimpleGraph:
     """Loop-free, duplicate-free undirected graph with dense vertex ids.
 
-    Vertex ids are 0..num_vertices-1; ``labels`` maps them back to the
-    labels seen in the source file (identity when built programmatically).
+    Vertex ids are 0..num_vertices-1.  ``labels`` maps them back to the
+    labels seen in the source file, which ascend strictly, so
+    ``np.searchsorted(labels, label)`` is a label's id; it is None for a
+    graph built programmatically.
     ``edge_array`` holds each edge once as (u, v) with u < v, sorted
     lexicographically; rows that already arrive in that order are not
     re-sorted.  Degrees are precomputed.
@@ -120,8 +122,8 @@ def load_edge_list(path) -> SimpleGraph:
     """Parse a plain-text edge list into a SimpleGraph.
 
     Format: one "u v" pair of integer labels per line, any whitespace,
-    lines starting with '#' are comments.  Labels are densified in order of
-    first appearance, so loading the same file twice gives identical
+    lines starting with '#' are comments.  Vertex ids number the labels
+    in ascending order, so loading the same file twice gives identical
     graphs.  Self-loops are dropped (their vertices are kept, degree 0) and
     duplicate pairs - including reversed ones - are merged; both drop
     counts are recorded on the result.  A label outside the int64 range is
@@ -139,9 +141,10 @@ def load_edge_list(path) -> SimpleGraph:
     raw = _read_bulk(path)
     if raw is None:
         raw = _read_lines(path)
-    dense, labels = _densify(raw)
+    labels, ids = np.unique(raw, return_inverse=True)
     del raw
-    return SimpleGraph.from_pairs(dense, num_vertices=labels.size,
+    # numpy releases disagree on the shape of the inverse
+    return SimpleGraph.from_pairs(ids.reshape(-1, 2), num_vertices=labels.size,
                                   labels=labels)
 
 
@@ -216,18 +219,6 @@ def _read_lines(path: Path) -> np.ndarray:
             labels.append(a)
             labels.append(b)
     return np.array(labels, dtype=np.int64).reshape(-1, 2)
-
-
-def _densify(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids for an (m, 2) label array, numbered in order of first
-    appearance along its rows, and the labels of those ids."""
-    labels, first, inverse = np.unique(raw.ravel(), return_index=True,
-                                       return_inverse=True)
-    appearance = np.argsort(first)
-    del first
-    rank = np.empty_like(appearance)
-    rank[appearance] = np.arange(appearance.size)
-    return rank[inverse].reshape(-1, 2), labels[appearance]
 
 
 def choose_r(num_vertices: int) -> int:

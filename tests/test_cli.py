@@ -162,6 +162,31 @@ def test_fit_partial_cross_validation(capsys):
     assert data["objective"] == pytest.approx(0.011, abs=0.003)
 
 
+def test_fit_negative_seed_is_an_error(tmp_path, capsys):
+    code, out, err = run(capsys, "fit", str(FIXTURES / "ca-GrQc.counts.json"),
+                         "--method", "direct", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
+    # a generator seed may be any integer
+    code, _, _ = run(capsys, "generate", "--a", "0.9", "--b", "0.5",
+                     "--c", "0.2", "--r", "3", "--seed", "-1",
+                     "--out", str(tmp_path / "g.txt"))
+    assert code == 0
+
+
+def test_fit_feature_list_drops_blank_tokens(capsys):
+    args = ("fit", str(FIXTURES / "ca-GrQc.counts.json"), "--method", "grid",
+            "--grid-points", "11", "--features")
+    code, out, _ = run(capsys, *args, "edges,hairpins,tripins,")
+    assert code == 0
+    code, want, _ = run(capsys, *args, "edges,hairpins,tripins")
+    assert code == 0
+    got, want = json.loads(out), json.loads(want)
+    got.pop("elapsed"), want.pop("elapsed")
+    assert got == want
+    code, out, err = run(capsys, *args, "edges,hairpins,bogus,")
+    assert (code, out, err) == (1, "", "error: unknown feature 'bogus'\n")
+
+
 def test_fit_deterministic_given_seed(capsys):
     args = ("fit", str(FIXTURES / "ca-GrQc.counts.json"),
             "--method", "direct", "--starts", "6", "--seed", "31")

@@ -500,6 +500,17 @@ class TestBatch:
         for res in direct[:1] + direct[3:] + grid[:1] + grid[2:]:
             assert res.method in ("direct", "grid")
 
+    def test_negative_seed_is_rejected_alone(self):
+        spec, problems = batch("dsq-f2")
+        problems[1] = problems[1]._replace(seed=-1)
+        direct = _fit_direct_batch(problems, spec)
+        assert isinstance(direct[1], ValueError)
+        assert str(direct[1]) == "seed must be >= 0"
+        rest = _fit_direct_batch(problems[:1] + problems[2:], spec)
+        for res, alone in zip(direct[:1] + direct[2:], rest):
+            assert res.params == alone.params
+            assert res.objective_value == alone.objective_value
+
 
 class TestFitLeading:
     def test_grqc_reproduction(self):

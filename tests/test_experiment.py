@@ -6,6 +6,7 @@ import pytest
 from kronmoments.cli import main as cli_main
 from kronmoments.experiment import (
     ConfigError,
+    ExperimentSection,
     parse_experiment_config,
     run_experiment,
 )
@@ -203,6 +204,10 @@ def test_synthetic_sections_skip_like_counts_sections(tmp_path):
     ("starts = 2.5", r"\[x\] starts must be an integer"),
     ("grid_points = many", r"\[x\] grid_points must be an integer"),
     ("replications = one", r"\[x\] replications must be an integer"),
+    ("seed = -1", r"\[x\] seed must be >= 0"),
+    ("method = grid\ngrid_point = 11\nstart = 2",
+     r"\[x\] unknown key 'method'"),
+    ("features = edges,hairpins,bogus,", r"\[x\] unknown feature 'bogus'"),
 ])
 def test_bad_section_setting_is_a_config_error(tmp_path, capsys, setting,
                                                 message):
@@ -216,6 +221,36 @@ def test_bad_section_setting_is_a_config_error(tmp_path, capsys, setting,
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
     assert not (out / "fits.csv").exists()
+
+
+def test_unset_keys_keep_the_section_defaults(tmp_path):
+    counts = FIXTURES / "ca-GrQc.counts.json"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[x]\ncounts = {counts}\n")
+    (section,) = parse_experiment_config(cfg).sections
+    assert section == ExperimentSection(name="x", counts=counts)
+
+
+def test_feature_list_drops_blank_tokens(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[x]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
+                   "features = edges,hairpins,tripins,\n")
+    (section,) = parse_experiment_config(cfg).sections
+    assert section.objective.features == ("edges", "hairpins", "tripins")
+
+
+def test_default_output_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "from-config"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[DEFAULT]\noutput = {out}\n\n"
+                   f"[x]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
+                   "methods = leading\n")
+    assert cli_main(["experiment", str(cfg)]) == 0
+    assert capsys.readouterr().out == f"{out / 'fits.csv'}\n"
+    assert [row["fit_type"] for row in read_rows(out / "fits.csv")] == [
+        "leading", "source"]
+    assert not (tmp_path / "experiment-out").exists()
 
 
 @pytest.mark.parametrize("method", ["direct", "grid"])

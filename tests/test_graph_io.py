@@ -62,10 +62,10 @@ def test_unreadable_file(tmp_path):
         load_edge_list(tmp_path / "missing.txt")
 
 
-def test_relabeling_first_appearance(tmp_path):
+def test_relabeling_ascending_labels(tmp_path):
     g = load_edge_list(write(tmp_path, "100 7\n7 42\n"))
-    assert list(g.labels) == [100, 7, 42]
-    assert g.edge_array.tolist() == [[0, 1], [1, 2]]
+    assert list(g.labels) == [7, 42, 100]
+    assert g.edge_array.tolist() == [[0, 1], [0, 2]]
 
 
 def test_loading_twice_identical(tmp_path):
@@ -130,8 +130,9 @@ INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 def reference_load(path):
     """The edge list read one line at a time with Python ints, dicts and
-    sets: (labels, sorted edges, loops dropped, duplicates dropped)."""
-    ids, edges, loops, dups = {}, set(), 0, 0
+    sets: (labels, sorted edges, loops dropped, duplicates dropped), the
+    ids numbering the labels in ascending order."""
+    pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -151,14 +152,19 @@ def reference_load(path):
                     and INT64_MIN <= b <= INT64_MAX):
                 raise GraphParseError(
                     path, line_no, f"vertex label outside int64 in {tokens!r}")
-            u, v = ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))
-            if u == v:
-                loops += 1
-            elif (min(u, v), max(u, v)) in edges:
-                dups += 1
-            else:
-                edges.add((min(u, v), max(u, v)))
-    return list(ids), sorted(edges), loops, dups
+            pairs.append((a, b))
+    labels = sorted({x for pair in pairs for x in pair})
+    ids = {label: i for i, label in enumerate(labels)}
+    edges, loops, dups = set(), 0, 0
+    for a, b in pairs:
+        u, v = ids[a], ids[b]
+        if u == v:
+            loops += 1
+        elif (min(u, v), max(u, v)) in edges:
+            dups += 1
+        else:
+            edges.add((min(u, v), max(u, v)))
+    return labels, sorted(edges), loops, dups
 
 
 # labels: small, reused, negative and the int64 extremes
@@ -228,6 +234,14 @@ def test_bulk_parse_matches_line_reading(tmp_path):
         assert (g.loops_dropped, g.duplicates_dropped) == (loops, dups)
         assert np.array_equal(g.degrees, np.bincount(
             np.array(edges, dtype=np.int64).ravel(), minlength=len(labels)))
+        # the labels ascend strictly, so a binary search finds each id
+        assert (g.labels[1:] > g.labels[:-1]).all()
+        raw = _read_lines(path)
+        ids = np.searchsorted(g.labels, raw)
+        assert np.array_equal(g.labels[ids], raw)
+        ids = np.sort(ids[ids[:, 0] != ids[:, 1]], axis=1)
+        assert np.array_equal(np.unique(ids, axis=0).reshape(-1, 2),
+                              g.edge_array)
         bulk = _read_bulk(path)
         if bulk is None:
             paths_taken["lines"] += 1
