@@ -31,7 +31,7 @@ from .estimator import (
 from .features import FeatureCounts, count_features, read_counts_json
 from .generator import generate
 from .graph_io import choose_r, load_edge_list
-from .moments import FEATURE_NAMES, KroneckerParams, check_power
+from .moments import FEATURE_NAMES, MAX_POWER, KroneckerParams, check_power
 
 FIT_CSV_COLUMNS = (
     "graph", "fit_type", "replication", "a", "b", "c", "verts",
@@ -101,69 +101,69 @@ def parse_experiment_config(path) -> ExperimentConfig:
 
     sections = []
     for name in parser.sections():
-        raw = dict(parser.items(name))
-        for key in raw:
-            if key not in _SECTION_KEYS:
-                raise ConfigError(f"[{name}] unknown key {key!r}")
-        section = ExperimentSection(name=name)
-        for key in ("graph", "counts"):
-            if key in raw:
-                file = Path(raw[key])
-                if not file.exists():
-                    raise ConfigError(f"[{name}] {key} file not found: {file}")
-                setattr(section, key, file)
-        if "r" in raw:
-            try:
-                section.r = check_power(int(raw["r"]))
-            except ValueError as exc:
-                raise ConfigError(f"[{name}] {exc}") from None
-        if "params" in raw:
-            try:
-                a, b, c = (float(tok) for tok in raw["params"].split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"[{name}] params must be three comma-separated numbers"
-                ) from None
-            if section.r is None:
-                raise ConfigError(f"[{name}] synthetic sections need r")
-            section.params = KroneckerParams(a, b, c, section.r)
-        sources = [s for s in (section.graph, section.counts, section.params)
-                   if s is not None]
-        if len(sources) == 0:
-            raise ConfigError(f"[{name}] needs one of: graph, counts, params")
-        if len(sources) > 1:
-            raise ConfigError(
-                f"[{name}] give exactly one of graph, counts, params"
-            )
-        features = (parse_features(raw["features"]) if "features" in raw
-                    else section.objective.features)
-        code = raw.get("objective", section.objective.code)
         try:
-            section.objective = ObjectiveSpec.from_code(code, features=features)
-        except ValueError as exc:
-            raise ConfigError(f"[{name}] {exc}") from exc
-        if "methods" in raw:
-            methods = tuple(tok.strip() for tok in raw["methods"].split(","))
-            for m in methods:
-                if m not in FIT_METHODS:
-                    raise ConfigError(f"[{name}] unknown method {m!r}")
-            section.methods = methods
-        for key, minimum in _INT_MINIMUMS.items():
-            if key not in raw:
-                continue
-            try:
-                value = int(raw[key])
-            except ValueError:
-                raise ConfigError(
-                    f"[{name}] {key} must be an integer, got {raw[key]!r}"
-                ) from None
-            if value < minimum:
-                raise ConfigError(f"[{name}] {key} must be >= {minimum}")
-            setattr(section, key, value)
-        sections.append(section)
+            sections.append(_parse_section(name, dict(parser.items(name))))
+        except ValueError as exc:  # the one place a section is named
+            raise ConfigError(f"[{name}] {exc}") from None
     if not sections:
         raise ConfigError(f"{path} defines no experiment sections")
     return ExperimentConfig(sections=sections, output_dir=output_dir)
+
+
+def _parse_section(name: str, raw: dict) -> ExperimentSection:
+    """One section from its settings; ValueError for a bad setting."""
+    for key in raw:
+        if key not in _SECTION_KEYS:
+            raise ValueError(f"unknown key {key!r}")
+    section = ExperimentSection(name=name)
+    for key in ("graph", "counts"):
+        if key in raw:
+            file = Path(raw[key])
+            if not file.exists():
+                raise ValueError(f"{key} file not found: {file}")
+            setattr(section, key, file)
+    if "r" in raw:
+        section.r = check_power(_int_value("r", raw["r"]))
+    if "params" in raw:
+        try:
+            a, b, c = (float(tok) for tok in raw["params"].split(","))
+        except ValueError:
+            raise ValueError(
+                "params must be three comma-separated numbers") from None
+        if section.r is None:
+            raise ValueError("synthetic sections need r")
+        section.params = KroneckerParams(a, b, c, section.r)
+    sources = [s for s in (section.graph, section.counts, section.params)
+               if s is not None]
+    if len(sources) == 0:
+        raise ValueError("needs one of: graph, counts, params")
+    if len(sources) > 1:
+        raise ValueError("give exactly one of graph, counts, params")
+    features = (parse_features(raw["features"]) if "features" in raw
+                else section.objective.features)
+    section.objective = ObjectiveSpec.from_code(
+        raw.get("objective", section.objective.code), features=features)
+    if "methods" in raw:
+        methods = tuple(tok.strip() for tok in raw["methods"].split(","))
+        for m in methods:
+            if m not in FIT_METHODS:
+                raise ValueError(f"unknown method {m!r}")
+        section.methods = methods
+    for key, minimum in _INT_MINIMUMS.items():
+        if key in raw:
+            value = _int_value(key, raw[key])
+            if value < minimum:
+                raise ValueError(f"{key} must be >= {minimum}")
+            setattr(section, key, value)
+    return section
+
+
+def _int_value(key: str, text: str) -> int:
+    """A setting's integer value; ValueError naming the key otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
 
 
 def fit_power(obs: FeatureCounts, r: int | None) -> int:
@@ -257,6 +257,8 @@ def _fit_rows(src: _Source, outcomes: dict, index: int):
     fits = {}
     rows = []
     sec = src.section
+    # blank where r is out of range: the row then says so in its skip reason
+    verts = 1 << src.r if 0 <= src.r <= MAX_POWER else ""
     for method in sec.methods:
         res = outcomes[index, method]
         if isinstance(res, Exception):
@@ -267,13 +269,12 @@ def _fit_rows(src: _Source, outcomes: dict, index: int):
                 reason = unexplained(sec.objective, src.r)
         if reason is None:
             fits[method] = res
-            rows.append(fit_csv_row(sec.name, src.replication, res,
-                                    1 << src.r))
+            rows.append(fit_csv_row(sec.name, src.replication, res, verts))
         else:
             notes.append(f"skipped: {reason}")
             row = {name: "" for name in FIT_CSV_COLUMNS}
             row.update(graph=sec.name, fit_type=method,
-                       replication=src.replication, verts=1 << src.r,
+                       replication=src.replication, verts=verts,
                        objective=f"skipped: {reason}")
             rows.append(row)
         label = " ".join(str(x) for x in (method, src.replication) if x != "")

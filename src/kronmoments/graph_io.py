@@ -9,6 +9,7 @@ import numpy as np
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
+_MAX_VERTICES = 3_037_000_499  # isqrt(_INT64_MAX): every lo * n + hi fits
 
 
 class GraphParseError(ValueError):
@@ -27,9 +28,10 @@ class SimpleGraph:
     labels seen in the source file, which ascend strictly, so
     ``np.searchsorted(labels, label)`` is a label's id; it is None for a
     graph built programmatically.
-    ``edge_array`` holds each edge once as (u, v) with u < v, sorted
-    lexicographically; rows that already arrive in that order are not
-    re-sorted.  Degrees are precomputed.
+    ``edge_array`` holds each edge once as (u, v) with u < v.  Rows are
+    always sorted by the one int64 key u * num_vertices + v, which orders
+    them lexicographically; so that the key fits, ``num_vertices`` is at
+    most 3,037,000,499, and more is a ValueError.  Degrees are precomputed.
     Instances are treated as immutable after construction.
     """
 
@@ -42,25 +44,17 @@ class SimpleGraph:
         duplicates_dropped: int = 0,
     ):
         self.num_vertices = int(num_vertices)
-        edge_array = np.asarray(edge_array, dtype=np.int64).reshape(-1, 2)
-        if edge_array.size:
-            lo = np.minimum(edge_array[:, 0], edge_array[:, 1])
-            hi = np.maximum(edge_array[:, 0], edge_array[:, 1])
-            if (lo == hi).any():
-                raise ValueError("edge_array contains a self-loop")
-            if hi.max() >= self.num_vertices or lo.min() < 0:
-                raise ValueError("edge endpoint outside 0..num_vertices-1")
-            step = np.diff(lo)
-            if not ((step >= 0).all()
-                    and (np.diff(hi)[step == 0] >= 0).all()):
-                order = np.lexsort((hi, lo))
-                lo, hi = lo[order], hi[order]
-                step = np.diff(lo)
-            # in (lo, hi) order a duplicate sits next to its twin
-            if (np.diff(hi)[step == 0] == 0).any():
-                raise ValueError("edge_array contains a duplicate edge")
-            edge_array = np.stack([lo, hi], axis=1)
-        self.edge_array = edge_array
+        keys, loops = _edge_keys(
+            np.asarray(edge_array, dtype=np.int64).reshape(-1, 2),
+            self.num_vertices)
+        if loops.any():
+            raise ValueError("edge_array contains a self-loop")
+        keys.sort()
+        # in key order a duplicate sits next to its twin
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("edge_array contains a duplicate edge")
+        self.edge_array = edge_array = np.stack(
+            np.divmod(keys, self.num_vertices), axis=1)
         self.labels = labels
         self.loops_dropped = int(loops_dropped)
         self.duplicates_dropped = int(duplicates_dropped)
@@ -90,32 +84,35 @@ class SimpleGraph:
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if num_vertices is None:
             num_vertices = int(arr.max()) + 1 if arr.size else 0
-        if arr.size == 0:
-            return cls(num_vertices, arr, labels=labels)
-        loop_mask = arr[:, 0] == arr[:, 1]
-        loops = int(loop_mask.sum())
-        arr = arr[~loop_mask]
-        if arr.size == 0:
-            return cls(num_vertices, arr, labels=labels, loops_dropped=loops)
-        # sort one key per edge and keep the first of each run: np.unique
-        # would take its far slower hash path here
-        keys = (np.minimum(arr[:, 0], arr[:, 1]) * np.int64(num_vertices)
-                + np.maximum(arr[:, 0], arr[:, 1]))
+        keys, loops = _edge_keys(arr, num_vertices)
+        keys = keys[~loops]
         keys.sort()
+        # keep the first of each run (np.unique's hash path is far slower)
         keep = np.empty(keys.size, dtype=bool)
-        keep[0] = True
+        keep[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         unique_keys = keys[keep]
-        dups = int(keys.size - unique_keys.size)
-        dedup = np.stack(
-            [unique_keys // num_vertices, unique_keys % num_vertices], axis=1
-        )
-        return cls(num_vertices, dedup, labels=labels,
-                   loops_dropped=loops, duplicates_dropped=dups)
+        return cls(num_vertices,
+                   np.stack(np.divmod(unique_keys, num_vertices), axis=1),
+                   labels=labels, loops_dropped=arr.shape[0] - keys.size,
+                   duplicates_dropped=keys.size - unique_keys.size)
 
     def __repr__(self):
         return (f"SimpleGraph(num_vertices={self.num_vertices}, "
                 f"num_edges={self.num_edges})")
+
+
+def _edge_keys(pairs: np.ndarray, num_vertices: int):
+    """Each row's key lo * num_vertices + hi (lo <= hi) and the loop mask;
+    ValueError past ``_MAX_VERTICES`` or for an endpoint out of range."""
+    if num_vertices > _MAX_VERTICES:
+        raise ValueError(f"num_vertices={num_vertices} above "
+                         f"{_MAX_VERTICES}: edge keys would overflow int64")
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    if lo.size and (lo.min() < 0 or hi.max() >= num_vertices):
+        raise ValueError("edge endpoint outside 0..num_vertices-1")
+    return lo * np.int64(num_vertices) + hi, lo == hi
 
 
 def load_edge_list(path) -> SimpleGraph:

@@ -288,6 +288,23 @@ def test_experiment_power_out_of_range(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# 4E^2 = 4 < 2H = 200: the leading-term system has no real solution
+LEADING_INFEASIBLE = {"vertices": 100, "edges": 1, "hairpins": 100,
+                      "tripins": 0, "triangles": 0}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--method", "grid", "--grid-points", "1"],
+     "points_per_dim must be >= 2"),
+    (["--method", "leading"], "4E^2 = 4 < 2H = 200: no real-valued solution"),
+], ids=["grid-points", "leading-infeasible"])
+def test_fit_error_is_one_stderr_line(tmp_path, capsys, argv, message):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(LEADING_INFEASIBLE))
+    code, out, err = run(capsys, "fit", str(counts), *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # Runs the CLI on argv and prints its peak memory in MB (VmHWM) to stderr.
 # VmHWM is read as bench/job.py reads it, since ru_maxrss would carry
 # over the test process's own peak.

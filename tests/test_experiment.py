@@ -45,6 +45,9 @@ def test_config_validation(tmp_path):
     cfg.write_text("not a config at all\n")
     with pytest.raises(ConfigError):
         parse_experiment_config(cfg)
+    cfg.write_text("[DEFAULT]\noutput = out\n")
+    with pytest.raises(ConfigError, match="defines no experiment sections"):
+        parse_experiment_config(cfg)
 
 
 def test_synthetic_recovery_medians(tmp_path):
@@ -208,12 +211,31 @@ def test_synthetic_sections_skip_like_counts_sections(tmp_path):
     ("method = grid\ngrid_point = 11\nstart = 2",
      r"\[x\] unknown key 'method'"),
     ("features = edges,hairpins,bogus,", r"\[x\] unknown feature 'bogus'"),
+    ("objective = xsq-f2", r"\[x\] bad objective code 'xsq-f2'"),
+    ("r = 61", r"\[x\] r=61 outside \[0, 60\]"),
+    ("r = x", r"\[x\] r must be an integer, got 'x'"),
 ])
 def test_bad_section_setting_is_a_config_error(tmp_path, capsys, setting,
                                                 message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[x]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
                    f"methods = grid,direct\n{setting}\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_experiment_config(cfg)
+    out = tmp_path / "out"
+    assert cli_main(["experiment", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (out / "fits.csv").exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    ("0.9,0.5,1.5", r"\[x\] c=1.5 outside \[0, 1\]"),
+    ("0.9,0.5", r"\[x\] params must be three comma-separated numbers"),
+])
+def test_bad_params_are_a_config_error(tmp_path, capsys, params, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[x]\nparams = {params}\nr = 5\n")
     with pytest.raises(ConfigError, match=message):
         parse_experiment_config(cfg)
     out = tmp_path / "out"
@@ -302,6 +324,27 @@ def test_section_without_vertices_or_r_is_skipped(tmp_path, capsys):
     assert rows["empty", "grid"]["verts"] == "1"
     assert float(rows["good", "grid"]["objective"]) >= 0.0
     assert capsys.readouterr().err.startswith("[empty] grid: skipped: ")
+
+
+def test_skipped_row_leaves_verts_blank_past_max_power(tmp_path, capsys):
+    # 1e300 vertices and no r give r = 997, which no fit accepts; usroads'
+    # leading fit is skipped at r = 17 and keeps its vertex count
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"vertices": 1e300, "edges": 10, "hairpins": 100, '
+                    '"tripins": 10, "triangles": 1}')
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[huge]\ncounts = {huge}\nmethods = leading\n\n"
+                   f"[usroads]\ncounts = {FIXTURES / 'usroads.counts.json'}\n"
+                   "methods = leading\n")
+    out = tmp_path / "out"
+    assert cli_main(["experiment", str(cfg), "--out", str(out)]) == 0
+    rows = {(r["graph"], r["fit_type"]): r
+            for r in read_rows(out / "fits.csv")}
+    assert rows["huge", "leading"]["objective"] == (
+        "skipped: r=997 outside [0, 60]")
+    assert rows["huge", "leading"]["verts"] == ""
+    assert rows["usroads", "leading"]["objective"].startswith("skipped: ")
+    assert rows["usroads", "leading"]["verts"] == "131072"
 
 
 def test_fit_warnings_reach_stderr(tmp_path, capsys):

@@ -100,6 +100,30 @@ def test_from_pairs_rejects_bad_edges():
         SimpleGraph(2, np.array([[0, 5]]))
 
 
+@pytest.mark.parametrize("pairs", [
+    [[0, 5]],  # its key 5 would decode as the edge (1, 2)
+    [[-1, 1]],
+    [[7, 7], [0, 1]],  # a loop is checked before it is dropped
+])
+def test_from_pairs_rejects_endpoints_out_of_range(pairs):
+    with pytest.raises(ValueError, match="outside 0..num_vertices-1"):
+        SimpleGraph.from_pairs(np.array(pairs), num_vertices=3)
+
+
+# one more than isqrt(2**63 - 1); only the reject side is tested, since a
+# graph at the limit would allocate a 24 GB degrees array
+PAST_VERTEX_LIMIT = 3_037_000_500
+
+
+def test_vertex_count_past_the_key_limit_is_rejected():
+    with pytest.raises(ValueError, match="overflow int64"):
+        SimpleGraph(PAST_VERTEX_LIMIT, [])
+    with pytest.raises(ValueError, match="overflow int64"):
+        SimpleGraph.from_pairs([(0, 1)], num_vertices=PAST_VERTEX_LIMIT)
+    with pytest.raises(ValueError, match="overflow int64"):
+        SimpleGraph.from_pairs([(0, PAST_VERTEX_LIMIT - 1)])
+
+
 @pytest.mark.parametrize("edges", [
     [[0, 1], [1, 0], [1, 2]],  # unsorted, the twin reversed
     [[1, 2], [2, 1]],  # both reversed against each other
