@@ -329,7 +329,7 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
         try:
             p = p._replace(r=check_power(p.r))
             if grid_points < 2:
-                raise ValueError("points_per_dim must be >= 2")
+                raise ValueError("grid_points must be >= 2")
             fits.append((i, p, _require_fittable(spec, p.obs)))
         except ValueError as exc:
             out[i] = exc
@@ -495,7 +495,8 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
 
     Returns one entry per problem: its FitResult, or the ValueError or
     FitFailure that problem gave.  The lockstep ranks each point by
-    ``closed_form_values`` at its problem's power and the batch's scorer
+    ``closed_form_values`` at its problem's power, one call for the points
+    of every problem whatever their powers, and the batch's scorer
     against its problem's counts.  Each problem's end points are then
     scored in one scorer call on ``expected_counts``, and one lexsort
     picks the smallest objective, ties going to the smallest (a, b, c); a
@@ -519,14 +520,12 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
 
     score = _scorer(spec, [(p.obs, feats) for _, p, feats in fits])
     powers = np.array([p.r for _, p, _ in fits])
-    one_power = int(powers[0]) if (powers == powers[0]).all() else None
     owner = np.repeat(np.arange(len(fits)), [p.starts for _, p, _ in fits])
 
     def objective(points, rows):
         problem = owner[rows]
-        return score(closed_form_values(
-            points[:, 0], points[:, 1], points[:, 2],
-            powers[problem] if one_power is None else one_power), problem)
+        a, b, c = points.T
+        return score(closed_form_values(a, b, c, powers[problem]), problem)
 
     x0 = np.concatenate([np.random.default_rng(p.seed).random((p.starts, 3))
                          for _, p, _ in fits])

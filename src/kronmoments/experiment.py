@@ -145,9 +145,11 @@ def _parse_section(name: str, raw: dict) -> ExperimentSection:
         raw.get("objective", section.objective.code), features=features)
     if "methods" in raw:
         methods = tuple(tok.strip() for tok in raw["methods"].split(","))
-        for m in methods:
+        for k, m in enumerate(methods):
             if m not in FIT_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+            if m in methods[:k]:
+                raise ValueError(f"duplicate method {m!r}")
         section.methods = methods
     for key, minimum in _INT_MINIMUMS.items():
         if key in raw:

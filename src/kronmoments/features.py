@@ -28,7 +28,8 @@ class FeatureCounts:
 
     Whole-graph counts are integers.  Estimator entry points also accept
     real-valued instances (e.g. model expectations injected as synthetic
-    observations); nothing downstream assumes integrality.
+    observations); nothing downstream assumes integrality.  ``from_dict``
+    still requires a whole number of vertices.
     """
 
     vertices: int
@@ -60,6 +61,9 @@ class FeatureCounts:
                     or not 0 <= v <= sys.float_info.max):
                 raise ValueError(
                     f"count {key!r} must be a finite number >= 0, got {v!r}")
+            if key == "vertices" and v != int(v):
+                raise ValueError(
+                    f"count 'vertices' must be a whole number, got {v!r}")
             values[key] = v
         return cls(**values)
 

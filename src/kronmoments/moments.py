@@ -163,7 +163,11 @@ def _combine(terms, r):
     return total, powers
 
 
-def _values(term_lists, r: int) -> list:
+def _values(term_lists, r) -> list:
+    # one float exponent per value, so every form of r runs numpy's
+    # elementwise power loop and none reaches its squaring fast path; the
+    # first base, a + 2b + c, has the values' shape
+    r = np.full(np.shape(term_lists[0][0][1]), r, dtype=float)
     return [np.maximum(_combine(terms, r)[0] / multiple, 0.0)
             for terms, multiple in zip(term_lists, _MULTIPLES)]
 
@@ -175,22 +179,11 @@ def closed_form_values(a, b, c, r) -> list:
     floats or numpy arrays; a grid sweep passes a block of the lattice at
     once.  ``r`` is one power, or an integer array that gives each point
     of 1-d arrays (a, b, c) its own power, as a lockstep simplex over
-    several problems does.  The bases are built once for all points; each
-    distinct power is then taken with a scalar exponent, so every value has
-    the bits of a call with that power alone (numpy squares by a fast path
-    that an array exponent does not take).
+    several problems does.  Every power is taken with a float exponent
+    array, so a point has the same bits whichever form of ``r`` asked for
+    it, and the same as in ``closed_form_by_power``.
     """
-    term_lists = _closed_form_terms(a, b, c)
-    if np.ndim(r) == 0:
-        return _values(term_lists, r)
-    out = np.empty((len(_MULTIPLES), len(r)))
-    # the distinct powers by counting: np.unique may hash, and its table
-    # outweighs every other temporary here
-    for power in np.flatnonzero(np.bincount(r)):
-        at = np.flatnonzero(r == power)
-        out[:, at] = _values([[(coef, base[at]) for coef, base in terms]
-                              for terms in term_lists], int(power))
-    return list(out)
+    return _values(_closed_form_terms(a, b, c), r)
 
 
 def closed_form_by_power(a, b, c, powers):

@@ -295,7 +295,7 @@ LEADING_INFEASIBLE = {"vertices": 100, "edges": 1, "hairpins": 100,
 
 @pytest.mark.parametrize("argv, message", [
     (["--method", "grid", "--grid-points", "1"],
-     "points_per_dim must be >= 2"),
+     "grid_points must be >= 2"),
     (["--method", "leading"], "4E^2 = 4 < 2H = 200: no real-valued solution"),
 ], ids=["grid-points", "leading-infeasible"])
 def test_fit_error_is_one_stderr_line(tmp_path, capsys, argv, message):
@@ -504,7 +504,9 @@ def test_fit_with_three_features_has_no_underdetermined_warning(
     ("[1, 2]", "must be an object, got list"),
     ('{"vertices": 5, "edges": 1, "hairpins": 0, "tripins": 0}',
      "missing key 'triangles'"),
-], ids=["invalid", "list", "missing-key"])
+    ('{"vertices": 2.5, "edges": 1, "hairpins": 0, "tripins": 0, '
+     '"triangles": 0}', "count 'vertices' must be a whole number, got 2.5"),
+], ids=["invalid", "list", "missing-key", "fractional-vertices"])
 def test_bad_counts_json(tmp_path, capsys, content, message):
     counts = tmp_path / "counts.json"
     counts.write_text(content)

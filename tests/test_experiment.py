@@ -214,12 +214,17 @@ def test_synthetic_sections_skip_like_counts_sections(tmp_path):
     ("objective = xsq-f2", r"\[x\] bad objective code 'xsq-f2'"),
     ("r = 61", r"\[x\] r=61 outside \[0, 60\]"),
     ("r = x", r"\[x\] r must be an integer, got 'x'"),
+    ("methods = grid,grid,leading", r"\[x\] duplicate method 'grid'"),
 ])
 def test_bad_section_setting_is_a_config_error(tmp_path, capsys, setting,
                                                 message):
     cfg = tmp_path / "bad.cfg"
+    # a setting of its own methods replaces the default line: configparser
+    # rejects a key given twice in one section
+    methods = ("" if setting.startswith("methods")
+               else "methods = grid,direct\n")
     cfg.write_text(f"[x]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
-                   f"methods = grid,direct\n{setting}\n")
+                   f"{methods}{setting}\n")
     with pytest.raises(ConfigError, match=message):
         parse_experiment_config(cfg)
     out = tmp_path / "out"

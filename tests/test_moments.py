@@ -144,14 +144,15 @@ class TestExpectedFeatures:
 
 
     def test_per_point_powers_match_each_power_alone(self):
-        # every distinct power is taken with a scalar exponent, so a point
-        # gets the bits that a call at its power alone gives; r = 2 pins
-        # this, as numpy squares by a fast path that an array exponent
-        # does not take
+        # every form of r takes its powers with a float exponent array, so
+        # none reaches numpy's squaring fast path for a scalar 2, and a
+        # point gets the same bits from the per-point call, from
+        # closed_form_by_power and from a call at its power alone
         rng = np.random.default_rng(11)
         a, b, c = rng.random((3, 300))
-        powers = (2, 13, 21)
+        powers = (0, 1, 2, 3, 13, 21, 60)
         r = rng.choice(powers, 300)
+        assert set(r.tolist()) == set(powers)
         mixed = closed_form_values(a, b, c, r)
         table = list(closed_form_by_power(a, b, c, powers))
         for power, row in zip(powers, table):
