@@ -361,28 +361,26 @@ def fit_grid(
     obs: FeatureCounts,
     r: int,
     spec: ObjectiveSpec | None = None,
-    points_per_dim: int = 100,
+    grid_points: int = 100,
 ) -> FitResult:
     """Exhaustive sweep of an equally spaced grid on {[0,1]^3 : a >= c}.
 
     Ties are broken toward the lexicographically smallest (a, b, c).
-    points_per_dim counts points inclusive of both endpoints; 101 gives
-    the exact hundredths lattice.  The lattice is ranked in double
+    grid_points counts points per axis inclusive of both endpoints; 101
+    gives the exact hundredths lattice.  The lattice is ranked in double
     precision by ``closed_form_by_power``, the closed forms the direct
-    fit's simplices use, without the exact fallback: on the reference fixtures
-    re-evaluating the points the cancellation guard flags would cost about
-    half a minute per fit and moved no argmin.  The reported objective of
-    the winning point comes from the exact per-point path.
+    fit's simplices use.  The reported objective of the winning point is
+    scored on ``expected_counts``, correctly rounded.
 
     The lattice is walked in lexicographic order, in blocks of whole
     a-slices of at most about 8k points, and never built whole: the
     evaluator's temporaries span one block, so memory grows with the
-    largest a-slice (points_per_dim^2 points), not with the lattice.  Each
+    largest a-slice (grid_points^2 points), not with the lattice.  Each
     block's first minimum competes with the other blocks' in walk order,
     so the winner is the first minimum over the whole lattice.  This is a
     batch of one (``_fit_grid_batch``).
     """
-    return _one("grid", FitProblem(obs, r), spec, points_per_dim)
+    return _one("grid", FitProblem(obs, r), spec, grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +566,13 @@ def fit_direct(
     trial points are ranked together by ``closed_form_values``, in double
     precision, the closed forms the grid uses.  Each run stops when its
     simplex diameter falls below 1e-8 or after 2000 iterations.  Each end
-    point is then scored on ``expected_counts``, with the exact fallback;
-    the best finite objective wins, ties going to the smallest (a, b, c),
-    and FitFailure is raised when no end is finite.  Every objective value
-    here, as in the grid and ``evaluate_objective``, comes from one scorer
-    (``_scorer``).  Deterministic given (seed, starts).  This is a batch
-    of one (``_fit_direct_batch``).
+    point is then scored on ``expected_counts``, correctly rounded from
+    exact integer arithmetic; the best finite objective wins, ties going
+    to the smallest (a, b, c), and FitFailure is raised when no end is
+    finite.  Every objective value here, as in the grid and
+    ``evaluate_objective``, comes from one scorer (``_scorer``).
+    Deterministic given (seed, starts).  This is a batch of one
+    (``_fit_direct_batch``).
     """
     return _one("direct", FitProblem(obs, r, seed, starts), spec)
 

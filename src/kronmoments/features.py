@@ -29,7 +29,7 @@ class FeatureCounts:
     Whole-graph counts are integers.  Estimator entry points also accept
     real-valued instances (e.g. model expectations injected as synthetic
     observations); nothing downstream assumes integrality.  ``from_dict``
-    still requires a whole number of vertices.
+    still requires a whole number of vertices, and stores it as an int.
     """
 
     vertices: int
@@ -65,6 +65,7 @@ class FeatureCounts:
                 raise ValueError(
                     f"count 'vertices' must be a whole number, got {v!r}")
             values[key] = v
+        values["vertices"] = int(values["vertices"])  # 8192.0 prints as 8192
         return cls(**values)
 
 

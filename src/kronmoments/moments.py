@@ -8,8 +8,9 @@ hairpins (2-stars), tripins (3-stars) and triangles all have closed forms:
 every one is a short signed combination of r-th powers of polynomials in
 (a, b, c).
 
-This module evaluates those closed forms, at a point (with an exact
-rational fallback where the signed terms cancel) or over arrays.  The
+This module evaluates those closed forms over arrays in plain double
+precision, to rank fit candidates, and at one point exactly in integer
+arithmetic, rounded once, to report expectations and objectives.  The
 brute-force and fold-identity oracles that check them live with the tests.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -25,11 +25,6 @@ import numpy as np
 # base**r stays below double-precision overflow for every base that can
 # occur (max is (a+b)^3 + (b+c)^3 <= 16, and 16^60 < 1.8e72 < 1.8e308).
 MAX_POWER = 60
-
-# When a closed form cancels down to less than this fraction of its largest
-# term, double precision no longer carries enough signal; the value is then
-# recomputed in exact rational arithmetic.
-_CANCELLATION_GUARD = 1e-2
 
 FEATURE_NAMES = ("edges", "hairpins", "tripins", "triangles")
 
@@ -95,8 +90,8 @@ def _closed_form_terms(a, b, c):
     """Signed (coefficient, base) terms of the four closed forms.
 
     Returns the term lists for 2E(edges), 2E(hairpins), 6E(tripins) and
-    6E(triangles), in FEATURE_NAMES order.  Works for floats, Fractions and
-    numpy arrays alike.  Shared subexpressions are factored so that the
+    6E(triangles), in FEATURE_NAMES order.  Works for numpy arrays, ints and
+    Fractions alike.  Shared subexpressions are factored so that the
     degenerate identities (b = 0, or a = c = 0) make the cancelling bases
     bitwise identical, which lets the combination step return exact zeros.
     """
@@ -140,8 +135,10 @@ def _closed_form_terms(a, b, c):
     return edge_terms, hairpin_terms, tripin_terms, triangle_terms
 
 
-# Each closed form is this multiple of its feature's expected count.
-_MULTIPLES = (2.0, 2.0, 6.0, 6.0)
+# Each closed form is this multiple of its feature's expected count, and
+# each base is a homogeneous polynomial of this degree in (a, b, c).
+_MULTIPLES = (2, 2, 6, 6)
+_DEGREES = (1, 2, 3, 3)
 
 
 def _combine(terms, r):
@@ -152,10 +149,10 @@ def _combine(terms, r):
     powers.  When all bases coincide (the degenerate initiators) every
     difference is an exact floating-point zero, and in the nearly-cancelled
     regime the subtractions happen before any magnitude is lost.  Works for
-    floats, Fractions and numpy arrays alike.
+    numpy arrays, ints and Fractions alike.
     """
     powers = [base ** r for _, base in terms]
-    total = powers[0] - powers[0]  # typed zero (float, Fraction or array)
+    total = powers[0] - powers[0]  # typed zero (array, int or Fraction)
     running = 0
     for k in range(len(powers) - 1):
         running += terms[k][0]
@@ -175,7 +172,8 @@ def _values(term_lists, r) -> list:
 def closed_form_values(a, b, c, r) -> list:
     """The four closed-form expectations, in FEATURE_NAMES order.
 
-    Clamped at zero but without the exact fallback.  (a, b, c) may be
+    In plain double precision, clamped at zero: where the signed terms
+    nearly cancel, a value keeps only some of its digits.  (a, b, c) may be
     floats or numpy arrays; a grid sweep passes a block of the lattice at
     once.  ``r`` is one power, or an integer array that gives each point
     of 1-d arrays (a, b, c) its own power, as a lockstep simplex over
@@ -201,27 +199,18 @@ def closed_form_by_power(a, b, c, powers):
 def expected_counts(a: float, b: float, c: float, r: int) -> list:
     """Expected (edges, hairpins, tripins, triangles) at one point.
 
-    Evaluated in double precision; any feature whose signed terms cancel
-    below the precision guard is transparently recomputed in exact rational
-    arithmetic, so results are accurate to full double precision even deep
-    in the small-b regime where the leading terms nearly cancel.  The
-    arguments are not validated; ``expected_features`` is the checked entry
-    point.
+    Each value is the double nearest the exact expectation.  Over one power
+    of two d, the doubles (a, b, c) are integers, so each closed form is
+    computed exactly in Python integers and divided once, by its multiple
+    times d^(degree * r); int / int division rounds correctly.  Unchecked
+    arguments; ``expected_features`` is the checked entry point.
     """
-    term_lists = _closed_form_terms(a, b, c)
-    exact_lists = None
-    out = []
-    for idx, terms in enumerate(term_lists):
-        val, powers = _combine(terms, r)
-        scale = max(abs(coef) * p for (coef, _), p in zip(terms, powers))
-        if scale > 0.0 and abs(val) < _CANCELLATION_GUARD * scale:
-            if exact_lists is None:
-                exact_lists = _closed_form_terms(
-                    Fraction(a), Fraction(b), Fraction(c)
-                )
-            val = float(_combine(exact_lists[idx], r)[0])
-        out.append(max(val, 0.0) / _MULTIPLES[idx])
-    return out
+    ratios = [float(x).as_integer_ratio() for x in (a, b, c)]
+    shift = max(q.bit_length() for _, q in ratios) - 1  # d = 2**shift
+    ints = [n << (shift - q.bit_length() + 1) for n, q in ratios]
+    return [_combine(terms, r)[0] / (multiple << (degree * r * shift))
+            for terms, degree, multiple
+            in zip(_closed_form_terms(*ints), _DEGREES, _MULTIPLES)]
 
 
 def expected_features(params: KroneckerParams) -> ExpectedFeatures:

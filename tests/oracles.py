@@ -113,7 +113,8 @@ def exact_expected(a, b, c, r):
     """Closed forms in exact rational arithmetic (independent precision ref)."""
     terms = _closed_form_terms(Fraction(a), Fraction(b), Fraction(c))
     e2, h2, t6, d6 = (_combine(t, r)[0] for t in terms)
-    return (float(e2) / 2, float(h2) / 2, float(t6) / 6, float(d6) / 6)
+    # divide before rounding, so each value is the exact one correctly rounded
+    return (float(e2 / 2), float(h2 / 2), float(t6 / 6), float(d6 / 6))
 
 
 # ---------------------------------------------------------------------------

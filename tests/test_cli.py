@@ -422,11 +422,17 @@ def test_experiment_round_trip(tmp_path, capsys):
 def test_experiment_counts_source(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     outdir = tmp_path / "out"
+    # a whole-number float vertex count is read as an int, so the source
+    # row prints it as the fit rows do
+    counts = json.loads((FIXTURES / "ca-GrQc.counts.json").read_text())
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps(dict(counts, vertices=8192.0)))
     config.write_text(
         "[grqc]\n"
         f"counts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
         "methods = leading\n"
         "r = 13\n"
+        f"[whole]\ncounts = {whole}\nmethods = leading\n"
     )
     code, _, _ = run(capsys, "experiment", str(config), "--out", str(outdir))
     assert code == 0
@@ -435,6 +441,8 @@ def test_experiment_counts_source(tmp_path, capsys):
     assert "14484" in source
     leading = next(r for r in rows if ",leading," in r)
     assert float(leading.split(",")[4]) == pytest.approx(0.488, abs=0.005)
+    assert [r.split(",")[6] for r in rows if r.startswith("whole,")] == [
+        "8192", "8192"]
 
 
 @pytest.mark.parametrize("value", ["NaN", "1e400"])

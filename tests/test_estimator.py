@@ -207,7 +207,7 @@ class TestFitGrid:
     @pytest.mark.parametrize("points_per_dim", [2, 3, 11, 41, 101])
     def test_matches_whole_lattice_sweep(self, points_per_dim, code):
         spec = ObjectiveSpec.from_code(code)
-        res = fit_grid(GRQC, 13, spec, points_per_dim=points_per_dim)
+        res = fit_grid(GRQC, 13, spec, grid_points=points_per_dim)
         params, objective = grid_oracle(GRQC, 13, spec, points_per_dim)
         assert (res.params.a, res.params.b, res.params.c) == params
         assert res.objective_value == objective
@@ -215,25 +215,25 @@ class TestFitGrid:
     def test_exact_on_grid_minimum(self):
         params = KroneckerParams(0.5, 0.5, 0.5, 8)
         obs = expectations_as_counts(params)
-        res = fit_grid(obs, 8, ObjectiveSpec(), points_per_dim=11)
+        res = fit_grid(obs, 8, ObjectiveSpec(), grid_points=11)
         assert (res.params.a, res.params.b, res.params.c) == (0.5, 0.5, 0.5)
         assert res.objective_value == pytest.approx(0.0, abs=1e-18)
 
     def test_grqc_hundredths_lattice(self):
-        res = fit_grid(GRQC, 13, ObjectiveSpec(), points_per_dim=101)
+        res = fit_grid(GRQC, 13, ObjectiveSpec(), grid_points=101)
         assert (res.params.a, res.params.b, res.params.c) == \
             pytest.approx((1.0, 0.47, 0.27), abs=1e-12)
         assert res.objective_value == pytest.approx(0.991, rel=0.01)
 
     def test_as20000102_hundredths_lattice(self):
-        res = fit_grid(AS2000, 13, ObjectiveSpec(), points_per_dim=101)
+        res = fit_grid(AS2000, 13, ObjectiveSpec(), grid_points=101)
         assert (res.params.a, res.params.b, res.params.c) == \
             pytest.approx((1.0, 0.63, 0.0), abs=1e-12)
         assert res.objective_value == pytest.approx(1.543, rel=0.01)
 
     def test_deterministic(self):
-        r1 = fit_grid(GRQC, 13, points_per_dim=41)
-        r2 = fit_grid(GRQC, 13, points_per_dim=41)
+        r1 = fit_grid(GRQC, 13, grid_points=41)
+        r2 = fit_grid(GRQC, 13, grid_points=41)
         assert r1.params == r2.params
         assert r1.objective_value == r2.objective_value
 
@@ -242,7 +242,7 @@ class TestFitGrid:
         # grid point on the b=0 plane scores 0, so the smallest wins
         obs = FeatureCounts(16, 0, 0, 0, 0)
         spec = ObjectiveSpec(distance="sq", normalization="e")
-        res = fit_grid(obs, 4, spec, points_per_dim=5)
+        res = fit_grid(obs, 4, spec, grid_points=5)
         assert (res.params.a, res.params.b, res.params.c) == (0.0, 0.0, 0.0)
 
     def test_tie_across_blocks_goes_to_the_first(self):
@@ -250,7 +250,7 @@ class TestFitGrid:
         obs = FeatureCounts(16, 0, 0, 0, 0)
         spec = ObjectiveSpec(distance="sq", normalization="e")
         assert len(list(_lattice_blocks(np.linspace(0.0, 1.0, 101)))) > 1
-        res = fit_grid(obs, 4, spec, points_per_dim=101)
+        res = fit_grid(obs, 4, spec, grid_points=101)
         assert (res.params.a, res.params.b, res.params.c) == (0.0, 0.0, 0.0)
         assert grid_oracle(obs, 4, spec, 101)[0] == (0.0, 0.0, 0.0)
 

@@ -1,9 +1,14 @@
+import json
 import math
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kronmoments import estimator
+from kronmoments.estimator import ObjectiveSpec
+from kronmoments.features import FeatureCounts
 from kronmoments.moments import (
     KroneckerParams,
     MAX_POWER,
@@ -28,6 +33,7 @@ from oracles import (
 )
 
 FEATURES = ("edges", "hairpins", "tripins", "triangles")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def rel_diff(x, y):
@@ -106,7 +112,34 @@ class TestExpectedFeatures:
                     (ef.e_edges, ef.e_hairpins, ef.e_tripins, ef.e_triangles),
                     exact,
                 ):
-                    assert rel_diff(got, want) < 1e-12
+                    assert got == want
+
+    def test_expected_counts_is_correctly_rounded(self, monkeypatch):
+        # every value is the exact rational expectation rounded once, also
+        # where the signed terms cancel almost completely
+        rng = np.random.default_rng(17)
+        points = []
+        for r in (0, 1, 2, 3, 13, 17, 21, 60):
+            for scale in (1.0, 1e-2, 1e-6):
+                for a, b, c in rng.random((20, 3)).tolist():
+                    points.append((a, b * scale, c, r))
+            points += [(1.0, 5e-324, 1.0, r), (0.0, 0.0, 0.0, r)]
+        # the points the usroads direct fit reports on: its 50 end points
+        # and the winner
+        seen = []
+
+        def recorded(*point):
+            seen.append(point)
+            return expected_counts(*point)
+
+        monkeypatch.setattr(estimator, "expected_counts", recorded)
+        with open(FIXTURES / "usroads.counts.json") as fh:
+            usroads = FeatureCounts.from_dict(json.load(fh))
+        # the reference fit: dsq-f2 (the default objective), seed 0
+        estimator.fit_direct(usroads, 17, ObjectiveSpec(), starts=50, seed=0)
+        assert len(seen) == 51
+        for point in points + seen:
+            assert expected_counts(*point) == list(exact_expected(*point))
 
     def test_edge_monotonicity(self):
         grid = np.linspace(0.05, 1.0, 8)

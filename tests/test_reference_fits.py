@@ -41,7 +41,7 @@ def fit_inputs(name):
 
 @pytest.mark.parametrize("name", CONFIG.sections())
 def test_grid_fit_matches_reference(name):
-    res = fit_grid(*fit_inputs(name), points_per_dim=101)
+    res = fit_grid(*fit_inputs(name), grid_points=101)
     ref = REFERENCE[name]["grid"]
     p = res.params
     assert (p.a, p.b, p.c) == (ref["a"], ref["b"], ref["c"])
