@@ -31,7 +31,7 @@ from .estimator import (
 from .features import FeatureCounts, count_features, read_counts_json
 from .generator import generate
 from .graph_io import choose_r, load_edge_list
-from .moments import FEATURE_NAMES, MAX_POWER, KroneckerParams, check_power
+from .moments import FEATURE_NAMES, KroneckerParams, check_power
 
 FIT_CSV_COLUMNS = (
     "graph", "fit_type", "replication", "a", "b", "c", "verts",
@@ -259,8 +259,7 @@ def _fit_rows(src: _Source, outcomes: dict, index: int):
     fits = {}
     rows = []
     sec = src.section
-    # blank where r is out of range: the row then says so in its skip reason
-    verts = 1 << src.r if 0 <= src.r <= MAX_POWER else ""
+    verts = 1 << src.r
     for method in sec.methods:
         res = outcomes[index, method]
         if isinstance(res, Exception):

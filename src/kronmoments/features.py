@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_io import SimpleGraph
+from .moments import MAX_POWER
 
 # Most wedges count_triangles checks at once.
 _WEDGE_CHUNK = 1 << 20
@@ -29,7 +30,8 @@ class FeatureCounts:
     Whole-graph counts are integers.  Estimator entry points also accept
     real-valued instances (e.g. model expectations injected as synthetic
     observations); nothing downstream assumes integrality.  ``from_dict``
-    still requires a whole number of vertices, and stores it as an int.
+    still requires a whole number of vertices, at most 2**MAX_POWER, and
+    stores it as an int.
     """
 
     vertices: int
@@ -64,6 +66,10 @@ class FeatureCounts:
             if key == "vertices" and v != int(v):
                 raise ValueError(
                     f"count 'vertices' must be a whole number, got {v!r}")
+            # no power r <= MAX_POWER has 2^r vertices for more
+            if key == "vertices" and v > 2 ** MAX_POWER:
+                raise ValueError(f"count 'vertices' must be at most "
+                                 f"2**{MAX_POWER}, got {v!r}")
             values[key] = v
         values["vertices"] = int(values["vertices"])  # 8192.0 prints as 8192
         return cls(**values)
@@ -143,19 +149,23 @@ def count_triangles(g: SimpleGraph) -> int:
     base = n - isolated
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(-isolated, n - isolated, dtype=np.int64)
+    del order
     ru = rank[g.edge_array[:, 0]]
     rv = rank[g.edge_array[:, 1]]
-    keys = np.minimum(ru, rv) * base + np.maximum(ru, rv)
-    del ru, rv
+    del rank
+    keys = np.minimum(ru, rv)
+    np.maximum(ru, rv, out=rv)
+    del ru
+    keys *= base
+    keys += rv
+    del rv
     keys.sort()
-    lo = keys // base
-    hi = keys - lo * base
+    lo, hi = np.divmod(keys, base)
     # edge i's wedges pair hi[i] with hi[i + 1:row_end], its later
     # neighbours in the same row; row_end is one past lo[i]'s last edge
-    row_end = np.cumsum(np.bincount(lo, minlength=base))[lo]
+    wedges = np.cumsum(np.bincount(lo, minlength=base))[lo]
     del lo
-    wedges = row_end - np.arange(1, m + 1)
-    del row_end
+    wedges -= np.arange(1, m + 1)
     ends = np.cumsum(wedges)
     triangles = 0
     first = done = 0
@@ -167,12 +177,16 @@ def count_triangles(g: SimpleGraph) -> int:
         # counting wedges in edge order, edge i's are numbered from
         # ends[i] - wedges[i] and take their w from position i + 1 on
         shift = np.arange(first + 1, last + 1) - (ends[first:last] - per_edge)
-        w = np.arange(done, stop) + np.repeat(shift, per_edge)
-        needles = np.repeat(hi[first:last] * base, per_edge) + hi[w]
+        w = np.repeat(shift, per_edge)
+        w += np.arange(done, stop)
+        needles = np.repeat(hi[first:last] * base, per_edge)
+        needles += hi[w]
+        del w
         needles.sort()
         found = np.searchsorted(keys, needles)
         np.minimum(found, m - 1, out=found)
         triangles += int(np.count_nonzero(keys[found] == needles))
+        del needles, found  # before the next chunk allocates its own
         first, done = last, stop
     return triangles
 

@@ -32,7 +32,11 @@ class SimpleGraph:
     always sorted by the one int64 key u * num_vertices + v, which orders
     them lexicographically; so that the key fits, ``num_vertices`` is at
     most 3,037,000,499, and more is a ValueError.  Degrees are precomputed.
-    Instances are treated as immutable after construction.
+    The constructor checks ``edge_array`` for loops and duplicates;
+    ``from_pairs`` drops them instead, and both end in one shared step that
+    decodes the sorted keys and counts degrees, so ``from_pairs`` keys,
+    sorts and decodes its pairs once.  Instances are treated as immutable
+    after construction.
     """
 
     def __init__(
@@ -43,24 +47,30 @@ class SimpleGraph:
         loops_dropped: int = 0,
         duplicates_dropped: int = 0,
     ):
-        self.num_vertices = int(num_vertices)
+        num_vertices = int(num_vertices)
         keys, loops = _edge_keys(
-            np.asarray(edge_array, dtype=np.int64).reshape(-1, 2),
-            self.num_vertices)
+            np.asarray(edge_array, dtype=np.int64).reshape(-1, 2), num_vertices)
         if loops.any():
             raise ValueError("edge_array contains a self-loop")
         keys.sort()
         # in key order a duplicate sits next to its twin
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("edge_array contains a duplicate edge")
-        self.edge_array = edge_array = np.stack(
-            np.divmod(keys, self.num_vertices), axis=1)
+        self._fill(num_vertices, keys, labels, loops_dropped,
+                   duplicates_dropped)
+
+    def _fill(self, num_vertices: int, keys: np.ndarray, labels,
+              loops_dropped: int, duplicates_dropped: int) -> None:
+        """Set every field from the sorted, duplicate-free edge keys."""
+        self.num_vertices = num_vertices
+        self.edge_array = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, num_vertices,
+                  out=(self.edge_array[:, 0], self.edge_array[:, 1]))
         self.labels = labels
         self.loops_dropped = int(loops_dropped)
         self.duplicates_dropped = int(duplicates_dropped)
-
         self.degrees = np.bincount(
-            edge_array.ravel(), minlength=self.num_vertices
+            self.edge_array.ravel(), minlength=num_vertices
         ).astype(np.int64, copy=False)
 
     @property
@@ -84,6 +94,7 @@ class SimpleGraph:
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if num_vertices is None:
             num_vertices = int(arr.max()) + 1 if arr.size else 0
+        num_vertices = int(num_vertices)
         keys, loops = _edge_keys(arr, num_vertices)
         keys = keys[~loops]
         keys.sort()
@@ -92,10 +103,10 @@ class SimpleGraph:
         keep[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         unique_keys = keys[keep]
-        return cls(num_vertices,
-                   np.stack(np.divmod(unique_keys, num_vertices), axis=1),
-                   labels=labels, loops_dropped=arr.shape[0] - keys.size,
-                   duplicates_dropped=keys.size - unique_keys.size)
+        graph = cls.__new__(cls)
+        graph._fill(num_vertices, unique_keys, labels,
+                    arr.shape[0] - keys.size, keys.size - unique_keys.size)
+        return graph
 
     def __repr__(self):
         return (f"SimpleGraph(num_vertices={self.num_vertices}, "
@@ -112,7 +123,10 @@ def _edge_keys(pairs: np.ndarray, num_vertices: int):
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     if lo.size and (lo.min() < 0 or hi.max() >= num_vertices):
         raise ValueError("edge endpoint outside 0..num_vertices-1")
-    return lo * np.int64(num_vertices) + hi, lo == hi
+    loops = lo == hi
+    lo *= num_vertices
+    lo += hi
+    return lo, loops
 
 
 def load_edge_list(path) -> SimpleGraph:
@@ -121,7 +135,9 @@ def load_edge_list(path) -> SimpleGraph:
     Format: one "u v" pair of integer labels per line, any whitespace,
     lines starting with '#' are comments.  Vertex ids number the labels
     in ascending order, so loading the same file twice gives identical
-    graphs.  Self-loops are dropped (their vertices are kept, degree 0) and
+    graphs; the numbering is one in-place sort of a packed int64 key (see
+    ``_number_labels``), with ``np.unique`` for labels too far apart to
+    pack.  Self-loops are dropped (their vertices are kept, degree 0) and
     duplicate pairs - including reversed ones - are merged; both drop
     counts are recorded on the result.  A label outside the int64 range is
     a parse error.
@@ -138,11 +154,47 @@ def load_edge_list(path) -> SimpleGraph:
     raw = _read_bulk(path)
     if raw is None:
         raw = _read_lines(path)
-    labels, ids = np.unique(raw, return_inverse=True)
-    del raw
-    # numpy releases disagree on the shape of the inverse
+    labels, ids = _number_labels(raw)
+    del raw  # its buffer was the sort key
     return SimpleGraph.from_pairs(ids.reshape(-1, 2), num_vertices=labels.size,
                                   labels=labels)
+
+
+def _number_labels(raw: np.ndarray):
+    """(labels, ids): the distinct labels ascending, and each entry's index
+    among them, as ``np.unique(raw, return_inverse=True)`` gives them.
+
+    With N entries, one in-place sort of the int64 key
+    (label - min) * N + position groups equal labels in ascending order;
+    a group's first key gives its label, and the position in each key's
+    low part scatters the group numbers back.  Overwrites ``raw``.  Where
+    the largest key would pass int64 (labels some 2^63 / N apart),
+    ``np.unique`` numbers them instead.
+    """
+    key = raw.reshape(-1)
+    n = key.size
+    if n == 0:
+        return key, key
+    low = int(key.min())
+    # in Python ints: max - min itself can pass int64
+    if (int(key.max()) - low + 1) * n > 2 ** 63:
+        return np.unique(key, return_inverse=True)
+    key -= low
+    key *= n
+    key += np.arange(n, dtype=np.int64)
+    key.sort()
+    position = np.empty(n, dtype=np.int64)
+    np.divmod(key, n, out=(key, position))
+    start = np.empty(n, dtype=bool)
+    start[0] = True
+    np.not_equal(key[1:], key[:-1], out=start[1:])
+    labels = key[start]
+    labels += low
+    np.cumsum(start, out=key)
+    key -= 1
+    ids = np.empty(n, dtype=np.int64)
+    ids[position] = key
+    return labels, ids
 
 
 def _read_bulk(path: Path) -> np.ndarray | None:

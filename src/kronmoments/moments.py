@@ -86,14 +86,13 @@ class ExpectedFeatures:
         return {name: self.get(name) for name in FEATURE_NAMES}
 
 
-def _closed_form_terms(a, b, c):
-    """Signed (coefficient, base) terms of the four closed forms.
+def _closed_form_bases(a, b, c):
+    """The 15 distinct bases of the four closed forms, in ``_TERMS`` order.
 
-    Returns the term lists for 2E(edges), 2E(hairpins), 6E(tripins) and
-    6E(triangles), in FEATURE_NAMES order.  Works for numpy arrays, ints and
-    Fractions alike.  Shared subexpressions are factored so that the
-    degenerate identities (b = 0, or a = c = 0) make the cancelling bases
-    bitwise identical, which lets the combination step return exact zeros.
+    Works for numpy arrays, ints and Fractions alike.  Shared
+    subexpressions are factored so that the degenerate identities (b = 0,
+    or a = c = 0) make the cancelling bases bitwise identical, which lets
+    the combination step return exact zeros.
     """
     b2 = b * b
     b3 = b2 * b
@@ -104,36 +103,32 @@ def _closed_form_terms(a, b, c):
     s = a + c
     ab = a + b
     bc = b + c
+    return (
+        # edges
+        a + 2 * b + c, s,
+        # hairpins
+        ab * ab + bc * bc, a * ab + c * bc, q2 + 2 * b2, q2,
+        # tripins
+        ab * ab * ab + bc * bc * bc, a * (ab * ab) + c * (bc * bc),
+        q3 + b * q2 + b2 * s + 2 * b3, q3 + 2 * b3, q3 + b2 * s, q3 + b * q2,
+        q3,
+        # triangles, which end on q3 too
+        q3 + 3 * b2 * s, a * (a * a + b2) + c * (b2 + c * c),
+    )
 
-    edge_terms = (
-        (1, a + 2 * b + c),
-        (-1, s),
-    )
-    hairpin_terms = (
-        (1, ab * ab + bc * bc),
-        (-2, a * ab + c * bc),
-        (-1, q2 + 2 * b2),
-        (2, q2),
-    )
-    # The pair-collapsed tripin coefficients are (2, 3, 6): the three
-    # two-block partitions of four indices with the tail exchangeable
-    # collapse as 2x(jjj) + 3x(iijj-type) + 6x(iiij-type).
-    tripin_terms = (
-        (1, ab * ab * ab + bc * bc * bc),
-        (-3, a * (ab * ab) + c * (bc * bc)),
-        (-3, q3 + b * q2 + b2 * s + 2 * b3),
-        (2, q3 + 2 * b3),
-        (3, q3 + b2 * s),
-        (6, q3 + b * q2),
-        (-6, q3),
-    )
-    triangle_terms = (
-        (1, q3 + 3 * b2 * s),
-        (-3, a * (a * a + b2) + c * (b2 + c * c)),
-        (2, q3),
-    )
-    return edge_terms, hairpin_terms, tripin_terms, triangle_terms
 
+# The signed (coefficient, base index) terms of 2E(edges), 2E(hairpins),
+# 6E(tripins) and 6E(triangles), in FEATURE_NAMES order; each index points
+# into ``_closed_form_bases``, so q3 (index 12) is raised once for both the
+# tripins and the triangles.  The pair-collapsed tripin coefficients are
+# (2, 3, 6): the three two-block partitions of four indices with the tail
+# exchangeable collapse as 2x(jjj) + 3x(iijj-type) + 6x(iiij-type).
+_TERMS = (
+    ((1, 0), (-1, 1)),
+    ((1, 2), (-2, 3), (-1, 4), (2, 5)),
+    ((1, 6), (-3, 7), (-3, 8), (2, 9), (3, 10), (6, 11), (-6, 12)),
+    ((1, 13), (-3, 14), (2, 12)),
+)
 
 # Each closed form is this multiple of its feature's expected count, and
 # each base is a homogeneous polynomial of this degree in (a, b, c).
@@ -141,8 +136,8 @@ _MULTIPLES = (2, 2, 6, 6)
 _DEGREES = (1, 2, 3, 3)
 
 
-def _combine(terms, r):
-    """Sum coef * base**r over the terms; returns (sum, [base**r, ...]).
+def _combine(terms, powers):
+    """Sum coef * powers[index] over the (coefficient, index) terms.
 
     The coefficients of every closed form sum to zero, so the combination
     is rewritten as partial-sum multiples of differences of consecutive
@@ -151,22 +146,23 @@ def _combine(terms, r):
     regime the subtractions happen before any magnitude is lost.  Works for
     numpy arrays, ints and Fractions alike.
     """
-    powers = [base ** r for _, base in terms]
-    total = powers[0] - powers[0]  # typed zero (array, int or Fraction)
+    first = powers[terms[0][1]]
+    total = first - first  # typed zero (array, int or Fraction)
     running = 0
-    for k in range(len(powers) - 1):
-        running += terms[k][0]
-        total = total + running * (powers[k] - powers[k + 1])
-    return total, powers
+    for (coef, k), (_, after) in zip(terms, terms[1:]):
+        running += coef
+        total = total + running * (powers[k] - powers[after])
+    return total
 
 
-def _values(term_lists, r) -> list:
+def _values(bases, r) -> list:
     # one float exponent per value, so every form of r runs numpy's
     # elementwise power loop and none reaches its squaring fast path; the
     # first base, a + 2b + c, has the values' shape
-    r = np.full(np.shape(term_lists[0][0][1]), r, dtype=float)
-    return [np.maximum(_combine(terms, r)[0] / multiple, 0.0)
-            for terms, multiple in zip(term_lists, _MULTIPLES)]
+    r = np.full(np.shape(bases[0]), r, dtype=float)
+    powers = [base ** r for base in bases]
+    return [np.maximum(_combine(terms, powers) / multiple, 0.0)
+            for terms, multiple in zip(_TERMS, _MULTIPLES)]
 
 
 def closed_form_values(a, b, c, r) -> list:
@@ -181,7 +177,7 @@ def closed_form_values(a, b, c, r) -> list:
     array, so a point has the same bits whichever form of ``r`` asked for
     it, and the same as in ``closed_form_by_power``.
     """
-    return _values(_closed_form_terms(a, b, c), r)
+    return _values(_closed_form_bases(a, b, c), r)
 
 
 def closed_form_by_power(a, b, c, powers):
@@ -191,9 +187,9 @@ def closed_form_by_power(a, b, c, powers):
     several powers for the cost of the powers alone, and holds one power's
     values at a time.
     """
-    term_lists = _closed_form_terms(a, b, c)
+    bases = _closed_form_bases(a, b, c)
     for r in powers:
-        yield _values(term_lists, r)
+        yield _values(bases, r)
 
 
 def expected_counts(a: float, b: float, c: float, r: int) -> list:
@@ -208,9 +204,9 @@ def expected_counts(a: float, b: float, c: float, r: int) -> list:
     ratios = [float(x).as_integer_ratio() for x in (a, b, c)]
     shift = max(q.bit_length() for _, q in ratios) - 1  # d = 2**shift
     ints = [n << (shift - q.bit_length() + 1) for n, q in ratios]
-    return [_combine(terms, r)[0] / (multiple << (degree * r * shift))
-            for terms, degree, multiple
-            in zip(_closed_form_terms(*ints), _DEGREES, _MULTIPLES)]
+    powers = [base ** r for base in _closed_form_bases(*ints)]
+    return [_combine(terms, powers) / (multiple << (degree * r * shift))
+            for terms, degree, multiple in zip(_TERMS, _DEGREES, _MULTIPLES)]
 
 
 def expected_features(params: KroneckerParams) -> ExpectedFeatures:

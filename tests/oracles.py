@@ -28,8 +28,8 @@ from kronmoments.moments import (
     FEATURE_NAMES,
     ExpectedFeatures,
     KroneckerParams,
-    _closed_form_terms,
-    _combine,
+    _TERMS,
+    _closed_form_bases,
 )
 
 # brute_force_expected builds the full 2^r x 2^r matrix.
@@ -111,8 +111,9 @@ def brute_force_expected(params: KroneckerParams) -> ExpectedFeatures:
 
 def exact_expected(a, b, c, r):
     """Closed forms in exact rational arithmetic (independent precision ref)."""
-    terms = _closed_form_terms(Fraction(a), Fraction(b), Fraction(c))
-    e2, h2, t6, d6 = (_combine(t, r)[0] for t in terms)
+    bases = _closed_form_bases(Fraction(a), Fraction(b), Fraction(c))
+    e2, h2, t6, d6 = (sum(coef * bases[k] ** r for coef, k in terms)
+                      for terms in _TERMS)
     # divide before rounding, so each value is the exact one correctly rounded
     return (float(e2 / 2), float(h2 / 2), float(t6 / 6), float(d6 / 6))
 

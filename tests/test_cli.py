@@ -514,7 +514,10 @@ def test_fit_with_three_features_has_no_underdetermined_warning(
      "missing key 'triangles'"),
     ('{"vertices": 2.5, "edges": 1, "hairpins": 0, "tripins": 0, '
      '"triangles": 0}', "count 'vertices' must be a whole number, got 2.5"),
-], ids=["invalid", "list", "missing-key", "fractional-vertices"])
+    ('{"vertices": 1e300, "edges": 1, "hairpins": 0, "tripins": 0, '
+     '"triangles": 0}', "count 'vertices' must be at most 2**60, got 1e+300"),
+], ids=["invalid", "list", "missing-key", "fractional-vertices",
+        "huge-vertices"])
 def test_bad_counts_json(tmp_path, capsys, content, message):
     counts = tmp_path / "counts.json"
     counts.write_text(content)

@@ -331,23 +331,17 @@ def test_section_without_vertices_or_r_is_skipped(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("[empty] grid: skipped: ")
 
 
-def test_skipped_row_leaves_verts_blank_past_max_power(tmp_path, capsys):
-    # 1e300 vertices and no r give r = 997, which no fit accepts; usroads'
-    # leading fit is skipped at r = 17 and keeps its vertex count
-    huge = tmp_path / "huge.json"
-    huge.write_text('{"vertices": 1e300, "edges": 10, "hairpins": 100, '
-                    '"tripins": 10, "triangles": 1}')
+def test_skipped_row_keeps_its_vertex_count(tmp_path, capsys):
+    # usroads' leading fit is skipped at r = 17 and keeps its vertex count;
+    # a counts file past 2^60 vertices, which no r could fit, is rejected
+    # when read (tests/test_cli.py::test_bad_counts_json)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"[huge]\ncounts = {huge}\nmethods = leading\n\n"
-                   f"[usroads]\ncounts = {FIXTURES / 'usroads.counts.json'}\n"
+    cfg.write_text(f"[usroads]\ncounts = {FIXTURES / 'usroads.counts.json'}\n"
                    "methods = leading\n")
     out = tmp_path / "out"
     assert cli_main(["experiment", str(cfg), "--out", str(out)]) == 0
     rows = {(r["graph"], r["fit_type"]): r
             for r in read_rows(out / "fits.csv")}
-    assert rows["huge", "leading"]["objective"] == (
-        "skipped: r=997 outside [0, 60]")
-    assert rows["huge", "leading"]["verts"] == ""
     assert rows["usroads", "leading"]["objective"].startswith("skipped: ")
     assert rows["usroads", "leading"]["verts"] == "131072"
 

@@ -6,6 +6,7 @@ import pytest
 from kronmoments.graph_io import (
     GraphParseError,
     SimpleGraph,
+    _number_labels,
     _read_bulk,
     _read_lines,
     choose_r,
@@ -33,9 +34,12 @@ def test_dedup_loops_and_reversed_duplicates(tmp_path):
 
 
 def test_empty_file(tmp_path):
-    g = load_edge_list(write(tmp_path, ""))
-    assert g.num_vertices == 0
-    assert g.num_edges == 0
+    for text in ("", "# only\n#  comments\n\n"):
+        g = load_edge_list(write(tmp_path, text))
+        assert g.num_vertices == 0
+        assert g.num_edges == 0
+        assert g.labels.size == 0 and g.edge_array.shape == (0, 2)
+        assert g.degrees.size == 0
 
 
 def test_comments_and_whitespace(tmp_path):
@@ -358,6 +362,99 @@ def test_from_pairs_matches_unique_oracle():
             [keys // n, keys % n], axis=1).tolist()
         assert g.loops_dropped == int(loops.sum())
         assert g.duplicates_dropped == len(rest) - len(keys)
+
+
+def _unique_numbering(raw):
+    labels, ids = np.unique(raw, return_inverse=True)
+    return labels, ids.reshape(-1)
+
+
+NUMBERING_CASES = {
+    "mixed": lambda rng, m: rng.integers(-50, 50, size=(m, 2)),
+    "negative": lambda rng, m: rng.integers(-10 ** 12, -1, size=(m, 2)),
+    # every label repeated many times
+    "dense": lambda rng, m: rng.integers(0, 4, size=(m, 2)),
+    "one-label": lambda rng, m: np.full((m, 2), -7),
+    "one-pair": lambda rng, m: rng.integers(-3, 3, size=(1, 2)),
+    "wide": lambda rng, m: rng.integers(-2 ** 40, 2 ** 40, size=(m, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMBERING_CASES))
+def test_packed_numbering_matches_unique(case):
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        raw = NUMBERING_CASES[case](rng, int(rng.integers(1, 300)))
+        raw = raw.astype(np.int64)
+        labels, ids = _number_labels(raw.copy())
+        want_labels, want_ids = _unique_numbering(raw)
+        assert labels.dtype == ids.dtype == np.int64
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(ids, want_ids)
+
+
+@pytest.mark.parametrize("first, last, packed", [
+    # N = 4 entries: the largest key (last - first + 1) * 4 - 1 is
+    # 2**63 - 1 exactly, still an int64
+    (-5, -5 + 2 ** 61 - 1, True),
+    (-5, -5 + 2 ** 61, False),  # one more
+    (-2 ** 62, 2 ** 62, False),
+    (-2 ** 63, 2 ** 63 - 1, False),  # max - min itself passes int64
+], ids=["at-limit", "one-past", "pm-2-62", "int64-ends"])
+def test_numbering_on_both_sides_of_the_key_limit(tmp_path, monkeypatch,
+                                                  first, last, packed):
+    middle = (first + last) // 2
+    path = write(tmp_path, f"{last} {first}\n{middle} {last}\n")
+    raw = np.array([[last, first], [middle, last]], dtype=np.int64)
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    g = load_edge_list(path)
+    assert (not calls) == packed
+    monkeypatch.undo()
+    labels, ids = _unique_numbering(raw)
+    want = SimpleGraph.from_pairs(ids.reshape(-1, 2),
+                                  num_vertices=labels.size, labels=labels)
+    assert g.labels.tolist() == [first, middle, last]
+    assert np.array_equal(g.labels, want.labels)
+    assert np.array_equal(g.edge_array, want.edge_array)
+    assert g.edge_array.tolist() == [[0, 2], [1, 2]]
+
+
+def test_from_pairs_matches_the_constructor():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 60, 400):
+        adj = np.triu(rng.random((n, n)) < 0.15, 1)
+        edges = np.argwhere(adj)
+        edges = edges[rng.permutation(len(edges))]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip][:, ::-1]
+        labels = np.sort(rng.choice(10 ** 6, size=n, replace=False))
+        built = SimpleGraph(n, edges, labels=labels)
+        paired = SimpleGraph.from_pairs(edges, num_vertices=n, labels=labels)
+        for g in (built, paired):
+            assert g.num_vertices == n
+            assert g.edge_array.dtype == g.degrees.dtype == np.int64
+        assert np.array_equal(paired.edge_array, built.edge_array)
+        assert np.array_equal(paired.degrees, built.degrees)
+        assert paired.labels is built.labels
+        assert (paired.loops_dropped, paired.duplicates_dropped) == (0, 0)
+        assert (built.loops_dropped, built.duplicates_dropped) == (0, 0)
+        # loops and reversed twins on top: from_pairs drops and counts them
+        loops = np.repeat(rng.integers(0, n, size=(3, 1)), 2, axis=1)
+        messy = np.concatenate([edges, edges[: len(edges) // 3, ::-1],
+                                loops])
+        messy = messy[rng.permutation(len(messy))]
+        dropped = SimpleGraph.from_pairs(messy, num_vertices=n)
+        assert np.array_equal(dropped.edge_array, built.edge_array)
+        assert np.array_equal(dropped.degrees, built.degrees)
+        assert dropped.loops_dropped == 3
+        assert dropped.duplicates_dropped == len(edges) // 3
 
 
 def test_choose_r_examples():
