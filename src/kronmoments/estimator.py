@@ -184,23 +184,58 @@ def _scorer(spec: ObjectiveSpec, fits):
     problem.  ``expected`` holds the four expectations in FEATURE_NAMES
     order, as floats or as arrays; ``problem`` is one index into ``fits``,
     or an index array aligned with the expectations.  Each feature's term
-    is taken once, on the gathered observations, in the order of
-    ``spec.features``.  A feature a problem does not match scores an exact
-    0.0, so every sum has the bits of that problem's objective alone.
+    is taken once, on the gathered observations, and the terms are summed
+    in the order of ``spec.features``.  A feature a problem does not match
+    scores an exact 0.0, so every sum has the bits of that problem's
+    objective alone.
+
+    Under the observed-count normalizations ``effective_features`` has
+    dropped every feature observed as 0, so a matched feature's term is
+    (F - E)^2 / F^2 or |F - E| / F, with no case to mask.  The scales (F^2,
+    or F) are tabled once per batch, +inf where a problem does not match
+    the feature, which makes that term an exact 0, and each term is
+    subtracted, squared or made absolute, divided and summed in place.
+    The expectation normalizations, where E may be 0, and a scale that
+    underflows to 0 (F below about 1e-162 under f2) take
+    ``ObjectiveSpec.term`` and its masks instead.
     """
-    observed = np.array([[float(obs.get(f)) for f in spec.features]
-                         for obs, _ in fits])
-    matched = np.array([[f in feats for f in spec.features]
-                        for _, feats in fits])
-    columns = [(j, FEATURE_NAMES.index(f), matched[:, j].all())
-               for j, f in enumerate(spec.features)]
+    # one row per feature of spec.features, one column per problem
+    observed = np.array([[float(obs.get(f)) for obs, _ in fits]
+                         for f in spec.features])
+    matched = np.array([[f in feats for _, feats in fits]
+                        for f in spec.features])
+    keys = [FEATURE_NAMES.index(f) for f in spec.features]
+    if spec.normalization in ("f", "f2"):
+        scale = np.where(matched, observed * observed
+                         if spec.normalization == "f2" else observed, np.inf)
+        squared = spec.distance == "sq"
+        if (scale > 0.0).all():
+            def lean(expected, problem):
+                total = None
+                for k, F, N in zip(keys, observed, scale):
+                    term = F[problem] - expected[k]
+                    if squared:
+                        term *= term
+                    else:
+                        term = np.abs(term, out=term if isinstance(
+                            term, np.ndarray) else None)
+                    term /= N[problem]
+                    if total is None:
+                        total = term
+                    else:
+                        total += term
+                return total
+
+            return lean
+
+    masked = list(zip(keys, observed, matched, ~matched.all(axis=1)))
 
     def score(expected, problem):
         total = 0.0
-        for j, k, everywhere in columns:
-            term = spec.term(observed[problem, j], expected[k])
-            if not everywhere:
-                term = np.where(matched[problem, j], term, 0.0)
+        for k, F, M, partial in masked:
+            term = spec.term(F[problem], expected[k])
+            if partial:
+                term = np.where(M[problem], term, 0.0)
             total = total + term
         return total
 
@@ -426,9 +461,9 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
                      np.repeat(np.arange(k), n + 1)).reshape(k, n + 1)
 
     def sort(sim, fsim):
-        ind = np.argsort(fsim, axis=1, kind="stable")
-        return (np.take_along_axis(sim, ind[:, :, None], axis=1),
-                np.take_along_axis(fsim, ind, axis=1))
+        ind = (np.argsort(fsim, axis=1, kind="stable")
+               + np.arange(0, fsim.size, n + 1)[:, None])
+        return sim.reshape(-1, n)[ind], fsim.ravel()[ind]
 
     sim, fsim = sort(sim, fsim)
     best = sim[:, 0].copy()

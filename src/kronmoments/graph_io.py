@@ -220,23 +220,35 @@ def _read_bulk(path: Path) -> np.ndarray | None:
 def _has_inline_comment(path: Path) -> bool:
     """Whether some '#' follows a non-blank character on its line.
 
-    Only each line's first '#' is looked at, and ``pos`` only moves
-    forward, so the scan is linear in the file size.
+    Only each line's first '#' is looked at, and a line ends at a line
+    feed or a carriage return.  A few numpy passes over the bytes, and no
+    Python work per '#': when every '#' opens its line, as comment lines
+    do, the answer is no; otherwise each '#' gets its line number by
+    ``searchsorted`` into the line breaks, and the bytes between each
+    line's start and its first '#' are tested for a non-blank one in one
+    ``reduceat``.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = 0
-    while (mark := data.find(b"#", pos)) >= 0:
-        start = max(data.rfind(b"\n", pos, mark),
-                    data.rfind(b"\r", pos, mark)) + 1
-        if data[start:mark].strip():
-            return True
-        end = data.find(b"\n", mark)
-        if end < 0:
-            end = len(data)
-        cr = data.find(b"\r", mark, end)
-        pos = end if cr < 0 else cr
-    return False
+        data = np.frombuffer(fh.read(), dtype=np.uint8)
+    marks = np.flatnonzero(data == ord("#"))
+    before = data[marks[marks > 0] - 1]
+    if ((before == ord("\n")) | (before == ord("\r"))).all():
+        return False
+    breaks = np.flatnonzero((data == ord("\n")) | (data == ord("\r")))
+    line = np.searchsorted(breaks, marks)
+    first = np.ones(marks.size, dtype=bool)
+    np.not_equal(line[1:], line[:-1], out=first[1:])
+    marks = marks[first]
+    starts = np.concatenate(([0], breaks + 1))[line[first]]
+    prefixed = marks > starts
+    if not prefixed.any():
+        return False
+    # the bounds alternate line start, first '#', so the even segments of
+    # the reduceat are the prefixes; a prefix holds no line break, so its
+    # blanks (as bytes.strip sees them) are space, '\t', '\v' and '\f'
+    bounds = np.stack([starts[prefixed], marks[prefixed]], axis=1).ravel()
+    visible = (data != ord(" ")) & ((data < ord("\t")) | (data > ord("\f")))
+    return bool(np.logical_or.reduceat(visible, bounds)[::2].any())
 
 
 def _read_lines(path: Path) -> np.ndarray:

@@ -94,26 +94,31 @@ def _closed_form_bases(a, b, c):
     or a = c = 0) make the cancelling bases bitwise identical, which lets
     the combination step return exact zeros.
     """
+    aa = a * a
+    cc = c * c
     b2 = b * b
     b3 = b2 * b
-    a3 = a * a * a
-    c3 = c * c * c
-    q2 = a * a + c * c        # sum over diagonal entries squared
-    q3 = a3 + c3              # ... and cubed
+    q2 = aa + cc              # sum over diagonal entries squared
+    q3 = aa * a + cc * c      # ... and cubed
     s = a + c
     ab = a + b
     bc = b + c
+    ab2 = ab * ab
+    bc2 = bc * bc
+    bq2 = b * q2
+    b2s = b2 * s
+    twob3 = 2 * b3
     return (
         # edges
         a + 2 * b + c, s,
         # hairpins
-        ab * ab + bc * bc, a * ab + c * bc, q2 + 2 * b2, q2,
+        ab2 + bc2, a * ab + c * bc, q2 + 2 * b2, q2,
         # tripins
-        ab * ab * ab + bc * bc * bc, a * (ab * ab) + c * (bc * bc),
-        q3 + b * q2 + b2 * s + 2 * b3, q3 + 2 * b3, q3 + b2 * s, q3 + b * q2,
+        ab2 * ab + bc2 * bc, a * ab2 + c * bc2,
+        q3 + bq2 + b2s + twob3, q3 + twob3, q3 + b2s, q3 + bq2,
         q3,
         # triangles, which end on q3 too
-        q3 + 3 * b2 * s, a * (a * a + b2) + c * (b2 + c * c),
+        q3 + 3 * b2 * s, a * (aa + b2) + c * (b2 + cc),
     )
 
 
@@ -136,33 +141,71 @@ _MULTIPLES = (2, 2, 6, 6)
 _DEGREES = (1, 2, 3, 3)
 
 
-def _combine(terms, powers):
-    """Sum coef * powers[index] over the (coefficient, index) terms.
+# The bases whose power more than one closed form takes: q3 (index 12).
+_REUSED = frozenset(
+    k for k in range(15)
+    if sum(any(j == k for _, j in terms) for terms in _TERMS) > 1)
+
+
+def _combine(terms, power):
+    """Sum coef * power(index) over the (coefficient, index) terms.
 
     The coefficients of every closed form sum to zero, so the combination
     is rewritten as partial-sum multiples of differences of consecutive
     powers.  When all bases coincide (the degenerate initiators) every
     difference is an exact floating-point zero, and in the nearly-cancelled
-    regime the subtractions happen before any magnitude is lost.  Works for
-    numpy arrays, ints and Fractions alike.
+    regime the subtractions happen before any magnitude is lost.  Each
+    power is asked for once, and each difference is scaled (unless its
+    multiple is 1) and summed in place: arrays are updated where they lie,
+    while numpy floats and Python ints are rebound, so the same code
+    serves the arrays, the float arguments and ``expected_counts``.
     """
-    first = powers[terms[0][1]]
-    total = first - first  # typed zero (array, int or Fraction)
+    prev = power(terms[0][1])
+    total = None
     running = 0
-    for (coef, k), (_, after) in zip(terms, terms[1:]):
+    for (coef, _), (_, k) in zip(terms, terms[1:]):
         running += coef
-        total = total + running * (powers[k] - powers[after])
+        cur = power(k)
+        diff = prev - cur
+        if running != 1:
+            diff *= running
+        if total is None:
+            total = diff
+        else:
+            total += diff
+        prev = cur
     return total
 
 
 def _values(bases, r) -> list:
+    """The four clamped closed forms of ``bases`` at power ``r``.
+
+    Each base is raised when its form first needs it, and only q3's power
+    outlives its form, so a block holds a few power arrays, not 15.  Every
+    value is combined, divided and clamped in place; with float bases the
+    values are numpy floats.
+    """
     # one float exponent per value, so every form of r runs numpy's
     # elementwise power loop and none reaches its squaring fast path; the
     # first base, a + 2b + c, has the values' shape
     r = np.full(np.shape(bases[0]), r, dtype=float)
-    powers = [base ** r for base in bases]
-    return [np.maximum(_combine(terms, powers) / multiple, 0.0)
-            for terms, multiple in zip(_TERMS, _MULTIPLES)]
+    reused = {}
+
+    def power(k):
+        if k in reused:
+            return reused[k]
+        p = bases[k] ** r
+        if k in _REUSED:
+            reused[k] = p
+        return p
+
+    out = []
+    for terms, multiple in zip(_TERMS, _MULTIPLES):
+        total = _combine(terms, power)
+        total /= multiple
+        out.append(np.maximum(
+            total, 0.0, out=total if isinstance(total, np.ndarray) else None))
+    return out
 
 
 def closed_form_values(a, b, c, r) -> list:
@@ -205,7 +248,8 @@ def expected_counts(a: float, b: float, c: float, r: int) -> list:
     shift = max(q.bit_length() for _, q in ratios) - 1  # d = 2**shift
     ints = [n << (shift - q.bit_length() + 1) for n, q in ratios]
     powers = [base ** r for base in _closed_form_bases(*ints)]
-    return [_combine(terms, powers) / (multiple << (degree * r * shift))
+    return [_combine(terms, powers.__getitem__)
+            / (multiple << (degree * r * shift))
             for terms, degree, multiple in zip(_TERMS, _DEGREES, _MULTIPLES)]
 
 

@@ -16,7 +16,9 @@ from kronmoments.estimator import (
     _fit_grid_batch,
     _lattice_blocks,
     _nelder_mead_lockstep,
+    _scorer,
     compute_leading_transforms,
+    effective_features,
     evaluate_objective,
     fit_best,
     fit_direct,
@@ -170,6 +172,95 @@ class TestEvaluateObjective:
         assert val == pytest.approx(2.608, rel=2e-3)
         ours = fit_direct(GRQC, 13, ObjectiveSpec(), starts=30, seed=0)
         assert val > 2.5 * ours.objective_value
+
+
+OBJECTIVE_CODES = ("dsq-f", "dsq-f2", "dsq-e", "dsq-e2", "dabs-f", "dabs-e")
+
+
+def same_bits(got, want):
+    return (np.shape(got) == np.shape(want)
+            and np.asarray(got, float).tobytes()
+            == np.asarray(want, float).tobytes())
+
+
+class TestScorer:
+    """``_scorer`` against the plain per-feature sum, bit for bit."""
+
+    R = 9
+    # a, b, c of the points scored; b = 0 makes every expectation 0
+    POINTS = np.array([[0.9, 0.5, 0.2], [0.9, 0.0, 0.2], [0.0, 0.0, 0.0],
+                       [1.0, 1.0, 1.0], [0.7, 0.45, 0.35]])
+    EXACT = KroneckerParams(0.7, 0.45, 0.35, R)  # the last point
+
+    def problems(self):
+        # every feature matched; one, then two, observed as 0; and counts
+        # that equal the last point's expectations
+        exact = closed_form_values(*self.POINTS[-1:].T, self.R)
+        return [GRQC, FeatureCounts(512, 50, 40, 10, 0),
+                FeatureCounts(512, 60, 0, 700, 0),
+                FeatureCounts(512, *(float(v[0]) for v in exact))]
+
+    def scorer(self, code, problems):
+        spec = ObjectiveSpec.from_code(code)
+        return spec, _scorer(spec, [(obs, effective_features(spec, obs)[0])
+                                    for obs in problems])
+
+    @pytest.mark.parametrize("code", OBJECTIVE_CODES)
+    def test_one_problem_index(self, code):
+        problems = self.problems()
+        spec, score = self.scorer(code, problems)
+        rng = np.random.default_rng(4)
+        a, b, c = np.concatenate([self.POINTS, rng.random((200, 3))]).T
+        values = closed_form_values(a, b, c, self.R)
+        for j, obs in enumerate(problems):
+            want = plain_objective(spec, obs)(values)
+            assert same_bits(score(values, j), want)
+        # the exact match scores 0 against its own counts
+        assert score(values, 3)[len(self.POINTS) - 1] == 0.0
+
+    @pytest.mark.parametrize("code", OBJECTIVE_CODES)
+    def test_index_array_mixing_problems(self, code):
+        problems = self.problems()
+        spec, score = self.scorer(code, problems)
+        rng = np.random.default_rng(5)
+        points = np.concatenate([np.repeat(self.POINTS, 4, axis=0),
+                                 rng.random((300, 3))])
+        problem = rng.integers(0, len(problems), len(points))
+        problem[:4 * len(self.POINTS)] = np.tile(np.arange(4),
+                                                 len(self.POINTS))
+        values = closed_form_values(*points.T, self.R)
+        got = score(values, problem)
+        for j, obs in enumerate(problems):
+            mine = problem == j
+            want = plain_objective(spec, obs)([v[mine] for v in values])
+            assert same_bits(got[mine], want)
+
+    @pytest.mark.parametrize("code", OBJECTIVE_CODES)
+    def test_float_expectations(self, code):
+        problems = self.problems()
+        spec, score = self.scorer(code, problems)
+        for a, b, c in self.POINTS.tolist():
+            counts = expected_counts(a, b, c, self.R)
+            for j, obs in enumerate(problems):
+                got = score(counts, j)
+                want = plain_objective(spec, obs)(counts)
+                assert np.ndim(got) == 0
+                assert same_bits(got, want)
+        exact = expectations_as_counts(self.EXACT)
+        counts = expected_counts(*self.POINTS[-1].tolist(), self.R)
+        assert self.scorer(code, [exact])[1](counts, 0) == 0.0
+
+    @pytest.mark.parametrize("code", ["dsq-f2", "dsq-f"])
+    def test_underflowing_scale(self, code):
+        # 1e-200 squared is 0: dsq-f2 scores this batch through
+        # ObjectiveSpec.term, and still matches the plain sum
+        problems = [FeatureCounts(512, 1e-200, 40, 10, 3), GRQC]
+        spec, score = self.scorer(code, problems)
+        a, b, c = self.POINTS.T
+        values = closed_form_values(a, b, c, self.R)
+        for j, obs in enumerate(problems):
+            assert same_bits(score(values, j),
+                             plain_objective(spec, obs)(values))
 
 
 def whole_lattice(points_per_dim):
@@ -404,11 +495,12 @@ class TestLockstepNelderMead:
         assert calls == [16]
 
 
-# Two batches whose problems differ in r.  r = 2 pins the scalar-exponent
-# rule, and r = 13 and 21 are the reference fixtures' powers.  Under dsq-f2
-# one problem drops a feature observed as 0; under dsq-e (which drops
-# nothing) the counts of one problem have a zero expectation everywhere at
-# r = 0, so all of its starts are infinite.
+# Batches whose problems differ in r.  r = 2 pins the scalar-exponent
+# rule, and r = 13 and 21 are the reference fixtures' powers.  Under dsq-f2,
+# dsq-f and dabs-f some problems drop a feature observed as 0, so one
+# ranking call mixes problems with the feature matched and dropped; under
+# dsq-e (which drops nothing) the counts of one problem have a zero
+# expectation everywhere at r = 0, so all of its starts are infinite.
 BATCHES = {
     "dsq-f2": [
         (GRQC, 13),
@@ -421,6 +513,16 @@ BATCHES = {
         (FeatureCounts(1, 1, 1, 1, 1), 0),  # no finite start
         (FeatureCounts(4, 3, 6, 2, 1), 2),
         (load_counts("as-skitter"), 21),
+    ],
+    "dsq-f": [
+        (FeatureCounts(100, 50, 40, 10, 0), 7),  # triangles dropped
+        (USROADS, 17),
+        (FeatureCounts(4, 3, 0, 2, 1), 2),  # hairpins dropped
+    ],
+    "dabs-f": [
+        (HEPTH, 14),
+        (FeatureCounts(100, 50, 40, 10, 0), 7),  # triangles dropped
+        (FeatureCounts(4, 3, 6, 2, 1), 2),
     ],
 }
 UNEXPLAINED = (FeatureCounts(1, 1, 1, 1, 1), 0)

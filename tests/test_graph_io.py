@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from kronmoments.graph_io import (
     GraphParseError,
     SimpleGraph,
+    _has_inline_comment,
     _number_labels,
     _read_bulk,
     _read_lines,
@@ -324,6 +326,54 @@ def test_float_read_tokens_fall_back(tmp_path, monkeypatch, text,
         load_edge_list(path)
     assert exc.value.line_number == line_number
     assert "non-integer vertex label" in str(exc.value)
+
+
+def inline_comment_reference(data: bytes) -> bool:
+    """Whether some line's first '#' follows a non-blank byte, line by line;
+    a line ends at a line feed or a carriage return."""
+    for line in re.split(rb"[\r\n]", data):
+        mark = line.find(b"#")
+        if mark > 0 and line[:mark].strip():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("data, want", [
+    (b"1 2\r# c\r3 4\r", False),
+    (b"1 2\r3 4 # c\r", True),
+    (b"1 2\r\n# c\r\n3 4\r\n", False),
+    (b"1 2\r\n3 4\t# c\r\n", True),
+    (b"1 2\n \t\x0b\x0c# blank prefix\n", False),
+    (b"1 2\n3 4# after a label\n", True),
+    (b"1 2\n  #x\n5# after a label\n", True),
+    (b"# c # a later mark\n  # c # and another\n1 2\n", False),
+    (b"1 2\n# c\n5 6 #x", True),
+    (b"1 2\n# c\n  # c", False),
+    (b"#", False),
+    (b"x#", True),
+    (b"", False),
+], ids=["cr", "cr-inline", "crlf", "crlf-inline", "blank-prefix",
+        "after-label", "after-label-later", "later-mark", "no-final-newline",
+        "no-final-newline-blank", "lone-mark", "lone-inline", "empty"])
+def test_inline_comment_check_matches_line_reference(tmp_path, data, want):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    assert inline_comment_reference(data) is want
+    assert _has_inline_comment(path) is want
+
+
+def test_inline_comment_check_on_random_bytes(tmp_path):
+    rng = np.random.default_rng(20261019)
+    alphabet = [b"1", b"x", b" ", b"\t", b"\x0b", b"#", b"\n", b"\r"]
+    path = tmp_path / "g.txt"
+    seen = set()
+    for _ in range(400):
+        data = b"".join(rng.choice(alphabet, int(rng.integers(0, 24))))
+        path.write_bytes(data)
+        want = inline_comment_reference(data)
+        assert _has_inline_comment(path) is want, data
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_bad_utf8_raises_as_line_reading_does(tmp_path):
