@@ -11,6 +11,7 @@ solver that matches only the leading power term of each expected count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 import warnings
@@ -113,19 +114,6 @@ class ObjectiveSpec:
         return cls(distance=dist_part[1:], normalization=norm_part,
                    features=tuple(features))
 
-    def term(self, F, E):
-        """D(F, E) / N(F, E) for one feature, elementwise over arrays.
-
-        An exact match scores 0; a miss against a zero normalization scores
-        +inf, since such parameters cannot explain the data.
-        """
-        d = (F - E) * (F - E) if self.distance == "sq" else abs(F - E)
-        norm = self.normalization
-        n = (F if norm == "f" else F * F if norm == "f2"
-             else E if norm == "e" else E * E)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(d == 0.0, 0.0, np.where(n == 0.0, np.inf, d / n))
-
 
 @dataclass
 class FitResult:
@@ -177,66 +165,62 @@ def effective_features(spec: ObjectiveSpec, obs: FeatureCounts):
     return tuple(kept), notes
 
 
-def _scorer(spec: ObjectiveSpec, fits):
+def _scorer(spec: ObjectiveSpec, observations):
     """score(expected, problem): the objective of every problem of a batch.
 
-    ``fits`` holds one (observed counts, features matched) pair per
-    problem.  ``expected`` holds the four expectations in FEATURE_NAMES
-    order, as floats or as arrays; ``problem`` is one index into ``fits``,
-    or an index array aligned with the expectations.  Each feature's term
-    is taken once, on the gathered observations, and the terms are summed
-    in the order of ``spec.features``.  A feature a problem does not match
-    scores an exact 0.0, so every sum has the bits of that problem's
-    objective alone.
+    ``observations`` holds one problem's counts per entry.  ``expected``
+    holds the four expectations in FEATURE_NAMES order, as floats or as
+    arrays; ``problem`` is one index into ``observations``, or an index
+    array aligned with the expectations.  Each feature's term is
+    subtracted, squared or made absolute, divided by its scale and summed
+    in place, in the order of ``spec.features``.
 
-    Under the observed-count normalizations ``effective_features`` has
-    dropped every feature observed as 0, so a matched feature's term is
-    (F - E)^2 / F^2 or |F - E| / F, with no case to mask.  The scales (F^2,
-    or F) are tabled once per batch, +inf where a problem does not match
-    the feature, which makes that term an exact 0, and each term is
-    subtracted, squared or made absolute, divided and summed in place.
-    The expectation normalizations, where E may be 0, and a scale that
-    underflows to 0 (F below about 1e-162 under f2) take
-    ``ObjectiveSpec.term`` and its masks instead.
+    Under ``f`` and ``f2`` the scales (F, or F^2) are tabled once per
+    batch, +inf where a feature is observed as 0, which is exactly where
+    ``effective_features`` drops it: its term is an exact 0, so every sum
+    has the bits of that problem's objective alone.  Under ``e`` and
+    ``e2`` the scale is E or E^2.  Where a scale can be 0 (under ``e`` and
+    ``e2``, or where some F^2 underflows) an exact match scores 0 and a
+    miss +inf, since such parameters cannot explain the data.
     """
     # one row per feature of spec.features, one column per problem
-    observed = np.array([[float(obs.get(f)) for obs, _ in fits]
+    observed = np.array([[float(obs.get(f)) for obs in observations]
                          for f in spec.features])
-    matched = np.array([[f in feats for _, feats in fits]
-                        for f in spec.features])
     keys = [FEATURE_NAMES.index(f) for f in spec.features]
-    if spec.normalization in ("f", "f2"):
-        scale = np.where(matched, observed * observed
-                         if spec.normalization == "f2" else observed, np.inf)
-        squared = spec.distance == "sq"
-        if (scale > 0.0).all():
-            def lean(expected, problem):
-                total = None
-                for k, F, N in zip(keys, observed, scale):
-                    term = F[problem] - expected[k]
-                    if squared:
-                        term *= term
-                    else:
-                        term = np.abs(term, out=term if isinstance(
-                            term, np.ndarray) else None)
-                    term /= N[problem]
-                    if total is None:
-                        total = term
-                    else:
-                        total += term
-                return total
-
-            return lean
-
-    masked = list(zip(keys, observed, matched, ~matched.all(axis=1)))
+    norm = spec.normalization
+    squared = spec.distance == "sq"
+    if norm in ("f", "f2"):
+        scales = np.where(observed == 0.0, np.inf,
+                          observed * observed if norm == "f2" else observed)
+        exact = not (scales > 0.0).all()
+    else:
+        scales = [None] * len(keys)  # E or E^2, per call
+        exact = True
+    rows = list(zip(keys, observed, scales))
 
     def score(expected, problem):
-        total = 0.0
-        for k, F, M, partial in masked:
-            term = spec.term(F[problem], expected[k])
-            if partial:
-                term = np.where(M[problem], term, 0.0)
-            total = total + term
+        with (np.errstate(divide="ignore", invalid="ignore") if exact
+              else contextlib.nullcontext()):
+            total = None
+            for k, F, scale in rows:
+                E = expected[k]
+                term = F[problem] - E
+                if squared:
+                    term *= term
+                else:
+                    term = np.abs(term, out=term if isinstance(
+                        term, np.ndarray) else None)
+                N = ((E if norm == "e" else E * E) if scale is None
+                     else scale[problem])
+                if exact:
+                    term = np.where(term == 0.0, 0.0, np.where(
+                        N == 0.0, np.inf, term / N))
+                else:
+                    term /= N
+                if total is None:
+                    total = term
+                else:
+                    total += term
         return total
 
     return score
@@ -252,11 +236,10 @@ def evaluate_objective(
     observation under an expectation normalization contributes +inf, since
     such parameters cannot explain the data.
     """
-    feats, notes = effective_features(spec, obs)
-    for note in notes:
+    for note in effective_features(spec, obs)[1]:
         warnings.warn(note, stacklevel=2)
     counts = expected_counts(params.a, params.b, params.c, params.r)
-    return float(_scorer(spec, [(obs, feats)])(counts, 0))
+    return float(_scorer(spec, [obs])(counts, 0))
 
 
 def feature_ratios(exp: ExpectedFeatures, obs: FeatureCounts) -> dict:
@@ -292,8 +275,8 @@ def _finish(params: KroneckerParams, spec, obs, method: str,
     """The result at ``params``; ``fitted`` names the features the fit
     matched, and fewer than three of them earn a warning."""
     counts = expected_counts(params.a, params.b, params.c, params.r)
-    feats, notes = effective_features(spec, obs)
-    obj = float(_scorer(spec, [(obs, feats)])(counts, 0))
+    notes = effective_features(spec, obs)[1]
+    obj = float(_scorer(spec, [obs])(counts, 0))
     if fitted is not None and len(fitted) < 3:
         notes.append(
             f"only {len(fitted)} usable feature"
@@ -371,7 +354,7 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     if not fits:
         return out
 
-    score = _scorer(spec, [(p.obs, feats) for _, p, feats in fits])
+    score = _scorer(spec, [p.obs for _, p, _ in fits])
     winners = [[] for _ in fits]  # (objective, a, b, c) per block
     at_power = {}  # r -> [(j, winners), ...] of the fits j at power r
     for j, ((_, p, _), won) in enumerate(zip(fits, winners)):
@@ -551,7 +534,7 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
     if not fits:
         return out
 
-    score = _scorer(spec, [(p.obs, feats) for _, p, feats in fits])
+    score = _scorer(spec, [p.obs for _, p, _ in fits])
     powers = np.array([p.r for _, p, _ in fits])
     owner = np.repeat(np.arange(len(fits)), [p.starts for _, p, _ in fits])
 
@@ -605,7 +588,7 @@ def fit_direct(
     exact integer arithmetic; the best finite objective wins, ties going
     to the smallest (a, b, c), and FitFailure is raised when no end is
     finite.  Every objective value here, as in the grid and
-    ``evaluate_objective``, comes from one scorer (``_scorer``).
+    ``evaluate_objective``, comes from one loop (``_scorer``).
     Deterministic given (seed, starts).  This is a batch of one
     (``_fit_direct_batch``).
     """

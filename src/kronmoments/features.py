@@ -31,7 +31,7 @@ class FeatureCounts:
     real-valued instances (e.g. model expectations injected as synthetic
     observations); nothing downstream assumes integrality.  ``from_dict``
     still requires a whole number of vertices, at most 2**MAX_POWER, and
-    stores it as an int.
+    stores it as an int, and no other count above 2**(4 * MAX_POWER).
     """
 
     vertices: int
@@ -70,6 +70,10 @@ class FeatureCounts:
             if key == "vertices" and v > 2 ** MAX_POWER:
                 raise ValueError(f"count 'vertices' must be at most "
                                  f"2**{MAX_POWER}, got {v!r}")
+            # nor more than n^4 of any feature: 3-stars top out near n^4/6
+            if v > 2 ** (4 * MAX_POWER):
+                raise ValueError(f"count {key!r} must be at most "
+                                 f"2**{4 * MAX_POWER}, got {v!r}")
             values[key] = v
         values["vertices"] = int(values["vertices"])  # 8192.0 prints as 8192
         return cls(**values)

@@ -516,8 +516,11 @@ def test_fit_with_three_features_has_no_underdetermined_warning(
      '"triangles": 0}', "count 'vertices' must be a whole number, got 2.5"),
     ('{"vertices": 1e300, "edges": 1, "hairpins": 0, "tripins": 0, '
      '"triangles": 0}', "count 'vertices' must be at most 2**60, got 1e+300"),
+    ('{"vertices": 8192, "edges": 1e300, "hairpins": 40000, '
+     '"tripins": 100000, "triangles": 500}',
+     "count 'edges' must be at most 2**240, got 1e+300"),
 ], ids=["invalid", "list", "missing-key", "fractional-vertices",
-        "huge-vertices"])
+        "huge-vertices", "huge-edges"])
 def test_bad_counts_json(tmp_path, capsys, content, message):
     counts = tmp_path / "counts.json"
     counts.write_text(content)

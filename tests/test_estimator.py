@@ -18,7 +18,6 @@ from kronmoments.estimator import (
     _nelder_mead_lockstep,
     _scorer,
     compute_leading_transforms,
-    effective_features,
     evaluate_objective,
     fit_best,
     fit_direct,
@@ -202,8 +201,7 @@ class TestScorer:
 
     def scorer(self, code, problems):
         spec = ObjectiveSpec.from_code(code)
-        return spec, _scorer(spec, [(obs, effective_features(spec, obs)[0])
-                                    for obs in problems])
+        return spec, _scorer(spec, problems)
 
     @pytest.mark.parametrize("code", OBJECTIVE_CODES)
     def test_one_problem_index(self, code):
@@ -250,10 +248,10 @@ class TestScorer:
         counts = expected_counts(*self.POINTS[-1].tolist(), self.R)
         assert self.scorer(code, [exact])[1](counts, 0) == 0.0
 
-    @pytest.mark.parametrize("code", ["dsq-f2", "dsq-f"])
+    @pytest.mark.parametrize("code", OBJECTIVE_CODES)
     def test_underflowing_scale(self, code):
-        # 1e-200 squared is 0: dsq-f2 scores this batch through
-        # ObjectiveSpec.term, and still matches the plain sum
+        # 1e-200 squared is 0, so dsq-f2 takes the zero-scale rule here, as
+        # the e and e2 codes always do; every code matches the plain sum
         problems = [FeatureCounts(512, 1e-200, 40, 10, 3), GRQC]
         spec, score = self.scorer(code, problems)
         a, b, c = self.POINTS.T
@@ -261,6 +259,19 @@ class TestScorer:
         for j, obs in enumerate(problems):
             assert same_bits(score(values, j),
                              plain_objective(spec, obs)(values))
+
+    @pytest.mark.parametrize("code", ["dsq-e", "dsq-e2", "dabs-e"])
+    def test_miss_against_negative_zero(self, code):
+        # a miss scores +inf against either zero expectation, a match 0
+        problems = self.problems()
+        spec, score = self.scorer(code, problems)
+        column = np.array([-0.0, 0.0, 1.0])
+        values = [column, column, column, column]
+        for j, obs in enumerate(problems):
+            want = plain_objective(spec, obs)(values)
+            assert same_bits(score(values, j), want)
+            assert same_bits(score([-0.0] * 4, j), want[0])
+        assert np.isposinf(score(values, 0)[:2]).all()
 
 
 def whole_lattice(points_per_dim):
