@@ -4,9 +4,10 @@ The fit minimizes a sum over features of D(F, E(F)) / N(F, E(F)) where D
 is a squared or absolute distance and N one of four normalizations; the
 squared/expected pair is the classic moment criterion and the
 squared/observed^2 pair is a sum of squared relative errors.  Three
-minimizers are provided: an exhaustive grid sweep, a multistart bounded
-simplex search whose starts advance in lockstep, and a closed-form
-solver that matches only the leading power term of each expected count.
+minimizers are provided: a grid search pruned by box bounds, a
+multistart bounded simplex search whose starts advance in lockstep, and a
+closed-form solver that matches only the leading power term of each
+expected count.
 """
 
 from __future__ import annotations
@@ -305,41 +306,58 @@ def _finish(params: KroneckerParams, spec, obs, method: str,
 # ---------------------------------------------------------------------------
 
 
-# Lattice points the grid ranks per closed-form evaluation: whole a-slices
-# of at most this many points (a slice larger than this is its own block).
-# At 8k points each of the evaluator's float temporaries is 64 KiB.
+# Lattice points the grid ranks per closed-form evaluation.  At 8k points
+# each of the evaluator's float temporaries is 64 KiB.
 _GRID_BLOCK_POINTS = 8192
 
+# Lattice points per side of a grid cell, the box one pair of corner
+# evaluations bounds (the last cell of an axis may be shorter).  4-point
+# cells rank about as fast and 8-point cells 3x slower.
+_GRID_CELL = 5
 
-def _lattice_blocks(axis: np.ndarray):
-    """The {a >= c} lattice over ``axis`` in lexicographic (a, b, c) order.
+# The corner expectations are widened by this relative margin before they
+# bound their cell: the margin covers the rounding of the double-precision
+# evaluator, whose values are monotone only up to it.
+_CORNER_MARGIN = 1e-4
 
-    Yields (a, b, c) arrays, one per block of consecutive a-slices; the
-    slice at axis[i] holds len(axis) * (i + 1) points.
-    """
-    n = len(axis)
-    stop = 0
-    while stop < n:
-        start, size = stop, 0
-        while stop < n and (size == 0
-                            or size + n * (stop + 1) <= _GRID_BLOCK_POINTS):
-            size += n * (stop + 1)
-            stop += 1
-        slices = range(start, stop)
-        yield (np.repeat(axis[start:stop], [n * (i + 1) for i in slices]),
-               np.concatenate([np.repeat(axis, i + 1) for i in slices]),
-               np.concatenate([np.tile(axis[:i + 1], n) for i in slices]))
+# A cell is ranked while its bound is at most the threshold times
+# (1 + _THRESHOLD_SLACK), which absorbs the last few ulps of the comparison.
+_THRESHOLD_SLACK = 1e-12
+
+
+def _in_blocks(parts, size: int):
+    """The index arrays of ``parts``, concatenated in order and cut into
+    consecutive blocks of at most ``size``."""
+    held = np.empty(0, dtype=np.intp)
+    for part in parts:
+        held = np.concatenate((held, part)) if held.size else part
+        while held.size >= size:
+            yield held[:size]
+            held = held[size:]
+    if held.size:
+        yield held
 
 
 def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
-    """Exhaustive sweep of an equally spaced grid on {[0,1]^3 : a >= c},
-    for every problem at once.
+    """The first minimum of an equally spaced grid on {[0,1]^3 : a >= c},
+    for every problem at once, by branch and bound over cells.
 
     Returns one entry per problem: its FitResult, or the ValueError that
-    rejected it.  The lattice is walked once.  Each block's bases are
-    built once, its closed forms are taken once per distinct power, and
-    the batch's scorer ranks the block for each problem at its own power,
-    so every problem gets the argmin and objective it gets alone.
+    rejected it.  The lattice is split into cells of ``_GRID_CELL`` points
+    per axis, keeping those that hold a point with a >= c.  Every expected
+    count is a polynomial with nonnegative coefficients in (a, b, c), so
+    over a cell it lies between its values at the cell's low and high
+    corners, and every objective term falls as E nears F and rises beyond
+    it.  So the batch's scorer at E = clip(F, E_lo, E_hi), with the corner
+    values widened by ``_CORNER_MARGIN``, bounds a cell from below.  Each
+    problem's threshold is its best corner objective (every corner is a
+    lattice point with a >= c).  For each distinct power, only the points
+    of cells whose bound is within the threshold of some problem at that
+    power are ranked, a-row of cells by a-row in lexicographic order, in
+    blocks of at most ``_GRID_BLOCK_POINTS``, on the evaluator and scorer
+    a whole-lattice sweep would use.  A pruned point scores above the
+    threshold, so each problem gets the first minimum of the whole
+    lattice, the argmin and objective it gets alone.
     """
     out = [None] * len(problems)
     fits = []  # (index, problem, features matched)
@@ -355,22 +373,73 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
         return out
 
     score = _scorer(spec, [p.obs for _, p, _ in fits])
-    winners = [[] for _ in fits]  # (objective, a, b, c) per block
-    at_power = {}  # r -> [(j, winners), ...] of the fits j at power r
-    for j, ((_, p, _), won) in enumerate(zip(fits, winners)):
-        at_power.setdefault(p.r, []).append((j, won))
-    axis = np.linspace(0.0, 1.0, grid_points)
-    for aa, bb, cc in _lattice_blocks(axis):
-        for values, ranked in zip(closed_form_by_power(aa, bb, cc, at_power),
+    observed = [[float(p.obs.get(f)) for f in FEATURE_NAMES]
+                for _, p, _ in fits]
+    at_power = {}  # r -> the fits j at power r
+    for j, (_, p, _) in enumerate(fits):
+        at_power.setdefault(p.r, []).append(j)
+    n = grid_points
+    axis = np.linspace(0.0, 1.0, n)
+    k = -(-n // _GRID_CELL)  # cells per axis
+    low = np.arange(k) * _GRID_CELL
+    high = np.minimum(low + _GRID_CELL - 1, n - 1)
+    # an a-row of cells holds (b, c) cells with c's lowest index at most
+    # a's highest, in lexicographic order; cells are numbered a-row by a-row
+    first_cell = k * np.arange(k + 1) * np.arange(1, k + 2) // 2
+
+    def row_cells(i):
+        return ((i * k + np.arange(k)[:, None]) * k + np.arange(i + 1)).ravel()
+
+    def row_points(live, i):
+        """The lattice indices of the points of row i's live cells, in
+        lexicographic order."""
+        cells = live[first_cell[i]:first_cell[i + 1]].reshape(k, i + 1)
+        b = np.flatnonzero(cells.any(axis=1)[np.arange(n) // _GRID_CELL])
+        a = np.arange(low[i], high[i] + 1)
+        c = np.arange(high[i] + 1)
+        keep = (cells[np.ix_(b // _GRID_CELL, c // _GRID_CELL)]
+                & (c <= a[:, None, None]))
+        ia, ib, ic = np.nonzero(keep)
+        return (a[ia] * n + b[ib]) * n + ic
+
+    # the corners, all lattice points with a >= c: each problem's threshold
+    # is its best corner, and each cell's bound is kept, one float per cell
+    # and problem
+    threshold = [np.inf] * len(fits)
+    bounds = [[] for _ in fits]
+    for cells in _in_blocks(map(row_cells, range(k)), _GRID_BLOCK_POINTS // 2):
+        corners = [axis[np.concatenate((low[idx], high[idx]))]
+                   for idx in np.unravel_index(cells, (k, k, k))]
+        for values, ranked in zip(closed_form_by_power(*corners, at_power),
                                   at_power.values()):
-            for j, won in ranked:
+            lo = [v[:cells.size] * (1.0 - _CORNER_MARGIN) for v in values]
+            hi = [v[cells.size:] * (1.0 + _CORNER_MARGIN) for v in values]
+            for j in ranked:
+                threshold[j] = min(threshold[j], float(score(values, j).min()))
+                bounds[j].append(score(
+                    [np.clip(F, l, h) for F, l, h in zip(observed[j], lo, hi)],
+                    j))
+    bounds = [np.concatenate(b) for b in bounds]
+
+    winners = [[] for _ in fits]  # (objective, lattice index) per block
+    for r, ranked in at_power.items():
+        live = np.zeros(first_cell[-1], dtype=bool)
+        for j in ranked:
+            live |= bounds[j] <= threshold[j] * (1.0 + _THRESHOLD_SLACK)
+        for points in _in_blocks((row_points(live, i) for i in range(k)),
+                                 _GRID_BLOCK_POINTS):
+            values = closed_form_values(
+                *(axis[x] for x in np.unravel_index(points, (n, n, n))), r)
+            for j in ranked:
                 total = score(values, j)
                 idx = int(np.argmin(total))
-                won.append((total[idx], aa[idx], bb[idx], cc[idx]))
+                winners[j].append((total[idx], points[idx]))
     for (i, p, feats), won in zip(fits, winners):
         # argmin takes the first minimum, so the earliest block wins a tie
-        _, a, b, c = won[int(np.argmin([w[0] for w in won]))]
-        params = KroneckerParams(float(a), float(b), float(c), p.r)
+        point = won[int(np.argmin([w[0] for w in won]))][1]
+        a, b, c = (float(axis[x])
+                   for x in np.unravel_index(point, (n, n, n)))
+        params = KroneckerParams(a, b, c, p.r)
         out[i] = _finish(params, spec, p.obs, "grid", fitted=feats)
     return out
 
@@ -381,22 +450,23 @@ def fit_grid(
     spec: ObjectiveSpec | None = None,
     grid_points: int = 100,
 ) -> FitResult:
-    """Exhaustive sweep of an equally spaced grid on {[0,1]^3 : a >= c}.
+    """The minimum of an equally spaced grid on {[0,1]^3 : a >= c}.
 
     Ties are broken toward the lexicographically smallest (a, b, c).
     grid_points counts points per axis inclusive of both endpoints; 101
     gives the exact hundredths lattice.  The lattice is ranked in double
-    precision by ``closed_form_by_power``, the closed forms the direct
+    precision by ``closed_form_values``, the closed forms the direct
     fit's simplices use.  The reported objective of the winning point is
     scored on ``expected_counts``, correctly rounded.
 
-    The lattice is walked in lexicographic order, in blocks of whole
-    a-slices of at most about 8k points, and never built whole: the
-    evaluator's temporaries span one block, so memory grows with the
-    largest a-slice (grid_points^2 points), not with the lattice.  Each
-    block's first minimum competes with the other blocks' in walk order,
-    so the winner is the first minimum over the whole lattice.  This is a
-    batch of one (``_fit_grid_batch``).
+    Only the lattice cells whose corners admit an objective no worse than
+    the best corner's are ranked (branch and bound; see
+    ``_fit_grid_batch``), in lexicographic order, in blocks of at most
+    about 8k points, and the lattice is never built whole.  The winner is
+    still the first minimum over the whole lattice.  Memory grows with an
+    a-row of cells (5 * grid_points^2 flags) and with one bound per cell
+    (about grid_points^3 / 250), not with the lattice, even when nothing
+    is pruned.  This is a batch of one (``_fit_grid_batch``).
     """
     return _one("grid", FitProblem(obs, r), spec, grid_points)
 

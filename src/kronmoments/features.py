@@ -11,6 +11,7 @@ checked in bounded chunks with numpy sorts and searches in int64.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -29,9 +30,10 @@ class FeatureCounts:
 
     Whole-graph counts are integers.  Estimator entry points also accept
     real-valued instances (e.g. model expectations injected as synthetic
-    observations); nothing downstream assumes integrality.  ``from_dict``
-    still requires a whole number of vertices, at most 2**MAX_POWER, and
-    stores it as an int, and no other count above 2**(4 * MAX_POWER).
+    observations); nothing downstream assumes integrality.  Every count
+    must be a finite real number >= 0, and none above 2**(4 * MAX_POWER);
+    the vertices must be a whole number, at most 2**MAX_POWER, and are
+    stored as an int.  Anything else raises ValueError naming the count.
     """
 
     vertices: int
@@ -39,6 +41,28 @@ class FeatureCounts:
     hairpins: int
     tripins: int
     triangles: int
+
+    def __post_init__(self):
+        for key, v in self.to_dict().items():
+            # False for NaN; the upper bound also rejects inf and integers
+            # too large for a float
+            if (not isinstance(v, numbers.Real) or isinstance(v, bool)
+                    or not 0 <= v <= sys.float_info.max):
+                raise ValueError(
+                    f"count {key!r} must be a finite number >= 0, got {v!r}")
+            if key == "vertices" and v != int(v):
+                raise ValueError(
+                    f"count 'vertices' must be a whole number, got {v!r}")
+            # no power r <= MAX_POWER has 2^r vertices for more
+            if key == "vertices" and v > 2 ** MAX_POWER:
+                raise ValueError(f"count 'vertices' must be at most "
+                                 f"2**{MAX_POWER}, got {v!r}")
+            # nor more than n^4 of any feature: 3-stars top out near n^4/6
+            if v > 2 ** (4 * MAX_POWER):
+                raise ValueError(f"count {key!r} must be at most "
+                                 f"2**{4 * MAX_POWER}, got {v!r}")
+        # 8192.0 prints as 8192
+        object.__setattr__(self, "vertices", int(self.vertices))
 
     def get(self, feature: str) -> int:
         return getattr(self, feature)
@@ -54,29 +78,8 @@ class FeatureCounts:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureCounts":
-        values = {}
-        for key in ("vertices", "edges", "hairpins", "tripins", "triangles"):
-            v = d[key]
-            # False for NaN; the upper bound also rejects inf and integers
-            # too large for a float
-            if (not isinstance(v, (int, float)) or isinstance(v, bool)
-                    or not 0 <= v <= sys.float_info.max):
-                raise ValueError(
-                    f"count {key!r} must be a finite number >= 0, got {v!r}")
-            if key == "vertices" and v != int(v):
-                raise ValueError(
-                    f"count 'vertices' must be a whole number, got {v!r}")
-            # no power r <= MAX_POWER has 2^r vertices for more
-            if key == "vertices" and v > 2 ** MAX_POWER:
-                raise ValueError(f"count 'vertices' must be at most "
-                                 f"2**{MAX_POWER}, got {v!r}")
-            # nor more than n^4 of any feature: 3-stars top out near n^4/6
-            if v > 2 ** (4 * MAX_POWER):
-                raise ValueError(f"count {key!r} must be at most "
-                                 f"2**{4 * MAX_POWER}, got {v!r}")
-            values[key] = v
-        values["vertices"] = int(values["vertices"])  # 8192.0 prints as 8192
-        return cls(**values)
+        return cls(d["vertices"], d["edges"], d["hairpins"], d["tripins"],
+                   d["triangles"])
 
 
 def read_counts_json(path) -> FeatureCounts:

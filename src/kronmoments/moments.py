@@ -213,8 +213,8 @@ def closed_form_values(a, b, c, r) -> list:
 
     In plain double precision, clamped at zero: where the signed terms
     nearly cancel, a value keeps only some of its digits.  (a, b, c) may be
-    floats or numpy arrays; a grid sweep passes a block of the lattice at
-    once.  ``r`` is one power, or an integer array that gives each point
+    floats or numpy arrays; the grid passes a block of its live lattice
+    points at once.  ``r`` is one power, or an integer array that gives each point
     of 1-d arrays (a, b, c) its own power, as a lockstep simplex over
     several problems does.  Every power is taken with a float exponent
     array, so a point has the same bits whichever form of ``r`` asked for
@@ -226,9 +226,9 @@ def closed_form_values(a, b, c, r) -> list:
 def closed_form_by_power(a, b, c, powers):
     """Yield ``closed_form_values(a, b, c, r)`` for each r of ``powers``.
 
-    The bases are built once, so a grid sweep ranks a lattice block at
-    several powers for the cost of the powers alone, and holds one power's
-    values at a time.
+    The bases are built once, so the grid evaluates a block of its cell
+    corners at several powers for the cost of the powers alone, and holds
+    one power's values at a time.
     """
     bases = _closed_form_bases(a, b, c)
     for r in powers:

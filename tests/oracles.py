@@ -13,6 +13,9 @@
   check.
 - ``plain_objective`` is the fit objective of one problem as a plain sum
   over its features, written without the package's scorer.
+- ``grid_oracle`` is the grid fit as one argmin over the whole a >= c
+  lattice (``whole_lattice``), built at once with no blocks and no
+  pruning.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from kronmoments.moments import (
     KroneckerParams,
     _TERMS,
     _closed_form_bases,
+    closed_form_values,
+    expected_counts,
 )
 
 # brute_force_expected builds the full 2^r x 2^r matrix.
@@ -274,3 +279,21 @@ def plain_objective(spec, obs):
         return total
 
     return objective
+
+
+def whole_lattice(points_per_dim):
+    """The a >= c grid lattice, built whole: meshgrid, then the mask."""
+    axis = np.linspace(0.0, 1.0, points_per_dim)
+    aa, bb, cc = (g.ravel() for g in
+                  np.meshgrid(axis, axis, axis, indexing="ij"))
+    keep = aa >= cc  # flattened order is lexicographic in (a, b, c)
+    return aa[keep], bb[keep], cc[keep]
+
+
+def grid_oracle(obs, r, spec, points_per_dim):
+    """The grid fit as one argmin over the whole lattice, and its objective."""
+    aa, bb, cc = whole_lattice(points_per_dim)
+    objective = plain_objective(spec, obs)
+    idx = int(np.argmin(objective(closed_form_values(aa, bb, cc, r))))
+    a, b, c = float(aa[idx]), float(bb[idx]), float(cc[idx])
+    return (a, b, c), objective(expected_counts(a, b, c, r))

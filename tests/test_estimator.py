@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from kronmoments.estimator import (
+    _CORNER_MARGIN,
     _GRID_BLOCK_POINTS,
+    _GRID_CELL,
     FitFailure,
     FitProblem,
     LeadingTermInfeasible,
     ObjectiveSpec,
     _fit_direct_batch,
     _fit_grid_batch,
-    _lattice_blocks,
     _nelder_mead_lockstep,
     _scorer,
     compute_leading_transforms,
@@ -32,7 +33,7 @@ from kronmoments.moments import (
     expected_counts,
     expected_features,
 )
-from oracles import plain_objective
+from oracles import grid_oracle, plain_objective, whole_lattice
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -274,36 +275,36 @@ class TestScorer:
         assert np.isposinf(score(values, 0)[:2]).all()
 
 
-def whole_lattice(points_per_dim):
-    """The a >= c grid lattice, built whole: meshgrid, then the mask."""
-    axis = np.linspace(0.0, 1.0, points_per_dim)
-    aa, bb, cc = (g.ravel() for g in
-                  np.meshgrid(axis, axis, axis, indexing="ij"))
-    keep = aa >= cc  # flattened order is lexicographic in (a, b, c)
-    return aa[keep], bb[keep], cc[keep]
+def ranked_blocks(monkeypatch):
+    """The (a, b, c) blocks the grid ranks, recorded as it ranks them."""
+    import kronmoments.estimator as estimator
 
+    blocks = []
 
-def grid_oracle(obs, r, spec, points_per_dim):
-    """The grid fit as one argmin over the whole lattice, and its objective."""
-    aa, bb, cc = whole_lattice(points_per_dim)
-    objective = plain_objective(spec, obs)
-    idx = int(np.argmin(objective(closed_form_values(aa, bb, cc, r))))
-    a, b, c = float(aa[idx]), float(bb[idx]), float(cc[idx])
-    return (a, b, c), objective(expected_counts(a, b, c, r))
+    def recorded(a, b, c, r):
+        blocks.append((a.copy(), b.copy(), c.copy()))
+        return closed_form_values(a, b, c, r)
+
+    monkeypatch.setattr(estimator, "closed_form_values", recorded)
+    return blocks
 
 
 class TestFitGrid:
     @pytest.mark.parametrize("points_per_dim", [2, 3, 11, 41, 101])
-    def test_blocks_walk_the_whole_lattice(self, points_per_dim):
-        axis = np.linspace(0.0, 1.0, points_per_dim)
-        blocks = list(_lattice_blocks(axis))
+    def test_blocks_walk_the_whole_lattice(self, points_per_dim,
+                                           monkeypatch):
+        # every point scores +inf at r = 0 under dsq-e, so no cell is
+        # pruned and the grid ranks the whole lattice, in blocks
+        blocks = ranked_blocks(monkeypatch)
+        obs = FeatureCounts(1, 1, 1, 1, 1)
+        res = fit_grid(obs, 0, ObjectiveSpec.from_code("dsq-e"),
+                       grid_points=points_per_dim)
+        assert res.objective_value == math.inf
+        assert (res.params.a, res.params.b, res.params.c) == (0.0, 0.0, 0.0)
         for got, want in zip(map(np.concatenate, zip(*blocks)),
                              whole_lattice(points_per_dim)):
             assert np.array_equal(got, want)
-        # whole a-slices, packed up to the block size
-        largest_slice = points_per_dim * points_per_dim
-        assert all(len(a) <= max(_GRID_BLOCK_POINTS, largest_slice)
-                   for a, _, _ in blocks)
+        assert all(len(a) <= _GRID_BLOCK_POINTS for a, _, _ in blocks)
 
     @pytest.mark.parametrize("code", ["dsq-f2", "dsq-e", "dabs-f"])
     @pytest.mark.parametrize("points_per_dim", [2, 3, 11, 41, 101])
@@ -347,12 +348,13 @@ class TestFitGrid:
         res = fit_grid(obs, 4, spec, grid_points=5)
         assert (res.params.a, res.params.b, res.params.c) == (0.0, 0.0, 0.0)
 
-    def test_tie_across_blocks_goes_to_the_first(self):
-        # the b=0 plane again, now with a zero in every block of the sweep
+    def test_tie_across_blocks_goes_to_the_first(self, monkeypatch):
+        # the b=0 plane again, now with a zero in several ranked blocks
+        blocks = ranked_blocks(monkeypatch)
         obs = FeatureCounts(16, 0, 0, 0, 0)
         spec = ObjectiveSpec(distance="sq", normalization="e")
-        assert len(list(_lattice_blocks(np.linspace(0.0, 1.0, 101)))) > 1
         res = fit_grid(obs, 4, spec, grid_points=101)
+        assert sum((b == 0.0).any() for _, b, _ in blocks) > 1
         assert (res.params.a, res.params.b, res.params.c) == (0.0, 0.0, 0.0)
         assert grid_oracle(obs, 4, spec, 101)[0] == (0.0, 0.0, 0.0)
 
@@ -371,6 +373,101 @@ class TestFitGrid:
     def test_needs_three_features(self):
         with pytest.raises(ValueError):
             fit_grid(GRQC, 13, ObjectiveSpec(features=("edges", "hairpins")))
+
+
+def oracle_cases(code, points_per_dim):
+    """(counts, r) problems for the grid under ``code``.
+
+    Seeded random counts, one with a feature observed as 0; counts equal to
+    the expectations at a lattice point, where the objective is about 0;
+    and lattices of exact ties: at r = 0 every expectation is 0, so every
+    point ties (+inf under e and e2), and zero counts tie on the b = 0
+    plane under e and e2 (under f and f2 they leave nothing to fit).
+    """
+    rng = np.random.default_rng(points_per_dim)
+    axis = np.linspace(0.0, 1.0, points_per_dim)
+    cases = []
+    for _ in range(4):
+        r = int(rng.integers(2, 22))
+        c, b, a = np.sort(rng.random(3)).tolist()
+        noisy = [e * math.exp(rng.normal(0.0, 0.5))
+                 for e in expected_counts(a, b, c, r)]
+        cases.append((FeatureCounts(2 ** r, *noisy), r))
+    cases.append((FeatureCounts(128, 50, 40, 10, 0), 7))
+    point = KroneckerParams(axis[-2], axis[points_per_dim // 2], axis[1], 9)
+    cases.append((expectations_as_counts(point), 9))
+    cases.append((FeatureCounts(1, 1, 1, 1, 1), 0))
+    if code.endswith(("-e", "-e2")):
+        cases.append((FeatureCounts(16, 0, 0, 0, 0), 4))
+    return cases
+
+
+class TestPrunedGrid:
+    """The pruned grid against the exhaustive sweep (``grid_oracle``)."""
+
+    @pytest.mark.parametrize("code", OBJECTIVE_CODES)
+    @pytest.mark.parametrize("points_per_dim", [11, 21, 23])
+    def test_matches_the_whole_lattice_sweep(self, points_per_dim, code):
+        # 11 and 21 points end each axis on a cell of one point, 23 on one
+        # of three
+        spec = ObjectiveSpec.from_code(code)
+        problems = [FitProblem(obs, r)
+                    for obs, r in oracle_cases(code, points_per_dim)]
+        for p, res in zip(problems,
+                          _fit_grid_batch(problems, spec, points_per_dim)):
+            params, objective = grid_oracle(p.obs, p.r, spec, points_per_dim)
+            assert (res.params.a, res.params.b, res.params.c) == params
+            assert res.objective_value == objective
+
+    @pytest.mark.parametrize("code", OBJECTIVE_CODES)
+    def test_nothing_pruned_still_ranks_in_blocks(self, code, monkeypatch):
+        # at r = 0 every point scores +inf under e and e2 and ties under f
+        # and f2: no cell is pruned
+        blocks = ranked_blocks(monkeypatch)
+        spec = ObjectiveSpec.from_code(code)
+        problems = [FitProblem(FeatureCounts(1, 1, 1, 1, 1), 0),
+                    FitProblem(FeatureCounts(2, 1, 3, 0, 2), 0)]
+        for p, res in zip(problems, _fit_grid_batch(problems, spec, 41)):
+            assert ((res.params.a, res.params.b, res.params.c)
+                    == grid_oracle(p.obs, 0, spec, 41)[0] == (0.0, 0.0, 0.0))
+        for got, want in zip(map(np.concatenate, zip(*blocks)),
+                             whole_lattice(41)):
+            assert np.array_equal(got, want)
+        assert len(blocks) > 1
+        assert all(len(a) <= _GRID_BLOCK_POINTS for a, _, _ in blocks)
+
+    def test_ranks_a_small_share_of_the_lattice(self, monkeypatch):
+        blocks = ranked_blocks(monkeypatch)
+        res = fit_grid(GRQC, 13, ObjectiveSpec(), grid_points=101)
+        assert (res.params.a, res.params.b, res.params.c) == \
+            grid_oracle(GRQC, 13, ObjectiveSpec(), 101)[0]
+        ranked = sum(len(a) for a, _, _ in blocks)
+        assert 0 < ranked < 0.1 * len(whole_lattice(101)[0])
+
+    @pytest.mark.parametrize("r", [2, 5, 13, 14, 17, 21, 40, 60])
+    def test_cells_hold_their_points_expectations(self, r):
+        # each expected count is nondecreasing in a, b and c, so a point's
+        # lies between its cell's corner values; in double precision only
+        # up to the corners' widening, which must cover the rounding
+        n = 101
+        axis = np.linspace(0.0, 1.0, n)
+        cells = -(-n // _GRID_CELL)
+        low = np.arange(cells) * _GRID_CELL
+        high = np.minimum(low + _GRID_CELL - 1, n - 1)
+        corner = {name: closed_form_values(
+            *np.meshgrid(axis[ends], axis[ends], axis[ends], indexing="ij"),
+            r) for name, ends in (("low", low), ("high", high))}
+        index = np.arange(n)
+        for row in range(cells):
+            a = index[low[row]:high[row] + 1]
+            ia, b, c = np.nonzero(np.repeat(index <= a[:, None, None], n,
+                                            axis=1))
+            a = a[ia]
+            cell = (a // _GRID_CELL, b // _GRID_CELL, c // _GRID_CELL)
+            values = closed_form_values(axis[a], axis[b], axis[c], r)
+            for v, lo, hi in zip(values, corner["low"], corner["high"]):
+                assert (v >= lo[cell] * (1.0 - _CORNER_MARGIN)).all()
+                assert (v <= hi[cell] * (1.0 + _CORNER_MARGIN)).all()
 
 
 class TestFitDirect:

@@ -1,6 +1,8 @@
+import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from kronmoments.features import (
     FeatureCounts,
@@ -134,3 +136,26 @@ def test_ids_out_of_degree_order():
         assert (fc.edges, fc.hairpins, fc.tripins, fc.triangles) == \
             brute_force_counts(a)
         assert fc.triangles > 0
+
+
+def test_counts_are_checked_on_construction():
+    # a library caller gets the check the JSON reader does: 1e300 edges
+    # would square to inf in an f2 scale and score NaN
+    with pytest.raises(ValueError,
+                       match=r"count 'edges' must be at most 2\*\*240"):
+        FeatureCounts(8192, 1e300, 40000, 100000, 500)
+    for args, message in [
+            ((8192, 10, -1, 0, 0), "count 'hairpins' must be a finite"),
+            ((8192, 10, 5, math.nan, 0), "count 'tripins' must be a finite"),
+            ((8192, 10, 5, 3, math.inf), "count 'triangles' must be a finite"),
+            ((8192, True, 5, 3, 1), "count 'edges' must be a finite"),
+            ((8192, "10", 5, 3, 1), "count 'edges' must be a finite"),
+            ((2.5, 10, 5, 3, 1), "count 'vertices' must be a whole number"),
+            ((2 ** 61, 10, 5, 3, 1), "count 'vertices' must be at most")]:
+        with pytest.raises(ValueError, match=message):
+            FeatureCounts(*args)
+    # real-valued counts and numpy scalars are accepted; the vertices are
+    # stored as an int
+    counts = FeatureCounts(np.float64(8192.0), 10.5, np.int64(5), 3, 2 ** 240)
+    assert type(counts.vertices) is int and counts.vertices == 8192
+    assert FeatureCounts.from_dict(counts.to_dict()) == counts
