@@ -26,6 +26,8 @@ from .moments import (
     FEATURE_NAMES,
     ExpectedFeatures,
     KroneckerParams,
+    _MULTIPLES,
+    _closed_form_bases,
     check_power,
     closed_form_by_power,
     closed_form_values,
@@ -717,10 +719,8 @@ def compute_leading_transforms(obs: FeatureCounts, r: int) -> LeadingTransforms:
             f"4E^2 = {4 * E * E} exceeds 2^(r+1) H = {(2 ** (r + 1)) * H}: "
             "degree variance below degree mean, no real-valued solution"
         )
-    e = (2.0 * E) ** (1.0 / r)
-    h = (2.0 * H) ** (1.0 / r)
-    delta = (6.0 * obs.triangles) ** (1.0 / r) if obs.triangles > 0 else 0.0
-    t = (6.0 * obs.tripins) ** (1.0 / r) if obs.tripins > 0 else 0.0
+    e, h, t, delta = ((m * float(obs.get(f))) ** (1.0 / r)
+                      for f, m in zip(FEATURE_NAMES, _MULTIPLES))
     root = math.sqrt(max(2.0 * h - e * e, 0.0))
     return LeadingTransforms(
         e=e, h=h, delta=delta, t=t,
@@ -745,10 +745,9 @@ def _leading(problem: FitProblem, spec: ObjectiveSpec) -> FitResult:
     b_grid = np.linspace(0.0, 1.0, _B_STEPS + 1)
     a_grid = np.clip(transforms.x_hat - b_grid, 0.0, 1.0)
     c_grid = np.clip(transforms.y_hat - b_grid, 0.0, 1.0)
-    mismatch = np.abs(
-        a_grid ** 3 + c_grid ** 3 + 3.0 * b_grid ** 2 * (a_grid + c_grid)
-        - transforms.delta
-    )
+    # base 13 is the triangle form's leading base, a^3 + c^3 + 3 b^2 (a + c)
+    mismatch = np.abs(_closed_form_bases(a_grid, b_grid, c_grid)[13]
+                      - transforms.delta)
     best_val = mismatch.min()
     ties = np.nonzero(mismatch == best_val)[0]
     key = min((a_grid[i], b_grid[i], c_grid[i]) for i in ties)
@@ -779,9 +778,9 @@ def fit_leading(
     a(b) = x_hat - b and c(b) = y_hat - b (clamped to [0, 1]) satisfy the
     leading edge and hairpin equations; b is then chosen on a uniform grid
     of step 1e-4 to minimize |a^3 + c^3 + 3 b^2 (a + c) - delta|, the
-    leading triangle mismatch.  ``spec`` only selects the objective
-    reported on the result (default squared relative errors over all four
-    features).  This is a batch of one (``_fit_leading_batch``).
+    leading triangle mismatch, base 13 of ``_closed_form_bases``.  ``spec``
+    selects only the reported objective (default squared relative errors
+    over all four features).  This is a batch of one (``_fit_leading_batch``).
     """
     return _one("leading", FitProblem(obs, r), spec)
 

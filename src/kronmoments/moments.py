@@ -87,7 +87,7 @@ class ExpectedFeatures:
 
 
 def _closed_form_bases(a, b, c):
-    """The 15 distinct bases of the four closed forms, in ``_TERMS`` order.
+    """The 14 distinct bases of the four closed forms, in ``_TERMS`` order.
 
     Works for numpy arrays, ints and Fractions alike.  Shared
     subexpressions are factored so that the degenerate identities (b = 0,
@@ -117,22 +117,22 @@ def _closed_form_bases(a, b, c):
         ab2 * ab + bc2 * bc, a * ab2 + c * bc2,
         q3 + bq2 + b2s + twob3, q3 + twob3, q3 + b2s, q3 + bq2,
         q3,
-        # triangles, which end on q3 too
-        q3 + 3 * b2 * s, a * (aa + b2) + c * (b2 + cc),
+        # triangles, which also take bases 10 and 12
+        q3 + 3 * b2 * s,
     )
 
 
 # The signed (coefficient, base index) terms of 2E(edges), 2E(hairpins),
 # 6E(tripins) and 6E(triangles), in FEATURE_NAMES order; each index points
-# into ``_closed_form_bases``, so q3 (index 12) is raised once for both the
-# tripins and the triangles.  The pair-collapsed tripin coefficients are
+# into ``_closed_form_bases``, so bases 10 and 12 are raised once for both
+# the tripins and the triangles.  The pair-collapsed tripin coefficients are
 # (2, 3, 6): the three two-block partitions of four indices with the tail
 # exchangeable collapse as 2x(jjj) + 3x(iijj-type) + 6x(iiij-type).
 _TERMS = (
     ((1, 0), (-1, 1)),
     ((1, 2), (-2, 3), (-1, 4), (2, 5)),
     ((1, 6), (-3, 7), (-3, 8), (2, 9), (3, 10), (6, 11), (-6, 12)),
-    ((1, 13), (-3, 14), (2, 12)),
+    ((1, 13), (-3, 10), (2, 12)),
 )
 
 # Each closed form is this multiple of its feature's expected count, and
@@ -141,9 +141,9 @@ _MULTIPLES = (2, 2, 6, 6)
 _DEGREES = (1, 2, 3, 3)
 
 
-# The bases whose power more than one closed form takes: q3 (index 12).
+# The bases whose power more than one closed form takes: indices 10 and 12.
 _REUSED = frozenset(
-    k for k in range(15)
+    k for k in range(14)
     if sum(any(j == k for _, j in terms) for terms in _TERMS) > 1)
 
 
@@ -180,10 +180,10 @@ def _combine(terms, power):
 def _values(bases, r) -> list:
     """The four clamped closed forms of ``bases`` at power ``r``.
 
-    Each base is raised when its form first needs it, and only q3's power
-    outlives its form, so a block holds a few power arrays, not 15.  Every
-    value is combined, divided and clamped in place; with float bases the
-    values are numpy floats.
+    Each base is raised when its form first needs it, and only the powers
+    the triangles reuse outlive the tripins, so a block holds a few power
+    arrays, not 14.  Every value is combined, divided and clamped in place;
+    with float bases the values are numpy floats.
     """
     # one float exponent per value, so every form of r runs numpy's
     # elementwise power loop and none reaches its squaring fast path; the

@@ -16,10 +16,14 @@
 - ``grid_oracle`` is the grid fit as one argmin over the whole a >= c
   lattice (``whole_lattice``), built at once with no blocks and no
   pruning.
+- ``leading_oracle`` is the leading-term fit with its four roots and its
+  triangle mismatch written out by hand, not read from the closed forms'
+  tables.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, permutations
@@ -297,3 +301,28 @@ def grid_oracle(obs, r, spec, points_per_dim):
     idx = int(np.argmin(objective(closed_form_values(aa, bb, cc, r))))
     a, b, c = float(aa[idx]), float(bb[idx]), float(cc[idx])
     return (a, b, c), objective(expected_counts(a, b, c, r))
+
+
+def leading_oracle(obs, r):
+    """The leading-term fit of a feasible problem, written out by hand.
+
+    Returns the point (a, b, c), the transforms (e, h, delta, t, x_hat,
+    y_hat) and the least triangle mismatch.  Each count is made a double
+    before it is scaled, and b sweeps [0, 1] in steps of 1e-4; of the points
+    with the least |a^3 + c^3 + 3 b^2 (a + c) - delta|, the least (a, b, c)
+    wins.
+    """
+    e = (2.0 * obs.edges) ** (1.0 / r)
+    h = (2.0 * obs.hairpins) ** (1.0 / r)
+    delta = (6.0 * obs.triangles) ** (1.0 / r) if obs.triangles > 0 else 0.0
+    t = (6.0 * obs.tripins) ** (1.0 / r) if obs.tripins > 0 else 0.0
+    root = math.sqrt(max(2.0 * h - e * e, 0.0))
+    x_hat, y_hat = (e + root) / 2.0, (e - root) / 2.0
+    b = np.linspace(0.0, 1.0, 10_001)
+    a = np.clip(x_hat - b, 0.0, 1.0)
+    c = np.clip(y_hat - b, 0.0, 1.0)
+    mismatch = np.abs(a ** 3 + c ** 3 + 3.0 * b ** 2 * (a + c) - delta)
+    best = mismatch.min()
+    point = min((float(a[i]), float(b[i]), float(c[i]))
+                for i in np.nonzero(mismatch == best)[0])
+    return point, (e, h, delta, t, x_hat, y_hat), float(best)

@@ -33,7 +33,7 @@ from kronmoments.moments import (
     expected_counts,
     expected_features,
 )
-from oracles import grid_oracle, plain_objective, whole_lattice
+from oracles import grid_oracle, leading_oracle, plain_objective, whole_lattice
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -793,6 +793,60 @@ class TestFitLeading:
             assert feasible == variance_ok
             seen[feasible] += 1
         assert seen[True] and seen[False]  # both branches exercised
+
+    @staticmethod
+    def assert_matches_oracle(obs, r):
+        (a, b, c), _, mismatch = leading_oracle(obs, r)
+        res = fit_leading(obs, r)
+        assert (res.params.a, res.params.b, res.params.c) == (a, b, c)
+        # the shared base may round differently in its last bits
+        delta = res.diagnostics["transforms"]["delta"]
+        assert res.diagnostics["delta_mismatch"] == pytest.approx(
+            mismatch, rel=0.0, abs=1e-14 * max(delta, 1.0))
+
+    def test_matches_hand_written_sweep_on_random_problems(self):
+        # the mismatch read from the shared bases picks the point that the
+        # hand-written a^3 + c^3 + 3 b^2 (a + c) picks
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 300:
+            a, b, c = rng.random(3)
+            r = int(rng.integers(1, 23))
+            noise = np.exp(rng.normal(0.0, 0.3, 4))
+            counts = [float(x) for x in np.array(
+                expected_counts(max(a, c), b, min(a, c), r)) * noise]
+            obs = FeatureCounts(2 ** r, *counts)
+            if obs.triangles <= 0:
+                continue
+            try:
+                compute_leading_transforms(obs, r)
+            except LeadingTermInfeasible:
+                continue
+            self.assert_matches_oracle(obs, r)
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "path", sorted(FIXTURES.glob("*.counts.json")), ids=lambda p: p.name)
+    def test_matches_hand_written_sweep_on_fixtures(self, path):
+        from kronmoments.graph_io import choose_r
+
+        obs = FeatureCounts.from_dict(json.loads(path.read_text()))
+        r = choose_r(obs.vertices)
+        if path.name == "usroads.counts.json":
+            with pytest.raises(LeadingTermInfeasible):
+                fit_leading(obs, r)
+            return
+        self.assert_matches_oracle(obs, r)
+
+    @pytest.mark.parametrize("r", [1, 2, 13])
+    def test_transforms_scale_counts_as_doubles(self, r):
+        # 6 * (2**53 + 1) in Python ints rounds to another double than
+        # 6.0 * (2**53 + 1) does; at r = 1 the root keeps the difference
+        big = 2 ** 53 + 1
+        obs = FeatureCounts(2, 10, 150, big, big)
+        _, want, _ = leading_oracle(obs, r)
+        got = compute_leading_transforms(obs, r)
+        assert (got.e, got.h, got.delta, got.t, got.x_hat, got.y_hat) == want
 
 
 class TestFitBest:

@@ -1,6 +1,7 @@
 import json
 import math
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from kronmoments.features import FeatureCounts
 from kronmoments.moments import (
     KroneckerParams,
     MAX_POWER,
+    _TERMS,
+    _closed_form_bases,
     closed_form_by_power,
     closed_form_values,
     dominance_exponent,
@@ -194,6 +197,38 @@ class TestExpectedFeatures:
             for got_mixed, got_row, want in zip(mixed, row, alone):
                 assert np.array_equal(got_mixed[at], want[at])
                 assert np.array_equal(got_row, want)
+
+
+class TestClosedFormBases:
+    def test_bases_are_distinct_and_all_used(self):
+        # two distinct cubics agree at a random rational point with
+        # probability 0, so a base written twice is equal at all 12 points
+        rng = np.random.default_rng(23)
+        points = [[Fraction(int(n), int(d)) for n, d in
+                   zip(rng.integers(0, 10**6, 3), rng.integers(1, 10**6, 3))]
+                  for _ in range(12)]
+        table = [_closed_form_bases(*point) for point in points]
+        count = len(table[0])
+        for i, j in combinations(range(count), 2):
+            assert any(bases[i] != bases[j] for bases in table), (i, j)
+        assert {k for terms in _TERMS for _, k in terms} == set(range(count))
+
+    def test_degenerate_initiators_give_exact_zeros(self):
+        # the cancelling bases are bitwise equal at b = 0 and at a = c = 0,
+        # so the double-precision forms vanish exactly, at every power
+        rng = np.random.default_rng(29)
+        r = rng.integers(0, MAX_POWER + 1, 400)
+        r[:2] = 0, MAX_POWER
+        a, b, c = rng.random((3, 400))
+        zero = np.zeros(400)
+        for values in (closed_form_values(a, zero, c, r),
+                       closed_form_values(zero, b, zero, r)[1:]):
+            for got in values:
+                assert np.array_equal(got, zero)
+        # only node-to-dual edges survive at a = c = 0: (2b)^r / 2 for r >= 1
+        edges = closed_form_values(zero, b, zero, r)[0]
+        want = np.where(r == 0, 0.0, (2 * b) ** r.astype(float) / 2)
+        assert np.array_equal(edges, want)
 
 
 class TestBruteForce:
