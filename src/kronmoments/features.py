@@ -20,8 +20,9 @@ import numpy as np
 from .graph_io import SimpleGraph
 from .moments import MAX_POWER
 
-# Most wedges count_triangles checks at once.
-_WEDGE_CHUNK = 1 << 20
+# Most edges, and most wedges, in one count_triangles chunk of whole rows
+# (a row with more wedges is a chunk of its own).
+_WEDGE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -141,60 +142,91 @@ def count_triangles(g: SimpleGraph) -> int:
     listing all triangles in large graphs", WEA 2005; Latapy, "Main-memory
     triangle computations for very large (sparse (power-law)) graphs",
     TCS 2008).  Under the degree order a vertex has at most sqrt(2E)
-    forward neighbours, so there are O(E^{3/2}) wedges.  They are checked
-    in chunks of whole edges of at most ``_WEDGE_CHUNK`` wedges (one edge
-    with more is a chunk of its own), each chunk's keys sorted and then
-    looked up in the sorted forward keys, so memory stays O(E + chunk).
+    forward neighbours, so there are O(E^{3/2}) wedges.
+
+    Only the sorted forward keys u * base + v and tables with one entry
+    per vertex are held whole.  The wedges are checked in chunks of whole
+    rows, a row being one vertex's forward edges: a chunk holds at most
+    ``_WEDGE_CHUNK`` edges and as many wedges (a row with more is a chunk
+    of its own), finds its edges' far ends and wedge offsets from its own
+    slice of the keys, and sorts its wedge keys and looks them up in the
+    sorted forward keys.  So memory is the graph, the keys and a few
+    chunk buffers.
     """
     n = g.num_vertices
-    m = g.num_edges
-    if m == 0:
+    if g.num_edges == 0:
         return 0
-    # ranks run past the isolated vertices, so the key base is at most 2E
-    order = np.argsort(g.degrees, kind="stable")
+    # ranks run past the isolated vertices, so the key base is at most 2E;
+    # degree * n + id is below n^2, which fits in int64 for any SimpleGraph,
+    # and sorted, its remainders mod n list the ids in (degree, id) order
     isolated = n - np.count_nonzero(g.degrees)
     base = n - isolated
+    order = g.degrees * n
+    order += np.arange(n)
+    order.sort()
+    order %= n
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(-isolated, n - isolated, dtype=np.int64)
     del order
-    ru = rank[g.edge_array[:, 0]]
-    rv = rank[g.edge_array[:, 1]]
+    # min(x, y) * base + max(x, y) in two arrays: with d = x - y, it is
+    # y * (base + 1) + d + min(d, 0) * (base - 1)
+    keys = rank[g.edge_array[:, 1]]
+    diff = rank[g.edge_array[:, 0]]
     del rank
-    keys = np.minimum(ru, rv)
-    np.maximum(ru, rv, out=rv)
-    del ru
-    keys *= base
-    keys += rv
-    del rv
+    diff -= keys
+    keys *= base + 1
+    keys += diff
+    np.minimum(diff, 0, out=diff)
+    diff *= base - 1
+    keys += diff
+    # once sorted, keys[starts[u]:starts[u + 1]] is row u, the forward[u]
+    # forward edges of rank u; it makes forward[u] (forward[u] - 1) / 2
+    # wedges, and wedge_starts[u] wedges come before it
+    np.floor_divide(keys, base, out=diff)
+    forward = np.bincount(diff, minlength=base)
+    del diff
     keys.sort()
-    lo, hi = np.divmod(keys, base)
-    # edge i's wedges pair hi[i] with hi[i + 1:row_end], its later
-    # neighbours in the same row; row_end is one past lo[i]'s last edge
-    wedges = np.cumsum(np.bincount(lo, minlength=base))[lo]
-    del lo
-    wedges -= np.arange(1, m + 1)
-    ends = np.cumsum(wedges)
+    starts = np.zeros(base + 1, dtype=np.int64)
+    np.cumsum(forward, out=starts[1:])
+    forward *= forward - 1
+    forward //= 2
+    wedge_starts = np.zeros(base + 1, dtype=np.int64)
+    np.cumsum(forward, out=wedge_starts[1:])
+    del forward
     triangles = 0
-    first = done = 0
-    while first < m:
-        last = max(int(np.searchsorted(ends, done + _WEDGE_CHUNK,
-                                       side="right")), first + 1)
-        stop = int(ends[last - 1])
-        per_edge = wedges[first:last]
-        # counting wedges in edge order, edge i's are numbered from
-        # ends[i] - wedges[i] and take their w from position i + 1 on
-        shift = np.arange(first + 1, last + 1) - (ends[first:last] - per_edge)
-        w = np.repeat(shift, per_edge)
-        w += np.arange(done, stop)
-        needles = np.repeat(hi[first:last] * base, per_edge)
+    first = 0
+    while first < base:
+        # whole rows with at most _WEDGE_CHUNK edges and as many wedges
+        last = max(first + 1, min(
+            int(np.searchsorted(starts, starts[first] + _WEDGE_CHUNK,
+                                side="right")),
+            int(np.searchsorted(wedge_starts, wedge_starts[first]
+                                + _WEDGE_CHUNK, side="right"))) - 1)
+        low, high = int(starts[first]), int(starts[last])
+        hi = keys[low:high] % base
+        # edge i's wedges pair hi[i] with hi[i + 1:row_end[i]], its later
+        # neighbours in the same row; counting wedges in edge order, edge
+        # i's are numbered from ends[i] - wedges[i], so wedge j's w is
+        # j + row_end[i] - ends[i]
+        row_end = np.repeat(starts[first + 1:last + 1] - low,
+                            np.diff(starts[first:last + 1]))
+        first = last
+        wedges = row_end - np.arange(1, high - low + 1)
+        ends = np.cumsum(wedges)
+        if not ends.size or not ends[-1]:
+            continue
+        row_end -= ends
+        w = np.repeat(row_end, wedges)
+        w += np.arange(ends[-1])
+        del row_end, ends
+        needles = np.repeat(hi * base, wedges)
         needles += hi[w]
-        del w
+        del w, hi, wedges
         needles.sort()
         found = np.searchsorted(keys, needles)
-        np.minimum(found, m - 1, out=found)
-        triangles += int(np.count_nonzero(keys[found] == needles))
+        triangles += int(np.count_nonzero(keys.take(found, mode="clip")
+                                          == needles))
         del needles, found  # before the next chunk allocates its own
-        first, done = last, stop
     return triangles
 
 

@@ -10,6 +10,8 @@ import numpy as np
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
 _MAX_VERTICES = 3_037_000_499  # isqrt(_INT64_MAX): every lo * n + hi fits
+# Bytes per slice in the scan for a '#' that opens no line.
+_SCAN_BYTES = 1 << 20
 
 
 class GraphParseError(ValueError):
@@ -33,8 +35,9 @@ class SimpleGraph:
     them lexicographically; so that the key fits, ``num_vertices`` is at
     most 3,037,000,499, and more is a ValueError.  Degrees are precomputed.
     The constructor checks ``edge_array`` for loops and duplicates;
-    ``from_pairs`` drops them instead, and both end in one shared step that
-    decodes the sorted keys and counts degrees, so ``from_pairs`` keys,
+    ``from_pairs`` and ``load_edge_list`` drop them instead, through one
+    shared step that starts from the edge keys, and all three end in one
+    step that decodes the sorted keys and counts degrees, so each keys,
     sorts and decodes its pairs once.  Instances are treated as immutable
     after construction.
     """
@@ -87,7 +90,9 @@ class SimpleGraph:
         """Build from raw (u, v) pairs, dropping loops and duplicates.
 
         ``pairs`` is an (m, 2) array or any iterable of pairs; an array is
-        read as is, without a copy through a Python list.
+        read as is, without a copy through a Python list, and left as it
+        is.  Besides the pairs, the build holds the m edge keys and, at the
+        end, the graph's own arrays.
         """
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
@@ -96,16 +101,31 @@ class SimpleGraph:
             num_vertices = int(arr.max()) + 1 if arr.size else 0
         num_vertices = int(num_vertices)
         keys, loops = _edge_keys(arr, num_vertices)
-        keys = keys[~loops]
+        return cls._from_keys(num_vertices, keys, loops, labels)
+
+    @classmethod
+    def _from_keys(cls, num_vertices: int, keys: np.ndarray,
+                   loops: np.ndarray, labels) -> "SimpleGraph":
+        """The graph on the distinct non-loop ``keys``, ``loops`` marking
+        the loops, with both drop counts.  Overwrites ``keys``: the loops
+        are set past every key to sort last, and the first of each run of
+        equal keys moves to the front, so no copy of the keys outlives a
+        step.
+        """
+        loops_dropped = int(np.count_nonzero(loops))
+        keys[loops] = _INT64_MAX  # no key reaches it: see _MAX_VERTICES
         keys.sort()
-        # keep the first of each run (np.unique's hash path is far slower)
-        keep = np.empty(keys.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        unique_keys = keys[keep]
+        kept = keys[:keys.size - loops_dropped]
+        # the first of each run (np.unique's hash path is far slower)
+        first = np.empty(kept.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(kept[1:], kept[:-1], out=first[1:])
+        distinct = int(np.count_nonzero(first))
+        kept[:distinct] = kept[first]
+        del first
         graph = cls.__new__(cls)
-        graph._fill(num_vertices, unique_keys, labels,
-                    arr.shape[0] - keys.size, keys.size - unique_keys.size)
+        graph._fill(num_vertices, kept[:distinct], labels, loops_dropped,
+                    kept.size - distinct)
         return graph
 
     def __repr__(self):
@@ -149,6 +169,11 @@ def load_edge_list(path) -> SimpleGraph:
     again line by line, and that reading raises the ``GraphParseError``
     with the line number.  Both readings give the same labels, so the
     graph does not depend on which one ran.
+
+    Each stage frees what the next does not need: the labels' buffer is
+    the numbering's sort key, and the ids become edge keys and are
+    dropped before the graph's arrays are allocated, so the load never
+    holds the ids and the finished graph together.
     """
     path = Path(path)
     raw = _read_bulk(path)
@@ -156,8 +181,9 @@ def load_edge_list(path) -> SimpleGraph:
         raw = _read_lines(path)
     labels, ids = _number_labels(raw)
     del raw  # its buffer was the sort key
-    return SimpleGraph.from_pairs(ids.reshape(-1, 2), num_vertices=labels.size,
-                                  labels=labels)
+    keys, loops = _edge_keys(ids.reshape(-1, 2), labels.size)
+    del ids  # before the graph's arrays are allocated
+    return SimpleGraph._from_keys(labels.size, keys, loops, labels)
 
 
 def _number_labels(raw: np.ndarray):
@@ -167,7 +193,8 @@ def _number_labels(raw: np.ndarray):
     With N entries, one in-place sort of the int64 key
     (label - min) * N + position groups equal labels in ascending order;
     a group's first key gives its label, and the position in each key's
-    low part scatters the group numbers back.  Overwrites ``raw``.  Where
+    low part (split off as int32 when N < 2^31) scatters the group numbers
+    back.  Overwrites ``raw``.  Where
     the largest key would pass int64 (labels some 2^63 / N apart),
     ``np.unique`` numbers them instead.
     """
@@ -183,7 +210,7 @@ def _number_labels(raw: np.ndarray):
     key *= n
     key += np.arange(n, dtype=np.int64)
     key.sort()
-    position = np.empty(n, dtype=np.int64)
+    position = np.empty(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
     np.divmod(key, n, out=(key, position))
     start = np.empty(n, dtype=bool)
     start[0] = True
@@ -223,17 +250,24 @@ def _has_inline_comment(path: Path) -> bool:
     Only each line's first '#' is looked at, and a line ends at a line
     feed or a carriage return.  A few numpy passes over the bytes, and no
     Python work per '#': when every '#' opens its line, as comment lines
-    do, the answer is no; otherwise each '#' gets its line number by
-    ``searchsorted`` into the line breaks, and the bytes between each
-    line's start and its first '#' are tested for a non-blank one in one
-    ``reduceat``.
+    do, the answer is no, found a slice of ``_SCAN_BYTES`` at a time so
+    that no mask is as large as the file; otherwise each '#' gets its line
+    number by ``searchsorted`` into the line breaks, and the bytes between
+    each line's start and its first '#' are tested for a non-blank one in
+    one ``reduceat``.
     """
     with open(path, "rb") as fh:
         data = np.frombuffer(fh.read(), dtype=np.uint8)
-    marks = np.flatnonzero(data == ord("#"))
-    before = data[marks[marks > 0] - 1]
-    if ((before == ord("\n")) | (before == ord("\r"))).all():
+    for start in range(0, data.size, _SCAN_BYTES):
+        marks = np.flatnonzero(data[start:start + _SCAN_BYTES] == ord("#"))
+        marks += start
+        before = data[marks[marks > 0] - 1]
+        if not ((before == ord("\n")) | (before == ord("\r"))).all():
+            break
+    else:
         return False
+    # some '#' follows another byte: a rare case, read with whole-file arrays
+    marks = np.flatnonzero(data == ord("#"))
     breaks = np.flatnonzero((data == ord("\n")) | (data == ord("\r")))
     line = np.searchsorted(breaks, marks)
     first = np.ones(marks.size, dtype=bool)

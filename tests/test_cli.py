@@ -336,9 +336,10 @@ def test_grid_memory_is_bounded():
 
 @needs_vmhwm
 def test_triangle_count_memory_is_bounded(tmp_path, capsys):
-    # The r = 18 sample has 730k edges.  Counted as a masked sparse
-    # product L @ L, features peaked at 194 MB; the chunked wedge check
-    # peaks near 120 MB, most of it the edge-list parse.
+    # The r = 18 sample has 730k edges.  features peaks near 67 MB: the
+    # parse, then the graph with the sorted forward keys and fixed-size
+    # chunk buffers.  Counted as a masked sparse product L @ L, it peaked
+    # at 194 MB.
     graph = tmp_path / "g18.txt"
     code, _, _ = run(capsys, "generate", "--a", "0.99", "--b", "0.48",
                      "--c", "0.25", "--r", "18", "--seed", "1",

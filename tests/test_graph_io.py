@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from kronmoments import graph_io
 from kronmoments.graph_io import (
     GraphParseError,
     SimpleGraph,
@@ -362,18 +364,31 @@ def test_inline_comment_check_matches_line_reference(tmp_path, data, want):
     assert _has_inline_comment(path) is want
 
 
-def test_inline_comment_check_on_random_bytes(tmp_path):
-    rng = np.random.default_rng(20261019)
+def check_random_bytes(path, rng, cases):
+    """_has_inline_comment against the line reference on random bytes."""
     alphabet = [b"1", b"x", b" ", b"\t", b"\x0b", b"#", b"\n", b"\r"]
-    path = tmp_path / "g.txt"
     seen = set()
-    for _ in range(400):
+    for _ in range(cases):
         data = b"".join(rng.choice(alphabet, int(rng.integers(0, 24))))
         path.write_bytes(data)
         want = inline_comment_reference(data)
         assert _has_inline_comment(path) is want, data
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_inline_comment_check_on_random_bytes(tmp_path):
+    check_random_bytes(tmp_path / "g.txt", np.random.default_rng(20261019),
+                       400)
+
+
+# The scan for a '#' that opens no line goes a slice of _SCAN_BYTES at a
+# time; a '#' at a slice's first byte must still see the byte before it.
+@pytest.mark.parametrize("scan_bytes", [1, 2, 3, 5])
+def test_inline_comment_check_in_slices(tmp_path, monkeypatch, scan_bytes):
+    monkeypatch.setattr(graph_io, "_SCAN_BYTES", scan_bytes)
+    check_random_bytes(tmp_path / "g.txt", np.random.default_rng(scan_bytes),
+                       200)
 
 
 def test_bad_utf8_raises_as_line_reading_does(tmp_path):
@@ -505,6 +520,35 @@ def test_from_pairs_matches_the_constructor():
         assert np.array_equal(dropped.degrees, built.degrees)
         assert dropped.loops_dropped == 3
         assert dropped.duplicates_dropped == len(edges) // 3
+
+
+def test_loader_drops_the_ids_before_the_graph(tmp_path, monkeypatch):
+    # Two int64 ids per pair are dropped once the pairs' edge keys are
+    # made, so when the graph's arrays are filled, the load holds less than
+    # the ids and the finished graph together.
+    rng = np.random.default_rng(24)
+    pairs = rng.integers(0, 3000, size=(40000, 2)) * 7919 - 10 ** 6
+    path = tmp_path / "g.txt"
+    np.savetxt(path, pairs, fmt="%d")
+    held = []
+    fill = SimpleGraph._fill
+
+    def traced_fill(graph, *args):
+        fill(graph, *args)
+        held.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(SimpleGraph, "_fill", traced_fill)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = load_edge_list(path)
+    finally:
+        tracemalloc.stop()
+    assert g.loops_dropped > 0 and g.duplicates_dropped > 0
+    ids = pairs.size * 8
+    graph = g.edge_array.nbytes + g.degrees.nbytes + g.labels.nbytes
+    assert len(held) == 1
+    assert held[0] - base < ids + graph, (held[0] - base, ids, graph)
 
 
 def test_choose_r_examples():

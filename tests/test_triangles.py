@@ -1,5 +1,6 @@
 """The wedge-check triangle count against the sparse-product oracle."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -42,6 +43,33 @@ def empty(n):
     return SimpleGraph(n, np.zeros((0, 2), dtype=np.int64))
 
 
+def matching(pairs):
+    # every vertex has degree 1, so no row holds a wedge
+    return SimpleGraph(2 * pairs,
+                       np.arange(2 * pairs).reshape(pairs, 2))
+
+
+def triangles_and_matching(k):
+    # ranked by (degree, id), the matching's rows come first and hold no
+    # wedge; then each triangle's three rows hold 1, 0 and 0 wedges, so
+    # wedge-free rows (forward degree 1, then 0) sit between rows with
+    # wedges
+    triangles = [(3 * i + a, 3 * i + b) for i in range(k)
+                 for a, b in ((0, 1), (1, 2), (0, 2))]
+    pairs = [(3 * k + 2 * i, 3 * k + 2 * i + 1) for i in range(k)]
+    return SimpleGraph(5 * k, np.array(triangles + pairs))
+
+
+def forward_degrees(g):
+    """Each row's edge count in count_triangles' row order: vertices
+    ranked by (degree, id), a row being one rank's forward edges."""
+    n = g.num_vertices
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), g.degrees))] = np.arange(n)
+    lower = np.minimum(rank[g.edge_array[:, 0]], rank[g.edge_array[:, 1]])
+    return np.bincount(lower, minlength=n)
+
+
 # small enough to walk one wedge at a time
 SMALL = {
     "kron-r10-s1": lambda: kronecker(10, 1),
@@ -51,6 +79,8 @@ SMALL = {
     "star-20": lambda: star(20),
     "empty-0": lambda: empty(0),
     "isolated-7": lambda: empty(7),
+    "matching-40": lambda: matching(40),
+    "triangles-and-matching-9": lambda: triangles_and_matching(9),
 }
 
 GRAPHS = dict(SMALL)
@@ -69,15 +99,56 @@ def test_matches_sparse_product(name):
     assert count == sparse_product_triangles(g)
 
 
-# 1 puts nearly every edge in a chunk of its own; in K_12 the first edge
-# of the lowest-ranked vertex has 10 wedges and its row 55, so 7 splits
-# rows and leaves that edge a chunk larger than the cap
-@pytest.mark.parametrize("chunk", [1, 7])
+# A chunk is a run of whole rows with at most _WEDGE_CHUNK edges and as
+# many wedges, or one row with more.  1 puts every row in a chunk of its
+# own; in K_12 the lowest-ranked row has 11 edges and 55 wedges, so 7
+# leaves it a chunk larger than the cap.  "one-row" is the largest row's
+# wedge count, a chunk that row fills exactly.  "row-end" is the larger of
+# the edge and the wedge count of the rows up to the second one with
+# wedges, so the first chunk ends exactly at that row's last edge.
+@pytest.mark.parametrize("chunk", [1, 7, "one-row", "row-end"])
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_chunk_boundaries(monkeypatch, name, chunk):
     g = SMALL[name]()
+    edges = forward_degrees(g)
+    wedges = edges * (edges - 1) // 2
+    if chunk == "one-row":
+        chunk = max(int(wedges.max(initial=0)), 1)
+    elif chunk == "row-end":
+        with_wedges = np.flatnonzero(wedges)
+        rows = with_wedges[1] + 1 if with_wedges.size > 1 else 0
+        chunk = max(int(edges[:rows].sum()), int(wedges[:rows].sum()), 1)
     monkeypatch.setattr(features, "_WEDGE_CHUNK", chunk)
     assert count_triangles(g) == sparse_product_triangles(g)
+
+
+def test_triangle_count_allocates_keys_and_chunks(monkeypatch):
+    # What count_triangles allocates on top of the graph is at most
+    #   16 E            the sorted forward keys (int64), and one more
+    #                   E-length array while they are built
+    # + 64 n            a few int64 tables with one entry per vertex
+    # + 64 max(C, R)    a few int64 chunk buffers; a chunk holds at most
+    #                   C = _WEDGE_CHUNK edges and C wedges, or one row of
+    #                   R > C wedges
+    # bytes.  A small C keeps the last term below the first, so four more
+    # E-length int64 arrays held through the count would pass the bound.
+    g = GRAPHS["chung-lu-hubs"]()
+    chunk = 1 << 10
+    monkeypatch.setattr(features, "_WEDGE_CHUNK", chunk)
+    edges = forward_degrees(g)
+    largest_row = int((edges * (edges - 1) // 2).max())
+    bound = (16 * g.num_edges + 64 * g.num_vertices
+             + 64 * max(chunk, largest_row))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        count = count_triangles(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert count == sparse_product_triangles(g)
+    assert peak <= bound, (peak, bound)
 
 
 def test_inputs_have_hubs_and_triangles():
