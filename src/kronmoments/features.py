@@ -5,7 +5,7 @@ sequence, accumulated in Python integers so no width can overflow.
 Triangles come from the degree-ordered forward wedge check of Schank &
 Wagner and Latapy: every wedge at a triangle's lowest-ranked vertex is
 looked up among the sorted forward edge keys, O(E^{3/2}) wedges in all,
-checked in bounded chunks with numpy sorts and searches in int64.
+checked in bounded chunks by a binary search of one row each, in int64.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .graph_io import SimpleGraph
 from .moments import MAX_POWER
 
 # Most edges, and most wedges, in one count_triangles chunk of whole rows
-# (a row with more wedges is a chunk of its own).
-_WEDGE_CHUNK = 1 << 18
+# (a row with more wedges is a chunk of its own); also the edges decoded
+# at a time into rank keys.
+_WEDGE_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,20 @@ def count_triangles(g: SimpleGraph) -> int:
     TCS 2008).  Under the degree order a vertex has at most sqrt(2E)
     forward neighbours, so there are O(E^{3/2}) wedges.
 
-    Only the sorted forward keys u * base + v and tables with one entry
-    per vertex are held whole.  The wedges are checked in chunks of whole
-    rows, a row being one vertex's forward edges: a chunk holds at most
-    ``_WEDGE_CHUNK`` edges and as many wedges (a row with more is a chunk
-    of its own), finds its edges' far ends and wedge offsets from its own
-    slice of the keys, and sorts its wedge keys and looks them up in the
-    sorted forward keys.  So memory is the graph, the keys and a few
-    chunk buffers.
+    Besides the graph, only the sorted forward keys u * base + v (8 bytes
+    per edge, decoded from ``g.keys`` a chunk at a time) and tables with
+    one entry per vertex are held whole.  The wedges are checked in chunks
+    of whole rows, a row being one vertex's forward edges: a chunk holds
+    at most ``_WEDGE_CHUNK`` edges and as many wedges (a row with more is a
+    chunk of its own) and finds its edges' far ends and wedge offsets from
+    its own slice of the keys.  Wedge (v, w) can only be found in row v,
+    so each is looked up by a binary search of that row alone, which
+    reads a few nearby keys rather than ranging over all of them.  So
+    memory is the graph, the keys and a few chunk buffers.
     """
     n = g.num_vertices
-    if g.num_edges == 0:
+    m = g.num_edges
+    if m == 0:
         return 0
     # ranks run past the isolated vertices, so the key base is at most 2E;
     # degree * n + id is below n^2, which fits in int64 for any SimpleGraph,
@@ -168,26 +172,27 @@ def count_triangles(g: SimpleGraph) -> int:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(-isolated, n - isolated, dtype=np.int64)
     del order
-    # min(x, y) * base + max(x, y) in two arrays: with d = x - y, it is
-    # y * (base + 1) + d + min(d, 0) * (base - 1)
-    keys = rank[g.edge_array[:, 1]]
-    diff = rank[g.edge_array[:, 0]]
-    del rank
-    diff -= keys
-    keys *= base + 1
-    keys += diff
-    np.minimum(diff, 0, out=diff)
-    diff *= base - 1
-    keys += diff
-    # once sorted, keys[starts[u]:starts[u + 1]] is row u, the forward[u]
-    # forward edges of rank u; it makes forward[u] (forward[u] - 1) / 2
-    # wedges, and wedge_starts[u] wedges come before it
-    np.floor_divide(keys, base, out=diff)
-    forward = np.bincount(diff, minlength=base)
-    del diff
+    # edge (x, y) of ranks x < y becomes x * base + y
+    keys = np.empty(m, dtype=np.int64)
+    for low in range(0, m, _WEDGE_CHUNK):
+        u, v = np.divmod(g.keys[low:low + _WEDGE_CHUNK], n)
+        x, y = rank.take(u), rank.take(v)
+        part = keys[low:low + _WEDGE_CHUNK]
+        np.minimum(x, y, out=part)
+        part *= base
+        np.maximum(x, y, out=x)
+        part += x
+    del rank, u, v, x, y
     keys.sort()
-    starts = np.zeros(base + 1, dtype=np.int64)
-    np.cumsum(forward, out=starts[1:])
+    # keys[starts[u]:starts[u + 1]] is row u, the forward[u] forward edges
+    # of rank u, whose keys lie in [u * base, (u + 1) * base); it makes
+    # forward[u] (forward[u] - 1) / 2 wedges, and wedge_starts[u] wedges
+    # come before it
+    starts = np.arange(base + 1, dtype=np.int64)
+    starts *= base
+    starts = keys.searchsorted(starts)
+    forward = np.diff(starts)
+    longest = int(forward.max())
     forward *= forward - 1
     forward //= 2
     wedge_starts = np.zeros(base + 1, dtype=np.int64)
@@ -219,15 +224,45 @@ def count_triangles(g: SimpleGraph) -> int:
         w = np.repeat(row_end, wedges)
         w += np.arange(ends[-1])
         del row_end, ends
-        needles = np.repeat(hi * base, wedges)
-        needles += hi[w]
+        rows = np.repeat(hi, wedges)
+        needles = rows * base
+        needles += hi.take(w)
         del w, hi, wedges
-        needles.sort()
-        found = np.searchsorted(keys, needles)
-        triangles += int(np.count_nonzero(keys.take(found, mode="clip")
-                                          == needles))
-        del needles, found  # before the next chunk allocates its own
+        triangles += _count_in_rows(keys, starts, longest, rows, needles)
+        del rows, needles  # before the next chunk allocates its own
     return triangles
+
+
+def _count_in_rows(keys: np.ndarray, starts: np.ndarray, longest: int,
+                   rows: np.ndarray, needles: np.ndarray) -> int:
+    """How many ``needles`` are among the sorted ``keys``, needle i looked
+    up in row ``rows[i]``, ``keys[starts[r]:starts[r + 1]]``, alone.
+
+    Every key of a later row must be larger than the row's needles, and no
+    row may hold more than ``longest`` keys.  A branchless binary search
+    steps each needle by 2^k, ..., 2, 1 (2^(k+1) > ``longest``) from just
+    before its row towards the last key below it: a probe past the row
+    reads a larger key and does not move the needle on.  A probe past the
+    end of ``keys`` is clipped to the largest key; it moves the needle on,
+    possibly beyond the array, only when the needle is larger than every
+    key, and then the final clipped read cannot match it.  Overwrites
+    ``rows``.
+    """
+    at = rows
+    starts.take(rows, out=at)
+    at -= 1
+    probe = np.empty_like(at)
+    found = np.empty_like(at)
+    below = np.empty(at.size, dtype=bool)
+    for k in reversed(range(longest.bit_length())):
+        np.add(at, 1 << k, out=probe)
+        keys.take(probe, mode="clip", out=found)
+        np.less(found, needles, out=below)
+        np.multiply(below, 1 << k, out=found)
+        at += found
+    at += 1
+    keys.take(at, mode="clip", out=found)
+    return int(np.count_nonzero(found == needles))
 
 
 def count_features(g: SimpleGraph) -> FeatureCounts:

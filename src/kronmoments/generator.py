@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph_io import SimpleGraph
+from .graph_io import _MAX_VERTICES, SimpleGraph
 from .moments import KroneckerParams
 
 # the largest r whose region sizes fit int64: the biggest region at r = 34
@@ -161,8 +161,9 @@ def _unrank(r: int, i, j, multinomial, rank):
     return u, v
 
 
-def generate_edges(params: KroneckerParams, seed: int) -> np.ndarray:
-    """All sampled edges as an (m, 2) array, ascending (u, v)."""
+def _sampled_cells(params: KroneckerParams, seed: int):
+    """(u, v), u < v, of every sampled cell as int64 arrays, each cell
+    once, in no particular order."""
     if params.r > MAX_GENERATE_POWER:
         raise ValueError(f"generation supports r <= {MAX_GENERATE_POWER} "
                          f"(region sizes must fit int64), got r={params.r}")
@@ -171,23 +172,48 @@ def generate_edges(params: KroneckerParams, seed: int) -> np.ndarray:
     mean = sizes * probs
     batch = np.minimum(np.ceil(mean + 4 * np.sqrt(mean) + 8), sizes)
     g, rank = _hit_ranks(seed, sizes, probs, batch.astype(np.int64))
-    u, v = _unrank(params.r, i[g], j[g], multinomial[g], rank)
-    del g, rank
-    r = params.r
-    if 2 * r > 62:
-        order = np.lexsort((v, u))
-        return np.stack([u[order], v[order]], axis=1)
-    # u, v < 2^r pack into one int64 key in (u, v) order, and one sort of
-    # it is about twenty times faster than the lexsort
-    key = (u << r) | v
+    return _unrank(params.r, i[g], j[g], multinomial[g], rank)
+
+
+def _sorted_keys(params: KroneckerParams, seed: int) -> np.ndarray:
+    """Every sampled cell's key (u << r) | v, ascending; for 2r <= 62.
+
+    u, v < 2^r pack into one int64 key in (u, v) order, and one sort of it
+    is about twenty times faster than a lexsort of the pairs.
+    """
+    u, v = _sampled_cells(params, seed)
+    key = u << params.r
+    key |= v
     del u, v
     key.sort()
+    return key
+
+
+def generate_edges(params: KroneckerParams, seed: int) -> np.ndarray:
+    """All sampled edges as an (m, 2) array, ascending (u, v)."""
+    r = params.r
+    if 2 * r > 62:
+        u, v = _sampled_cells(params, seed)
+        order = np.lexsort((v, u))
+        return np.stack([u[order], v[order]], axis=1)
+    key = _sorted_keys(params, seed)
     return np.stack([key >> r, key & ((1 << r) - 1)], axis=1)
 
 
 def generate(params: KroneckerParams, seed: int) -> SimpleGraph:
-    """Sample a graph in memory."""
-    return SimpleGraph(params.num_vertices, generate_edges(params, seed))
+    """Sample a graph in memory; r <= 31, as a ``SimpleGraph`` holds at
+    most ``_MAX_VERTICES`` vertices, and more is a ValueError before any
+    sampling.
+
+    The sampler's sorted keys (u << r) | v are the graph's own keys
+    u * 2^r + v, and its cells are distinct with u < v, so the graph takes
+    them as they are.
+    """
+    if params.num_vertices > _MAX_VERTICES:
+        raise ValueError(f"a graph in memory holds at most {_MAX_VERTICES} "
+                         f"vertices (r <= 31), got r={params.r}")
+    return SimpleGraph._from_sorted_keys(params.num_vertices,
+                                         _sorted_keys(params, seed))
 
 
 def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:

@@ -12,6 +12,10 @@ _INT64_MAX = 2 ** 63 - 1
 _MAX_VERTICES = 3_037_000_499  # isqrt(_INT64_MAX): every lo * n + hi fits
 # Bytes per slice in the scan for a '#' that opens no line.
 _SCAN_BYTES = 1 << 20
+# Label entries per block of the numbering's passes.
+_LABEL_BLOCK = 1 << 16
+# Fewer label entries than this are numbered in int32 ids, more in int64.
+_INT32_IDS = 2 ** 31
 
 
 class GraphParseError(ValueError):
@@ -30,16 +34,16 @@ class SimpleGraph:
     labels seen in the source file, which ascend strictly, so
     ``np.searchsorted(labels, label)`` is a label's id; it is None for a
     graph built programmatically.
-    ``edge_array`` holds each edge once as (u, v) with u < v.  Rows are
-    always sorted by the one int64 key u * num_vertices + v, which orders
-    them lexicographically; so that the key fits, ``num_vertices`` is at
-    most 3,037,000,499, and more is a ValueError.  Degrees are precomputed.
-    The constructor checks ``edge_array`` for loops and duplicates;
-    ``from_pairs`` and ``load_edge_list`` drop them instead, through one
-    shared step that starts from the edge keys, and all three end in one
-    step that decodes the sorted keys and counts degrees, so each keys,
-    sorts and decodes its pairs once.  Instances are treated as immutable
-    after construction.
+    The graph holds each edge (u, v), u < v, once as the int64 key
+    u * num_vertices + v in ``keys``, sorted and distinct, 8 bytes per
+    edge; so that the key fits, ``num_vertices`` is at most 3,037,000,499,
+    and more is a ValueError.  ``edge_array`` decodes the keys into an
+    (m, 2) array of (u, v) rows, ascending, on each access.  Degrees are
+    precomputed.  The constructor checks ``edge_array`` for loops and
+    duplicates; ``from_pairs`` and ``load_edge_list`` drop them instead,
+    through one shared step that starts from the edge keys, so each keys
+    and sorts its pairs once.  Instances are treated as immutable after
+    construction.
     """
 
     def __init__(
@@ -66,19 +70,30 @@ class SimpleGraph:
               loops_dropped: int, duplicates_dropped: int) -> None:
         """Set every field from the sorted, duplicate-free edge keys."""
         self.num_vertices = num_vertices
-        self.edge_array = np.empty((keys.size, 2), dtype=np.int64)
-        np.divmod(keys, num_vertices,
-                  out=(self.edge_array[:, 0], self.edge_array[:, 1]))
+        self.keys = keys
         self.labels = labels
         self.loops_dropped = int(loops_dropped)
         self.duplicates_dropped = int(duplicates_dropped)
+        # each edge adds one to both ends' degrees: the lower ends, then
+        # the higher ends, in one temporary
+        ends = np.floor_divide(keys, num_vertices)
         self.degrees = np.bincount(
-            self.edge_array.ravel(), minlength=num_vertices
-        ).astype(np.int64, copy=False)
+            ends, minlength=num_vertices).astype(np.int64, copy=False)
+        np.remainder(keys, num_vertices, out=ends)
+        self.degrees += np.bincount(ends, minlength=num_vertices)
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The (m, 2) int64 rows (u, v), u < v, in ascending order, decoded
+        from ``keys`` afresh on each access."""
+        edges = np.empty((self.keys.size, 2), dtype=np.int64)
+        np.divmod(self.keys, self.num_vertices,
+                  out=(edges[:, 0], edges[:, 1]))
+        return edges
 
     @property
     def num_edges(self) -> int:
-        return self.edge_array.shape[0]
+        return self.keys.size
 
     @property
     def num_isolated(self) -> int:
@@ -123,9 +138,18 @@ class SimpleGraph:
         distinct = int(np.count_nonzero(first))
         kept[:distinct] = kept[first]
         del first
+        return cls._from_sorted_keys(num_vertices, kept[:distinct], labels,
+                                     loops_dropped, kept.size - distinct)
+
+    @classmethod
+    def _from_sorted_keys(cls, num_vertices: int, keys: np.ndarray,
+                          labels=None, loops_dropped: int = 0,
+                          duplicates_dropped: int = 0) -> "SimpleGraph":
+        """The graph that holds ``keys`` as its own, taken to be sorted,
+        distinct and loop-free without a check."""
         graph = cls.__new__(cls)
-        graph._fill(num_vertices, kept[:distinct], labels, loops_dropped,
-                    kept.size - distinct)
+        graph._fill(num_vertices, keys, labels, loops_dropped,
+                    duplicates_dropped)
         return graph
 
     def __repr__(self):
@@ -134,12 +158,14 @@ class SimpleGraph:
 
 
 def _edge_keys(pairs: np.ndarray, num_vertices: int):
-    """Each row's key lo * num_vertices + hi (lo <= hi) and the loop mask;
-    ValueError past ``_MAX_VERTICES`` or for an endpoint out of range."""
+    """Each row's int64 key lo * num_vertices + hi (lo <= hi) and the loop
+    mask, from int32 or int64 ``pairs``; ValueError past ``_MAX_VERTICES``
+    or for an endpoint out of range."""
     if num_vertices > _MAX_VERTICES:
         raise ValueError(f"num_vertices={num_vertices} above "
                          f"{_MAX_VERTICES}: edge keys would overflow int64")
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    # int32 ids widen here, before lo * num_vertices can overflow
+    lo = np.minimum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     if lo.size and (lo.min() < 0 or hi.max() >= num_vertices):
         raise ValueError("edge endpoint outside 0..num_vertices-1")
@@ -171,9 +197,12 @@ def load_edge_list(path) -> SimpleGraph:
     graph does not depend on which one ran.
 
     Each stage frees what the next does not need: the labels' buffer is
-    the numbering's sort key, and the ids become edge keys and are
-    dropped before the graph's arrays are allocated, so the load never
-    holds the ids and the finished graph together.
+    the numbering's sort key, the ids take 4 bytes per label read (int32
+    below 2^31 of them), and once they have become the edge keys, which
+    the graph keeps as its own, they are dropped before the degrees are
+    counted.  So the load holds at most the labels' buffer and the ids
+    while it numbers, and the finished graph is its 8-byte edge keys, its
+    degrees and its labels.
     """
     path = Path(path)
     raw = _read_bulk(path)
@@ -188,39 +217,51 @@ def load_edge_list(path) -> SimpleGraph:
 
 def _number_labels(raw: np.ndarray):
     """(labels, ids): the distinct labels ascending, and each entry's index
-    among them, as ``np.unique(raw, return_inverse=True)`` gives them.
+    among them, as ``np.unique(raw, return_inverse=True)`` gives them, with
+    int32 ids when there are fewer than 2^31 entries.
 
     With N entries, one in-place sort of the int64 key
-    (label - min) * N + position groups equal labels in ascending order;
-    a group's first key gives its label, and the position in each key's
-    low part (split off as int32 when N < 2^31) scatters the group numbers
-    back.  Overwrites ``raw``.  Where
-    the largest key would pass int64 (labels some 2^63 / N apart),
-    ``np.unique`` numbers them instead.
+    (label - min) * N + position groups equal labels in ascending order.
+    A block of ``_LABEL_BLOCK`` keys at a time then splits into label,
+    position and group number; the group numbers scatter into the ids by
+    position, and each group's label moves to the front of the key, which
+    the blocks have already read.  So besides ``raw``, whose buffer is the
+    key and which is overwritten, the numbering holds the 4N-byte ids and
+    block-sized buffers.  Where the largest key would pass int64 (labels
+    some 2^63 / N apart), ``np.unique`` numbers them instead, with int64
+    ids.
     """
     key = raw.reshape(-1)
     n = key.size
     if n == 0:
-        return key, key
+        return key, np.empty(0, dtype=np.int32)
     low = int(key.min())
     # in Python ints: max - min itself can pass int64
     if (int(key.max()) - low + 1) * n > 2 ** 63:
         return np.unique(key, return_inverse=True)
+    ids = np.empty(n, dtype=np.int32 if n < _INT32_IDS else np.int64)
     key -= low
     key *= n
-    key += np.arange(n, dtype=np.int64)
+    for start in range(0, n, _LABEL_BLOCK):
+        block = key[start:start + _LABEL_BLOCK]
+        block += np.arange(start, start + block.size)
     key.sort()
-    position = np.empty(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
-    np.divmod(key, n, out=(key, position))
-    start = np.empty(n, dtype=bool)
-    start[0] = True
-    np.not_equal(key[1:], key[:-1], out=start[1:])
-    labels = key[start]
-    labels += low
-    np.cumsum(start, out=key)
-    key -= 1
-    ids = np.empty(n, dtype=np.int64)
-    ids[position] = key
+    groups = 0
+    last = -1  # below every label - min
+    for start in range(0, n, _LABEL_BLOCK):
+        label, position = np.divmod(key[start:start + _LABEL_BLOCK], n)
+        first = np.empty(label.size, dtype=bool)
+        first[0] = label[0] != last
+        np.not_equal(label[1:], label[:-1], out=first[1:])
+        last = label[-1]
+        group = np.cumsum(first)
+        group += groups - 1
+        ids[position] = group
+        label = label[first]
+        # key[:start] is read, and groups + label.size <= start + block
+        key[groups:groups + label.size] = label
+        groups += label.size
+    labels = key[:groups] + low
     return labels, ids
 
 

@@ -16,7 +16,8 @@ from kronmoments.generator import (
     generate_edges,
     generate_to_file,
 )
-from kronmoments.graph_io import load_edge_list
+from kronmoments import graph_io
+from kronmoments.graph_io import SimpleGraph, load_edge_list
 from kronmoments.moments import KroneckerParams, expected_features
 from oracles import probability_matrix
 
@@ -71,6 +72,34 @@ class TestGenerate:
         assert rows == sorted(set(rows))
         assert all(0 <= u < v < 1 << r for u, v in rows)
 
+    # the complete graph only up to r = 8, 32,640 edges
+    @pytest.mark.parametrize("abc, top", [((0.99, 0.48, 0.25), 12),
+                                          ((0.9, 0.6, 0.2), 12),
+                                          ((1.0, 1.0, 1.0), 8),
+                                          ((0.5, 0.0, 0.5), 12),
+                                          ((0.0, 0.7, 0.0), 12)])
+    def test_graph_takes_the_sampled_keys(self, monkeypatch, abc, top):
+        # generate builds the graph straight from the sampler's sorted keys
+        # (u << r) | v: the same graph as keying, sorting and checking the
+        # edges anew, without a call to the edge keying
+        want = {(r, seed): SimpleGraph(1 << r,
+                                       generate_edges(KroneckerParams(*abc, r),
+                                                      seed))
+                for r in range(top + 1) for seed in (1, 2, 3)}
+
+        def no_keying(*args):
+            raise AssertionError("generate keyed its edges again")
+
+        monkeypatch.setattr(graph_io, "_edge_keys", no_keying)
+        for (r, seed), w in want.items():
+            g = generate(KroneckerParams(*abc, r), seed)
+            assert g.num_vertices == w.num_vertices == 1 << r
+            for name in ("keys", "degrees", "edge_array"):
+                assert np.array_equal(getattr(g, name), getattr(w, name))
+                assert getattr(g, name).dtype == getattr(w, name).dtype
+            assert g.labels is None
+            assert (g.loops_dropped, g.duplicates_dropped) == (0, 0)
+
     def test_zero_offdiagonal_empty(self):
         g = generate(KroneckerParams(0.9, 0.0, 0.4, 5), seed=9)
         assert g.num_edges == 0
@@ -110,6 +139,19 @@ class TestGenerate:
         assert 271 - 6 * 271 ** 0.5 <= g.num_edges <= 271 + 6 * 271 ** 0.5
         assert np.all(g.edge_array[:, 0] < g.edge_array[:, 1])
         assert g.edge_array.max() < 1 << 24
+
+    @pytest.mark.parametrize("r", [32, MAX_GENERATE_POWER])
+    def test_generate_past_the_vertex_limit_raises_before_sampling(
+            self, monkeypatch, r):
+        # 2^32 vertices pass graph_io._MAX_VERTICES; the file writer
+        # still reaches r = 34 through generate_edges
+        def no_sampling(*args):
+            raise AssertionError("generate sampled a graph it cannot hold")
+
+        monkeypatch.setattr("kronmoments.generator._sampled_cells",
+                            no_sampling)
+        with pytest.raises(ValueError, match="at most 3037000499 vertices"):
+            generate(KroneckerParams(0.5, 0.3, 0.2, r), seed=0)
 
 
 class TestGrassHopping:

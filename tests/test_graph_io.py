@@ -9,6 +9,7 @@ from kronmoments import graph_io
 from kronmoments.graph_io import (
     GraphParseError,
     SimpleGraph,
+    _edge_keys,
     _has_inline_comment,
     _number_labels,
     _read_bulk,
@@ -446,16 +447,19 @@ NUMBERING_CASES = {
 
 
 @pytest.mark.parametrize("case", list(NUMBERING_CASES))
-def test_packed_numbering_matches_unique(case):
+def test_packed_numbering_matches_unique(monkeypatch, case):
     rng = np.random.default_rng(0)
     for _ in range(20):
         raw = NUMBERING_CASES[case](rng, int(rng.integers(1, 300)))
         raw = raw.astype(np.int64)
-        labels, ids = _number_labels(raw.copy())
         want_labels, want_ids = _unique_numbering(raw)
-        assert labels.dtype == ids.dtype == np.int64
-        assert np.array_equal(labels, want_labels)
-        assert np.array_equal(ids, want_ids)
+        # blocks of 1 and 3 entries put group starts on block boundaries
+        for block in (1, 3, 1 << 16):
+            monkeypatch.setattr(graph_io, "_LABEL_BLOCK", block)
+            labels, ids = _number_labels(raw.copy())
+            assert labels.dtype == np.int64 and ids.dtype == np.int32
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(ids, want_ids)
 
 
 @pytest.mark.parametrize("first, last, packed", [
@@ -523,8 +527,8 @@ def test_from_pairs_matches_the_constructor():
 
 
 def test_loader_drops_the_ids_before_the_graph(tmp_path, monkeypatch):
-    # Two int64 ids per pair are dropped once the pairs' edge keys are
-    # made, so when the graph's arrays are filled, the load holds less than
+    # Two int32 ids per pair are dropped once the pairs' edge keys are
+    # made, so when the graph's fields are filled, the load holds less than
     # the ids and the finished graph together.
     rng = np.random.default_rng(24)
     pairs = rng.integers(0, 3000, size=(40000, 2)) * 7919 - 10 ** 6
@@ -545,10 +549,112 @@ def test_loader_drops_the_ids_before_the_graph(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert g.loops_dropped > 0 and g.duplicates_dropped > 0
-    ids = pairs.size * 8
-    graph = g.edge_array.nbytes + g.degrees.nbytes + g.labels.nbytes
+    ids = pairs.size * 4
+    graph = g.keys.nbytes + g.degrees.nbytes + g.labels.nbytes
     assert len(held) == 1
     assert held[0] - base < ids + graph, (held[0] - base, ids, graph)
+
+
+def test_loaded_graph_holds_its_keys_degrees_and_labels(tmp_path):
+    # A loaded graph is its 8-byte edge keys, its 8-byte degrees and its
+    # labels: no (m, 2) edge array is kept, and edge_array is decoded from
+    # the keys on each access.  The keys stay in the buffer the pairs were
+    # keyed in, so dropped pairs count at 8 bytes each.
+    rng = np.random.default_rng(25)
+    pairs = rng.integers(-5000, 5000, size=(30000, 2)) * 104729
+    path = tmp_path / "g.txt"
+    np.savetxt(path, pairs, fmt="%d")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = load_edge_list(path)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert g.loops_dropped > 0 and g.duplicates_dropped > 0
+    m = g.num_edges
+    assert g.keys.dtype == g.degrees.dtype == np.int64
+    assert g.keys.shape == (m,) and g.degrees.shape == (g.num_vertices,)
+    assert not any(isinstance(value, np.ndarray) and value.ndim == 2
+                   for value in vars(g).values())
+    bound = (8 * len(pairs) + g.degrees.nbytes + g.labels.nbytes
+             + (1 << 12))
+    assert held <= bound, (held, bound)
+    # 16 bytes per edge more for the decoded (m, 2) array, a fresh one
+    # each time
+    first, second = g.edge_array, g.edge_array
+    assert first is not second and first.shape == (m, 2)
+    assert np.array_equal(first, second)
+    assert np.array_equal(first[:, 0] * g.num_vertices + first[:, 1], g.keys)
+
+
+def test_numbering_holds_its_input_and_int32_ids(monkeypatch):
+    # Besides its input, which it overwrites, the numbering of N entries
+    # holds the 4N bytes of int32 ids, the labels it returns and a few
+    # buffers of _LABEL_BLOCK entries: no N-length position array, start
+    # mask, int64 ids or np.arange.
+    block = 1 << 10
+    monkeypatch.setattr(graph_io, "_LABEL_BLOCK", block)
+    rng = np.random.default_rng(26)
+    raw = rng.integers(-2 ** 40, 2 ** 40, size=5000)[
+        rng.integers(0, 5000, size=(60000, 2))]
+    n = raw.size
+    want_labels, want_ids = _unique_numbering(raw)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        labels, ids = _number_labels(raw)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ids.dtype == np.int32
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(ids, want_ids)
+    bound = 4 * n + labels.nbytes + 64 * block + (1 << 12)
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("limit", [1, 8, 9, 300])
+def test_ids_switch_to_int64_at_the_entry_limit(tmp_path, monkeypatch,
+                                                 limit):
+    # below the limit the ids are int32, from it int64, with the same
+    # values; the loaded graph does not depend on which
+    monkeypatch.setattr(graph_io, "_INT32_IDS", limit)
+    rng = np.random.default_rng(limit)
+    raw = rng.integers(-20, 20, size=(4, 2))
+    labels, ids = _number_labels(raw.copy())
+    want_labels, want_ids = _unique_numbering(raw)
+    assert ids.dtype == (np.int32 if raw.size < limit else np.int64)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(ids, want_ids)
+    pairs = rng.integers(-10 ** 9, 10 ** 9, size=50)[
+        rng.integers(0, 50, size=(200, 2))]
+    path = tmp_path / "g.txt"
+    np.savetxt(path, pairs, fmt="%d")
+    g = load_edge_list(path)
+    monkeypatch.undo()
+    want = load_edge_list(path)
+    for name in ("keys", "degrees", "labels"):
+        assert np.array_equal(getattr(g, name), getattr(want, name))
+        assert getattr(g, name).dtype == getattr(want, name).dtype
+    assert (g.loops_dropped, g.duplicates_dropped) == (
+        want.loops_dropped, want.duplicates_dropped)
+
+
+def test_edge_keys_widen_int32_ids_near_2_31():
+    # lo * num_vertices passes int32 at once; the keys must be int64
+    top = 2 ** 31 - 1
+    pairs = np.array([[top, top - 1], [0, top], [top, top], [5, 3]],
+                     dtype=np.int32)
+    keys, loops = _edge_keys(pairs, 2 ** 31)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [(top - 1) * 2 ** 31 + top, top,
+                             top * 2 ** 31 + top, 3 * 2 ** 31 + 5]
+    assert loops.tolist() == [False, False, True, False]
+    wide, wide_loops = _edge_keys(pairs.astype(np.int64), 2 ** 31)
+    assert np.array_equal(keys, wide)
+    assert np.array_equal(loops, wide_loops)
 
 
 def test_choose_r_examples():

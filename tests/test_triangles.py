@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kronmoments import features
-from kronmoments.features import count_triangles
+from kronmoments.features import _count_in_rows, count_triangles
 from kronmoments.generator import generate
 from kronmoments.graph_io import SimpleGraph
 from kronmoments.moments import KroneckerParams
@@ -60,6 +60,14 @@ def triangles_and_matching(k):
     return SimpleGraph(5 * k, np.array(triangles + pairs))
 
 
+def gnp(n, p, seed):
+    # dense enough for rows of up to 44 forward edges at p = 0.5, with
+    # about half of the wedges open, so the row search misses as often as
+    # it finds
+    rng = np.random.default_rng(seed)
+    return SimpleGraph(n, np.argwhere(np.triu(rng.random((n, n)) < p, 1)))
+
+
 def forward_degrees(g):
     """Each row's edge count in count_triangles' row order: vertices
     ranked by (degree, id), a row being one rank's forward edges."""
@@ -81,6 +89,7 @@ SMALL = {
     "isolated-7": lambda: empty(7),
     "matching-40": lambda: matching(40),
     "triangles-and-matching-9": lambda: triangles_and_matching(9),
+    "gnp-100-half": lambda: gnp(100, 0.5, 3),
 }
 
 GRAPHS = dict(SMALL)
@@ -122,22 +131,53 @@ def test_chunk_boundaries(monkeypatch, name, chunk):
     assert count_triangles(g) == sparse_product_triangles(g)
 
 
+# Row lengths at and around powers of two, and searches that take more
+# steps than the longest row needs.
+@pytest.mark.parametrize("extra", [0, 1, 40])
+@pytest.mark.parametrize("lengths", [[0, 1, 0, 0], [1], [2, 0, 3], [7, 8, 9],
+                                     [15, 16, 17, 0, 31, 32, 33],
+                                     list(range(41))],
+                         ids=lambda v: "-".join(map(str, v[:8])))
+def test_row_search_finds_exactly_the_row_keys(lengths, extra):
+    # row r holds `length` random columns of 0..63 as keys r * 64 + column;
+    # every key r * 64 + w of every row is searched, in random order, and
+    # must be found exactly when row r holds it
+    rng = np.random.default_rng(len(lengths) + extra)
+    rows = [np.sort(rng.choice(64, size=k, replace=False)) + 64 * r
+            for r, k in enumerate(lengths)]
+    keys = np.concatenate(rows).astype(np.int64)
+    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    row_of = np.repeat(np.arange(len(lengths), dtype=np.int64), 64)
+    needles = row_of * 64 + np.tile(np.arange(64), len(lengths))
+    order = rng.permutation(needles.size)
+    row_of, needles = row_of[order], needles[order]
+    want = np.isin(needles, keys)
+    longest = max(lengths) + extra
+    assert _count_in_rows(keys, starts, longest, row_of.copy(),
+                          needles) == int(want.sum())
+    # one needle at a time, so a wrong answer names its needle
+    for r, x, hit in zip(row_of[:200], needles[:200], want[:200]):
+        assert _count_in_rows(keys, starts, longest, np.array([r]),
+                              np.array([x])) == hit, (r, x)
+
+
 def test_triangle_count_allocates_keys_and_chunks(monkeypatch):
     # What count_triangles allocates on top of the graph is at most
-    #   16 E            the sorted forward keys (int64), and one more
-    #                   E-length array while they are built
+    #   8 E             the sorted forward keys (int64), decoded from the
+    #                   graph's keys a chunk at a time
     # + 64 n            a few int64 tables with one entry per vertex
     # + 64 max(C, R)    a few int64 chunk buffers; a chunk holds at most
     #                   C = _WEDGE_CHUNK edges and C wedges, or one row of
     #                   R > C wedges
-    # bytes.  A small C keeps the last term below the first, so four more
-    # E-length int64 arrays held through the count would pass the bound.
+    # bytes.  A small C keeps the last term below the first, so one more
+    # E-length int64 array held through the count would pass the bound.
     g = GRAPHS["chung-lu-hubs"]()
     chunk = 1 << 10
     monkeypatch.setattr(features, "_WEDGE_CHUNK", chunk)
     edges = forward_degrees(g)
     largest_row = int((edges * (edges - 1) // 2).max())
-    bound = (16 * g.num_edges + 64 * g.num_vertices
+    bound = (8 * g.num_edges + 64 * g.num_vertices
              + 64 * max(chunk, largest_row))
     tracemalloc.start()
     try:
