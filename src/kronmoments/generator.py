@@ -212,8 +212,7 @@ def generate(params: KroneckerParams, seed: int) -> SimpleGraph:
     if params.num_vertices > _MAX_VERTICES:
         raise ValueError(f"a graph in memory holds at most {_MAX_VERTICES} "
                          f"vertices (r <= 31), got r={params.r}")
-    return SimpleGraph._from_sorted_keys(params.num_vertices,
-                                         _sorted_keys(params, seed))
+    return SimpleGraph(params.num_vertices, _sorted_keys(params, seed))
 
 
 def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:

@@ -30,57 +30,58 @@ class GraphParseError(ValueError):
 class SimpleGraph:
     """Loop-free, duplicate-free undirected graph with dense vertex ids.
 
-    Vertex ids are 0..num_vertices-1.  ``labels`` maps them back to the
-    labels seen in the source file, which ascend strictly, so
-    ``np.searchsorted(labels, label)`` is a label's id; it is None for a
-    graph built programmatically.
-    The graph holds each edge (u, v), u < v, once as the int64 key
-    u * num_vertices + v in ``keys``, sorted and distinct, 8 bytes per
-    edge; so that the key fits, ``num_vertices`` is at most 3,037,000,499,
-    and more is a ValueError.  ``edge_array`` decodes the keys into an
-    (m, 2) array of (u, v) rows, ascending, on each access.  Degrees are
-    precomputed.  The constructor checks ``edge_array`` for loops and
-    duplicates; ``from_pairs`` and ``load_edge_list`` drop them instead,
-    through one shared step that starts from the edge keys, so each keys
-    and sorts its pairs once.  Instances are treated as immutable after
-    construction.
+    Vertex ids are 0..num_vertices-1.  ``SimpleGraph(n, keys)`` holds each
+    edge (u, v), u < v, once as the int64 key u * n + v: ``keys`` must
+    ascend strictly, each key in 0..n^2-1 with u < v, and n be at most
+    3,037,000,499 so that no key overflows, or it is a ValueError.  The
+    graph keeps ``keys`` as its own, 8 bytes per edge.  ``from_pairs`` and
+    ``load_edge_list`` build from (u, v) pairs and from a file, dropping
+    loops and duplicates, counted in ``loops_dropped`` and
+    ``duplicates_dropped``.  ``labels`` maps ids back to the source file's
+    labels, which ascend strictly, so ``np.searchsorted(labels, label)`` is
+    a label's id; it is None for a graph built programmatically.
+    ``edge_array`` decodes the keys into ascending (m, 2) rows (u, v) on
+    each access.  Degrees are precomputed.  Instances are treated as
+    immutable after construction.
     """
 
     def __init__(
         self,
         num_vertices: int,
-        edge_array: np.ndarray,
+        keys: np.ndarray,
         labels: np.ndarray | None = None,
         loops_dropped: int = 0,
         duplicates_dropped: int = 0,
     ):
-        num_vertices = int(num_vertices)
-        keys, loops = _edge_keys(
-            np.asarray(edge_array, dtype=np.int64).reshape(-1, 2), num_vertices)
-        if loops.any():
-            raise ValueError("edge_array contains a self-loop")
-        keys.sort()
-        # in key order a duplicate sits next to its twin
-        if (keys[1:] == keys[:-1]).any():
-            raise ValueError("edge_array contains a duplicate edge")
-        self._fill(num_vertices, keys, labels, loops_dropped,
-                   duplicates_dropped)
-
-    def _fill(self, num_vertices: int, keys: np.ndarray, labels,
-              loops_dropped: int, duplicates_dropped: int) -> None:
-        """Set every field from the sorted, duplicate-free edge keys."""
-        self.num_vertices = num_vertices
+        n = int(num_vertices)
+        if n > _MAX_VERTICES:
+            raise ValueError(f"num_vertices={n} above {_MAX_VERTICES}: "
+                             "edge keys would overflow int64")
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.ndim != 1:
+            raise ValueError("keys must be 1-D edge keys u * n + v; "
+                             "SimpleGraph.from_pairs takes (u, v) pairs")
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("edge keys do not ascend strictly")
+        if keys.size and (keys[0] < 0 or keys[-1] >= n * n):
+            raise ValueError("edge key outside 0..num_vertices**2-1")
+        self.num_vertices = n
         self.keys = keys
         self.labels = labels
         self.loops_dropped = int(loops_dropped)
         self.duplicates_dropped = int(duplicates_dropped)
-        # each edge adds one to both ends' degrees: the lower ends, then
-        # the higher ends, in one temporary
-        ends = np.floor_divide(keys, num_vertices)
+        # each edge adds one to both ends' degrees: the higher ends, then
+        # the lower ends, in one temporary
+        ends = keys % n
         self.degrees = np.bincount(
-            ends, minlength=num_vertices).astype(np.int64, copy=False)
-        np.remainder(keys, num_vertices, out=ends)
-        self.degrees += np.bincount(ends, minlength=num_vertices)
+            ends, minlength=n).astype(np.int64, copy=False)
+        # u < v exactly when u * n + v < v * (n + 1), which fits in int64
+        # since (n - 1) * (n + 1) < n^2
+        ends *= n + 1
+        if (keys >= ends).any():
+            raise ValueError("edge key with u >= v")
+        np.floor_divide(keys, n, out=ends)
+        self.degrees += np.bincount(ends, minlength=n)
 
     @property
     def edge_array(self) -> np.ndarray:
@@ -122,10 +123,10 @@ class SimpleGraph:
     def _from_keys(cls, num_vertices: int, keys: np.ndarray,
                    loops: np.ndarray, labels) -> "SimpleGraph":
         """The graph on the distinct non-loop ``keys``, ``loops`` marking
-        the loops, with both drop counts.  Overwrites ``keys``: the loops
-        are set past every key to sort last, and the first of each run of
-        equal keys moves to the front, so no copy of the keys outlives a
-        step.
+        the loops, with both drop counts.  Overwrites ``keys``, which owns
+        its buffer: the loops sort last, set past every key, the first of
+        each run of equal keys moves to the front, and the buffer shrinks to
+        those; so no copy of the keys outlives a step.
         """
         loops_dropped = int(np.count_nonzero(loops))
         keys[loops] = _INT64_MAX  # no key reaches it: see _MAX_VERTICES
@@ -137,20 +138,12 @@ class SimpleGraph:
         np.not_equal(kept[1:], kept[:-1], out=first[1:])
         distinct = int(np.count_nonzero(first))
         kept[:distinct] = kept[first]
-        del first
-        return cls._from_sorted_keys(num_vertices, kept[:distinct], labels,
-                                     loops_dropped, kept.size - distinct)
-
-    @classmethod
-    def _from_sorted_keys(cls, num_vertices: int, keys: np.ndarray,
-                          labels=None, loops_dropped: int = 0,
-                          duplicates_dropped: int = 0) -> "SimpleGraph":
-        """The graph that holds ``keys`` as its own, taken to be sorted,
-        distinct and loop-free without a check."""
-        graph = cls.__new__(cls)
-        graph._fill(num_vertices, keys, labels, loops_dropped,
-                    duplicates_dropped)
-        return graph
+        duplicates_dropped = kept.size - distinct
+        # no view of the buffer is left, so it shrinks in place
+        del first, kept
+        keys.resize(distinct, refcheck=False)
+        return cls(num_vertices, keys, labels, loops_dropped,
+                   duplicates_dropped)
 
     def __repr__(self):
         return (f"SimpleGraph(num_vertices={self.num_vertices}, "
@@ -159,11 +152,9 @@ class SimpleGraph:
 
 def _edge_keys(pairs: np.ndarray, num_vertices: int):
     """Each row's int64 key lo * num_vertices + hi (lo <= hi) and the loop
-    mask, from int32 or int64 ``pairs``; ValueError past ``_MAX_VERTICES``
-    or for an endpoint out of range."""
-    if num_vertices > _MAX_VERTICES:
-        raise ValueError(f"num_vertices={num_vertices} above "
-                         f"{_MAX_VERTICES}: edge keys would overflow int64")
+    mask, from int32 or int64 ``pairs``; ValueError for an endpoint out of
+    range.  Past ``_MAX_VERTICES`` a key can overflow, and the graph's
+    constructor raises."""
     # int32 ids widen here, before lo * num_vertices can overflow
     lo = np.minimum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
@@ -291,23 +282,29 @@ def _has_inline_comment(path: Path) -> bool:
     Only each line's first '#' is looked at, and a line ends at a line
     feed or a carriage return.  A few numpy passes over the bytes, and no
     Python work per '#': when every '#' opens its line, as comment lines
-    do, the answer is no, found a slice of ``_SCAN_BYTES`` at a time so
-    that no mask is as large as the file; otherwise each '#' gets its line
-    number by ``searchsorted`` into the line breaks, and the bytes between
-    each line's start and its first '#' are tested for a non-blank one in
-    one ``reduceat``.
+    do, the answer is no, found by reading a slice of ``_SCAN_BYTES`` at a
+    time, so that neither the file's bytes nor a mask is held whole;
+    otherwise the file is read whole, each '#' gets its line number by
+    ``searchsorted`` into the line breaks, and the bytes between each
+    line's start and its first '#' are tested for a non-blank one in one
+    ``reduceat``.
     """
     with open(path, "rb") as fh:
+        last = b"\n"  # the file's first byte opens a line
+        while chunk := fh.read(_SCAN_BYTES):
+            # the previous slice's last byte, then the slice: each '#' in
+            # the slice has the byte before it at its own index
+            data = np.frombuffer(last + chunk, dtype=np.uint8)
+            before = data[np.flatnonzero(data[1:] == ord("#"))]
+            if not ((before == ord("\n")) | (before == ord("\r"))).all():
+                break
+            last = chunk[-1:]
+        else:
+            return False
+        # some '#' follows another byte: a rare case, read with whole-file
+        # arrays
+        fh.seek(0)
         data = np.frombuffer(fh.read(), dtype=np.uint8)
-    for start in range(0, data.size, _SCAN_BYTES):
-        marks = np.flatnonzero(data[start:start + _SCAN_BYTES] == ord("#"))
-        marks += start
-        before = data[marks[marks > 0] - 1]
-        if not ((before == ord("\n")) | (before == ord("\r"))).all():
-            break
-    else:
-        return False
-    # some '#' follows another byte: a rare case, read with whole-file arrays
     marks = np.flatnonzero(data == ord("#"))
     breaks = np.flatnonzero((data == ord("\n")) | (data == ord("\r")))
     line = np.searchsorted(breaks, marks)

@@ -268,8 +268,8 @@ class DominanceExponent(NamedTuple):
 
 def dominance_exponent(params: KroneckerParams) -> DominanceExponent:
     """alpha = log2((a+2b+c)/(a+c)); the second edge term scales as N^-alpha."""
-    s = params.a + params.c
+    total, s = _closed_form_bases(params.a, params.b, params.c)[:2]
     if s == 0.0:
         return DominanceExponent(math.inf, True)
-    alpha = math.log2((params.a + 2 * params.b + params.c) / s)
+    alpha = math.log2(total / s)
     return DominanceExponent(alpha, alpha > 0.5)

@@ -8,6 +8,9 @@
 - ``restricted_sum`` and the ``folded_*`` sums are the restricted-sum fold
   identities the closed-form derivation rests on, and the direct
   enumeration they are checked against.
+- ``checked_graph`` builds a graph from (u, v) pairs that must already
+  be loop-free and duplicate-free, the tests' way to state a graph by its
+  edges.
 - ``sparse_product_triangles`` counts triangles as one masked
   ``scipy.sparse`` product, the count the package made before its wedge
   check.
@@ -231,6 +234,18 @@ def folded_triple_sum_fully_exchangeable(f: np.ndarray) -> float:
     return float(
         f.sum() - 3.0 * np.einsum("iij->", f) + 2.0 * np.einsum("iii->", f)
     )
+
+
+def checked_graph(n: int, edges, labels=None) -> SimpleGraph:
+    """The graph on n vertices with ``edges``, (u, v) pairs in any order
+    and orientation; ValueError for a self-loop or a duplicate edge, which
+    ``SimpleGraph.from_pairs`` would drop."""
+    g = SimpleGraph.from_pairs(edges, num_vertices=n, labels=labels)
+    if g.loops_dropped:
+        raise ValueError("edges contain a self-loop")
+    if g.duplicates_dropped:
+        raise ValueError("edges contain a duplicate edge")
+    return g
 
 
 def sparse_product_triangles(g: SimpleGraph) -> int:

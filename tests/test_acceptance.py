@@ -21,10 +21,11 @@ from kronmoments.cli import main as cli_main
 from kronmoments.estimator import ObjectiveSpec, evaluate_objective, fit_best, fit_leading
 from kronmoments.features import FeatureCounts, count_features
 from kronmoments.generator import generate
-from kronmoments.graph_io import SimpleGraph, load_edge_list
+from kronmoments.graph_io import load_edge_list
 from kronmoments.moments import KroneckerParams, expected_features
 from oracles import (
     brute_force_expected,
+    checked_graph,
     folded_pair_sum,
     folded_quad_sum,
     folded_quad_sum_tail_exchangeable,
@@ -161,7 +162,7 @@ def test_criterion_04_counting_correctness():
         p = float(rng.uniform(0.05, 0.5))
         adj = np.triu(rng.random((n, n)) < p, 1)
         adj = adj | adj.T
-        g = SimpleGraph(n, np.argwhere(np.triu(adj, 1)))
+        g = checked_graph(n, np.argwhere(np.triu(adj, 1)))
         fc = count_features(g)
         pairs = np.array(list(combinations(range(n), 2)))
         trips = np.array(list(combinations(range(n), 3)))

@@ -33,7 +33,8 @@ from kronmoments.moments import (
     expected_counts,
     expected_features,
 )
-from oracles import grid_oracle, leading_oracle, plain_objective, whole_lattice
+from oracles import (checked_graph, grid_oracle, leading_oracle,
+                     plain_objective, whole_lattice)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -768,7 +769,7 @@ class TestFitLeading:
         # solvable exactly when the degree variance reaches the degree
         # mean: N * sum d(d-1) >= (sum d)^2
         from kronmoments.features import count_features
-        from kronmoments.graph_io import SimpleGraph, choose_r
+        from kronmoments.graph_io import choose_r
 
         rng = np.random.default_rng(17)
         seen = {True: 0, False: 0}
@@ -776,7 +777,7 @@ class TestFitLeading:
             n = int(rng.integers(4, 40))
             p = float(rng.uniform(0.05, 0.6))
             adj = np.triu(rng.random((n, n)) < p, 1)
-            g = SimpleGraph(n, np.argwhere(adj))
+            g = checked_graph(n, np.argwhere(adj))
             obs = count_features(g)
             if obs.edges == 0 or obs.hairpins == 0:
                 continue

@@ -11,12 +11,12 @@ from kronmoments.features import (
     count_triangles,
 )
 from kronmoments.generator import generate
-from kronmoments.graph_io import SimpleGraph
 from kronmoments.moments import KroneckerParams
+from oracles import checked_graph
 
 
 def graph_from_edges(n, edges):
-    return SimpleGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return checked_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
 def brute_force_counts(adj):
@@ -61,9 +61,9 @@ def test_k4_and_c4():
 
 
 def test_empty_graph():
-    g = SimpleGraph(0, np.zeros((0, 2), dtype=np.int64))
+    g = checked_graph(0, np.zeros((0, 2), dtype=np.int64))
     assert count_features(g) == FeatureCounts(0, 0, 0, 0, 0)
-    g = SimpleGraph(5, np.zeros((0, 2), dtype=np.int64))
+    g = checked_graph(5, np.zeros((0, 2), dtype=np.int64))
     assert count_features(g) == FeatureCounts(5, 0, 0, 0, 0)
 
 
@@ -74,7 +74,7 @@ def test_random_graphs_match_enumeration():
         p = float(rng.uniform(0.05, 0.6))
         adj = np.triu(rng.random((n, n)) < p, 1)
         adj = adj | adj.T
-        g = SimpleGraph(n, np.argwhere(np.triu(adj, 1)))
+        g = checked_graph(n, np.argwhere(np.triu(adj, 1)))
         fc = count_features(g)
         assert (fc.edges, fc.hairpins, fc.tripins, fc.triangles) == \
             brute_force_counts(adj)
@@ -86,7 +86,7 @@ def test_dense_graph_triangles():
     n = 30
     adj = ~np.eye(n, dtype=bool)
     adj[0, 1] = adj[1, 0] = False
-    g = SimpleGraph(n, np.argwhere(np.triu(adj, 1)))
+    g = checked_graph(n, np.argwhere(np.triu(adj, 1)))
     expected = n * (n - 1) * (n - 2) // 6 - (n - 2)
     assert count_triangles(g) == expected
 
@@ -131,7 +131,7 @@ def test_ids_out_of_degree_order():
     for a in (adj, adj[np.ix_(perm, perm)]):
         degrees = a.sum(axis=1)
         assert (np.diff(degrees) < 0).any() and (np.diff(degrees) > 0).any()
-        g = SimpleGraph(n, np.argwhere(np.triu(a, 1)))
+        g = checked_graph(n, np.argwhere(np.triu(a, 1)))
         fc = count_features(g)
         assert (fc.edges, fc.hairpins, fc.tripins, fc.triangles) == \
             brute_force_counts(a)

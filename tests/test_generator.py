@@ -17,9 +17,9 @@ from kronmoments.generator import (
     generate_to_file,
 )
 from kronmoments import graph_io
-from kronmoments.graph_io import SimpleGraph, load_edge_list
+from kronmoments.graph_io import load_edge_list
 from kronmoments.moments import KroneckerParams, expected_features
-from oracles import probability_matrix
+from oracles import checked_graph, probability_matrix
 
 PARAMS = KroneckerParams(0.99, 0.48, 0.25, 8)
 
@@ -82,9 +82,9 @@ class TestGenerate:
         # generate builds the graph straight from the sampler's sorted keys
         # (u << r) | v: the same graph as keying, sorting and checking the
         # edges anew, without a call to the edge keying
-        want = {(r, seed): SimpleGraph(1 << r,
-                                       generate_edges(KroneckerParams(*abc, r),
-                                                      seed))
+        want = {(r, seed): checked_graph(1 << r,
+                                         generate_edges(
+                                             KroneckerParams(*abc, r), seed))
                 for r in range(top + 1) for seed in (1, 2, 3)}
 
         def no_keying(*args):

@@ -17,6 +17,7 @@ from kronmoments.graph_io import (
     choose_r,
     load_edge_list,
 )
+from oracles import checked_graph
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -102,13 +103,6 @@ def test_degree_and_adjacency_invariants(tmp_path):
         assert np.array_equal(deg, g.degrees)
 
 
-def test_from_pairs_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        SimpleGraph(3, np.array([[0, 0]]))
-    with pytest.raises(ValueError):
-        SimpleGraph(2, np.array([[0, 5]]))
-
-
 @pytest.mark.parametrize("pairs", [
     [[0, 5]],  # its key 5 would decode as the edge (1, 2)
     [[-1, 1]],
@@ -126,22 +120,26 @@ PAST_VERTEX_LIMIT = 3_037_000_500
 
 def test_vertex_count_past_the_key_limit_is_rejected():
     with pytest.raises(ValueError, match="overflow int64"):
-        SimpleGraph(PAST_VERTEX_LIMIT, [])
-    with pytest.raises(ValueError, match="overflow int64"):
         SimpleGraph.from_pairs([(0, 1)], num_vertices=PAST_VERTEX_LIMIT)
     with pytest.raises(ValueError, match="overflow int64"):
         SimpleGraph.from_pairs([(0, PAST_VERTEX_LIMIT - 1)])
 
 
-@pytest.mark.parametrize("edges", [
-    [[0, 1], [1, 0], [1, 2]],  # unsorted, the twin reversed
-    [[1, 2], [2, 1]],  # both reversed against each other
-    [[0, 1], [0, 1], [1, 2]],  # already sorted
-    [[1, 2], [0, 3], [2, 1]],  # twins apart
-])
-def test_constructor_rejects_duplicate_edges(edges):
-    with pytest.raises(ValueError, match="duplicate edge"):
-        SimpleGraph(4, np.array(edges))
+# on 4 vertices the key of (u, v) is 4u + v, below 16
+@pytest.mark.parametrize("n, keys, message", [
+    (4, [1, 6, 2], "ascend strictly"),  # (0, 1), (1, 2), (0, 2)
+    (4, [1, 6, 6], "ascend strictly"),  # (1, 2) twice
+    (4, [0 * 4 + 0, 6], "u >= v"),  # a loop
+    (4, [1, 2 * 4 + 1], "u >= v"),  # (2, 1)
+    (4, [-1, 1], "outside"),
+    (4, [1, 16], "outside"),  # decodes as (4, 0)
+    (PAST_VERTEX_LIMIT, [], "overflow int64"),
+    (4, [[0, 1], [1, 2]], "from_pairs takes"),  # pairs, not keys
+], ids=["unsorted", "repeated", "loop", "u-above-v", "negative",
+        "past-n-squared", "past-vertex-limit", "pairs"])
+def test_constructor_rejects_bad_keys(n, keys, message):
+    with pytest.raises(ValueError, match=message):
+        SimpleGraph(n, np.array(keys, dtype=np.int64))
 
 
 def test_from_pairs_array_list_and_generator_agree():
@@ -392,6 +390,23 @@ def test_inline_comment_check_in_slices(tmp_path, monkeypatch, scan_bytes):
                        200)
 
 
+# a '#' at offset _SCAN_BYTES opens the second slice, and the byte before
+# it is the first slice's last byte
+@pytest.mark.parametrize("head, want", [
+    (b"1 2\n3 4\n", False),
+    (b"1 2\n3 45", True),
+], ids=["after-line-feed", "after-label"])
+def test_inline_comment_check_at_a_slice_boundary(tmp_path, monkeypatch,
+                                                   head, want):
+    monkeypatch.setattr(graph_io, "_SCAN_BYTES", len(head))
+    data = head + b"# c\n5 6\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    assert data.index(b"#") == graph_io._SCAN_BYTES
+    assert inline_comment_reference(data) is want
+    assert _has_inline_comment(path) is want
+
+
 def test_bad_utf8_raises_as_line_reading_does(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"1 2\n\xff\xfe 3\n")
@@ -410,7 +425,7 @@ def test_sorted_and_shuffled_edges_build_the_same_graph():
         # sorted by u alone: only the second column is out of order
         by_u = ascending[np.lexsort((rng.random(len(ascending)),
                                      ascending[:, 0]))]
-        graphs = [SimpleGraph(n, e) for e in (ascending, shuffled, by_u)]
+        graphs = [checked_graph(n, e) for e in (ascending, shuffled, by_u)]
         for g in graphs:
             assert np.array_equal(g.edge_array, ascending)
             assert np.array_equal(g.degrees, graphs[0].degrees)
@@ -496,6 +511,8 @@ def test_numbering_on_both_sides_of_the_key_limit(tmp_path, monkeypatch,
 
 
 def test_from_pairs_matches_the_constructor():
+    # from_pairs keys, sorts and merges the pairs; the constructor takes
+    # the distinct keys as they are and keeps them as its own
     rng = np.random.default_rng(5)
     for n in (1, 2, 7, 60, 400):
         adj = np.triu(rng.random((n, n)) < 0.15, 1)
@@ -504,13 +521,17 @@ def test_from_pairs_matches_the_constructor():
         flip = rng.random(len(edges)) < 0.5
         edges[flip] = edges[flip][:, ::-1]
         labels = np.sort(rng.choice(10 ** 6, size=n, replace=False))
-        built = SimpleGraph(n, edges, labels=labels)
+        keys = np.unique(edges.min(axis=1) * n + edges.max(axis=1))
+        built = SimpleGraph(n, keys, labels)
+        assert built.keys is keys
         paired = SimpleGraph.from_pairs(edges, num_vertices=n, labels=labels)
         for g in (built, paired):
             assert g.num_vertices == n
             assert g.edge_array.dtype == g.degrees.dtype == np.int64
-        assert np.array_equal(paired.edge_array, built.edge_array)
+        assert np.array_equal(paired.keys, keys)
         assert np.array_equal(paired.degrees, built.degrees)
+        assert np.array_equal(
+            built.degrees, np.bincount(edges.ravel(), minlength=n))
         assert paired.labels is built.labels
         assert (paired.loops_dropped, paired.duplicates_dropped) == (0, 0)
         assert (built.loops_dropped, built.duplicates_dropped) == (0, 0)
@@ -520,7 +541,7 @@ def test_from_pairs_matches_the_constructor():
                                 loops])
         messy = messy[rng.permutation(len(messy))]
         dropped = SimpleGraph.from_pairs(messy, num_vertices=n)
-        assert np.array_equal(dropped.edge_array, built.edge_array)
+        assert np.array_equal(dropped.keys, keys)
         assert np.array_equal(dropped.degrees, built.degrees)
         assert dropped.loops_dropped == 3
         assert dropped.duplicates_dropped == len(edges) // 3
@@ -535,13 +556,13 @@ def test_loader_drops_the_ids_before_the_graph(tmp_path, monkeypatch):
     path = tmp_path / "g.txt"
     np.savetxt(path, pairs, fmt="%d")
     held = []
-    fill = SimpleGraph._fill
+    init = SimpleGraph.__init__
 
-    def traced_fill(graph, *args):
-        fill(graph, *args)
+    def traced_init(graph, *args):
+        init(graph, *args)
         held.append(tracemalloc.get_traced_memory()[0])
 
-    monkeypatch.setattr(SimpleGraph, "_fill", traced_fill)
+    monkeypatch.setattr(SimpleGraph, "__init__", traced_init)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -558,10 +579,10 @@ def test_loader_drops_the_ids_before_the_graph(tmp_path, monkeypatch):
 def test_loaded_graph_holds_its_keys_degrees_and_labels(tmp_path):
     # A loaded graph is its 8-byte edge keys, its 8-byte degrees and its
     # labels: no (m, 2) edge array is kept, and edge_array is decoded from
-    # the keys on each access.  The keys stay in the buffer the pairs were
-    # keyed in, so dropped pairs count at 8 bytes each.
+    # the keys on each access.  The buffer the pairs were keyed in shrinks
+    # to the kept keys, so the thousands of dropped pairs hold nothing.
     rng = np.random.default_rng(25)
-    pairs = rng.integers(-5000, 5000, size=(30000, 2)) * 104729
+    pairs = rng.integers(-300, 300, size=(30000, 2)) * 104729
     path = tmp_path / "g.txt"
     np.savetxt(path, pairs, fmt="%d")
     tracemalloc.start()
@@ -577,8 +598,8 @@ def test_loaded_graph_holds_its_keys_degrees_and_labels(tmp_path):
     assert g.keys.shape == (m,) and g.degrees.shape == (g.num_vertices,)
     assert not any(isinstance(value, np.ndarray) and value.ndim == 2
                    for value in vars(g).values())
-    bound = (8 * len(pairs) + g.degrees.nbytes + g.labels.nbytes
-             + (1 << 12))
+    assert len(pairs) - m > 2000
+    bound = 8 * m + g.degrees.nbytes + g.labels.nbytes + (1 << 12)
     assert held <= bound, (held, bound)
     # 16 bytes per edge more for the decoded (m, 2) array, a fresh one
     # each time

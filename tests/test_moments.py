@@ -402,6 +402,8 @@ class TestDominanceExponent:
     def test_arithmetic(self):
         dom = dominance_exponent(KroneckerParams(0.99, 0.48, 0.25, 10))
         assert dom.alpha == pytest.approx(math.log2(2.2 / 1.24), rel=1e-12)
+        # bases 0 and 1 of the closed forms, written out: the same bits
+        assert dom.alpha == math.log2((0.99 + 2 * 0.48 + 0.25) / (0.99 + 0.25))
         assert dom.lead_dominant
 
     def test_zero_diagonal(self):

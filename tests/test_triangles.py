@@ -11,7 +11,7 @@ from kronmoments.features import _count_in_rows, count_triangles
 from kronmoments.generator import generate
 from kronmoments.graph_io import SimpleGraph
 from kronmoments.moments import KroneckerParams
-from oracles import sparse_product_triangles
+from oracles import checked_graph, sparse_product_triangles
 
 
 def kronecker(r, seed):
@@ -31,22 +31,22 @@ def chung_lu(n, pairs, seed):
 
 
 def complete(n):
-    return SimpleGraph(n, np.array(list(combinations(range(n), 2))))
+    return checked_graph(n, np.array(list(combinations(range(n), 2))))
 
 
 def star(leaves):
-    return SimpleGraph(leaves + 1,
-                       np.array([(0, k) for k in range(1, leaves + 1)]))
+    return checked_graph(leaves + 1,
+                         np.array([(0, k) for k in range(1, leaves + 1)]))
 
 
 def empty(n):
-    return SimpleGraph(n, np.zeros((0, 2), dtype=np.int64))
+    return checked_graph(n, np.zeros((0, 2), dtype=np.int64))
 
 
 def matching(pairs):
     # every vertex has degree 1, so no row holds a wedge
-    return SimpleGraph(2 * pairs,
-                       np.arange(2 * pairs).reshape(pairs, 2))
+    return checked_graph(2 * pairs,
+                         np.arange(2 * pairs).reshape(pairs, 2))
 
 
 def triangles_and_matching(k):
@@ -57,7 +57,7 @@ def triangles_and_matching(k):
     triangles = [(3 * i + a, 3 * i + b) for i in range(k)
                  for a, b in ((0, 1), (1, 2), (0, 2))]
     pairs = [(3 * k + 2 * i, 3 * k + 2 * i + 1) for i in range(k)]
-    return SimpleGraph(5 * k, np.array(triangles + pairs))
+    return checked_graph(5 * k, np.array(triangles + pairs))
 
 
 def gnp(n, p, seed):
@@ -65,7 +65,7 @@ def gnp(n, p, seed):
     # about half of the wedges open, so the row search misses as often as
     # it finds
     rng = np.random.default_rng(seed)
-    return SimpleGraph(n, np.argwhere(np.triu(rng.random((n, n)) < p, 1)))
+    return checked_graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, 1)))
 
 
 def forward_degrees(g):
