@@ -61,7 +61,13 @@ class SimpleGraph:
         if keys.ndim != 1:
             raise ValueError("keys must be 1-D edge keys u * n + v; "
                              "SimpleGraph.from_pairs takes (u, v) pairs")
-        if (keys[1:] <= keys[:-1]).any():
+        out_of_order = keys[1:] <= keys[:-1]
+        if out_of_order.any():
+            i = int(out_of_order.argmax())
+            if keys[i] == keys[i + 1] and n:
+                u, v = divmod(int(keys[i]), n)
+                raise ValueError("edge keys do not ascend strictly: "
+                                 f"duplicate edge ({u}, {v})")
             raise ValueError("edge keys do not ascend strictly")
         if keys.size and (keys[0] < 0 or keys[-1] >= n * n):
             raise ValueError("edge key outside 0..num_vertices**2-1")

@@ -142,6 +142,18 @@ def test_constructor_rejects_bad_keys(n, keys, message):
         SimpleGraph(n, np.array(keys, dtype=np.int64))
 
 
+@pytest.mark.parametrize("edges", [
+    [[0, 1], [1, 0], [1, 2]],  # the twin reversed
+    [[1, 2], [2, 1]],  # both reversed against each other
+    [[0, 1], [0, 1], [1, 2]],  # the twin repeated as is
+])
+def test_constructor_rejects_duplicate_edges(edges):
+    # each pair keyed as min * n + max, so a reversed twin keys the same
+    keys = np.sort(np.array(edges), axis=1) @ np.array([4, 1])
+    with pytest.raises(ValueError, match=r"duplicate edge \([01], [12]\)"):
+        SimpleGraph(4, keys)
+
+
 def test_from_pairs_array_list_and_generator_agree():
     pairs = [(3, 1), (1, 3), (2, 2), (0, 4), (4, 0), (1, 2), (0, 4)]
     graphs = [
