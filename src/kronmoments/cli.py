@@ -19,12 +19,10 @@ from .estimator import (
     FIT_METHODS,
     FitFailure,
     FitProblem,
-    LeadingTermInfeasible,
     ObjectiveSpec,
     unexplained,
 )
 from .experiment import (
-    ConfigError,
     fit_csv_row,
     fit_power,
     parse_experiment_config,
@@ -34,7 +32,7 @@ from .experiment import (
 )
 from .features import FeatureCounts, count_features, read_counts_json
 from .generator import MAX_GENERATE_POWER, generate_to_file
-from .graph_io import GraphParseError, load_edge_list
+from .graph_io import load_edge_list
 from .moments import (
     FEATURE_NAMES,
     KroneckerParams,
@@ -211,8 +209,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _DISPATCH[args.command](args)
-    except (_UserError, GraphParseError, ConfigError, FitFailure,
-            LeadingTermInfeasible, OSError, ValueError) as exc:
+    except (_UserError, FitFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -28,8 +28,8 @@ from .moments import (
     KroneckerParams,
     _MULTIPLES,
     _closed_form_bases,
+    _values,
     check_power,
-    closed_form_by_power,
     closed_form_values,
     expected_counts,
 )
@@ -369,7 +369,7 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
             if grid_points < 2:
                 raise ValueError("grid_points must be >= 2")
             fits.append((i, p, _require_fittable(spec, p.obs)))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             out[i] = exc
     if not fits:
         return out
@@ -412,8 +412,9 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     for cells in _in_blocks(map(row_cells, range(k)), _GRID_BLOCK_POINTS // 2):
         corners = [axis[np.concatenate((low[idx], high[idx]))]
                    for idx in np.unravel_index(cells, (k, k, k))]
-        for values, ranked in zip(closed_form_by_power(*corners, at_power),
-                                  at_power.values()):
+        bases = _closed_form_bases(*corners)
+        for r, ranked in at_power.items():
+            values = _values(bases, r)
             lo = [v[:cells.size] * (1.0 - _CORNER_MARGIN) for v in values]
             hi = [v[cells.size:] * (1.0 + _CORNER_MARGIN) for v in values]
             for j in ranked:
@@ -421,6 +422,7 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
                 bounds[j].append(score(
                     [np.clip(F, l, h) for F, l, h in zip(observed[j], lo, hi)],
                     j))
+        del bases  # before the next block's are built
     bounds = [np.concatenate(b) for b in bounds]
 
     winners = [[] for _ in fits]  # (objective, lattice index) per block
@@ -601,7 +603,7 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
             if p.seed < 0:
                 raise ValueError("seed must be >= 0")
             fits.append((i, p, _require_fittable(spec, p.obs)))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             out[i] = exc
     if not fits:
         return out
@@ -758,12 +760,13 @@ def _leading(problem: FitProblem, spec: ObjectiveSpec) -> FitResult:
 
 
 def _fit_leading_batch(problems, spec: ObjectiveSpec, grid_points) -> list:
-    """``_leading`` on each problem, or the ValueError it raised."""
+    """``_leading`` on each problem, or the TypeError or ValueError it
+    raised."""
     out = []
     for p in problems:
         try:
             out.append(_leading(p, spec))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             out.append(exc)
     return out
 
@@ -879,8 +882,9 @@ def _timed(fit):
 # The one dispatch point from a method name to its fit, for the public
 # fits, the CLI, the experiment harness and fit_best.  Every entry takes
 # (problems, spec, grid_points), a list of FitProblem under one objective,
-# and returns one entry per problem: its FitResult, or the ValueError or
-# FitFailure that problem gave, so one bad problem does not stop the rest.
+# and returns one entry per problem: its FitResult, or the TypeError,
+# ValueError or FitFailure that problem gave, so one bad problem does not
+# stop the rest.
 # Each ignores what it does not use.
 FIT_METHODS = {
     "direct": _timed(_fit_direct_batch),

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
 
-_INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
 _MAX_VERTICES = 3_037_000_499  # isqrt(_INT64_MAX): every lo * n + hi fits
 # Bytes per slice in the scan for a '#' that opens no line.
@@ -187,11 +187,11 @@ def load_edge_list(path) -> SimpleGraph:
 
     The whole file is first read in one ``np.loadtxt`` call.  When that
     cannot stand for the line-by-line reading - loadtxt rejects the file,
-    finds other than two columns, or a '#' follows a label on some line,
-    which loadtxt would take for a trailing comment - the file is read
-    again line by line, and that reading raises the ``GraphParseError``
-    with the line number.  Both readings give the same labels, so the
-    graph does not depend on which one ran.
+    finds other than two columns, or a slice-wise scan finds a '#' after a
+    label, which loadtxt would take for a trailing comment - the file is
+    read again line by line, 8 bytes a label, and that reading raises the
+    ``GraphParseError`` with the line number.  Both readings give the same
+    labels, so the graph does not depend on which one ran.
 
     Each stage frees what the next does not need: the labels' buffer is
     the numbering's sort key, the ids take 4 bytes per label read (int32
@@ -286,53 +286,54 @@ def _has_inline_comment(path: Path) -> bool:
     """Whether some '#' follows a non-blank character on its line.
 
     Only each line's first '#' is looked at, and a line ends at a line
-    feed or a carriage return.  A few numpy passes over the bytes, and no
-    Python work per '#': when every '#' opens its line, as comment lines
-    do, the answer is no, found by reading a slice of ``_SCAN_BYTES`` at a
-    time, so that neither the file's bytes nor a mask is held whole;
-    otherwise the file is read whole, each '#' gets its line number by
-    ``searchsorted`` into the line breaks, and the bytes between each
-    line's start and its first '#' are tested for a non-blank one in one
-    ``reduceat``.
+    feed or a carriage return.  Each slice of ``_SCAN_BYTES`` is read after
+    two bytes that stand in for the line it continues: a line feed, then
+    ' ' (blank so far), 'x' (a non-blank byte before any '#') or '#' (its
+    first '#' read).  A slice where every '#' follows a line break, as
+    comment lines do, is clean; in any other, each '#' gets its line by
+    ``searchsorted`` into the breaks, and the bytes from each line's start
+    to its first '#' are tested for a non-blank one in one ``reduceat``.
+    No Python work per '#', and neither the file nor a mask is held whole.
     """
     with open(path, "rb") as fh:
-        last = b"\n"  # the file's first byte opens a line
+        head = b"\n "  # the file's first byte opens a blank line
         while chunk := fh.read(_SCAN_BYTES):
-            # the previous slice's last byte, then the slice: each '#' in
-            # the slice has the byte before it at its own index
-            data = np.frombuffer(last + chunk, dtype=np.uint8)
-            before = data[np.flatnonzero(data[1:] == ord("#"))]
-            if not ((before == ord("\n")) | (before == ord("\r"))).all():
-                break
-            last = chunk[-1:]
-        else:
-            return False
-        # some '#' follows another byte: a rare case, read with whole-file
-        # arrays
-        fh.seek(0)
-        data = np.frombuffer(fh.read(), dtype=np.uint8)
-    marks = np.flatnonzero(data == ord("#"))
-    breaks = np.flatnonzero((data == ord("\n")) | (data == ord("\r")))
-    line = np.searchsorted(breaks, marks)
-    first = np.ones(marks.size, dtype=bool)
-    np.not_equal(line[1:], line[:-1], out=first[1:])
-    marks = marks[first]
-    starts = np.concatenate(([0], breaks + 1))[line[first]]
-    prefixed = marks > starts
-    if not prefixed.any():
-        return False
-    # the bounds alternate line start, first '#', so the even segments of
-    # the reduceat are the prefixes; a prefix holds no line break, so its
-    # blanks (as bytes.strip sees them) are space, '\t', '\v' and '\f'
-    bounds = np.stack([starts[prefixed], marks[prefixed]], axis=1).ravel()
-    visible = (data != ord(" ")) & ((data < ord("\t")) | (data > ord("\f")))
-    return bool(np.logical_or.reduceat(visible, bounds)[::2].any())
+            buf = head + chunk
+            # the next slice's stand-in, from the line after the last break
+            newline = buf.rfind(b"\n")
+            tail = buf[max(newline, buf.rfind(b"\r", newline + 1)) + 1:]
+            head = (b"\n#" if b"#" in tail
+                    else b"\nx" if tail.strip() else b"\n ")
+            data = np.frombuffer(buf, dtype=np.uint8)
+            marks = np.flatnonzero(data == ord("#"))
+            before = data[marks - 1]  # data[0] is a break, not a '#'
+            if ((before == ord("\n")) | (before == ord("\r"))).all():
+                continue
+            breaks = np.flatnonzero((data == ord("\n")) | (data == ord("\r")))
+            line = np.searchsorted(breaks, marks)  # >= 1: data[0] is a break
+            first = np.ones(marks.size, dtype=bool)
+            np.not_equal(line[1:], line[:-1], out=first[1:])
+            marks = marks[first]
+            starts = (breaks + 1)[line[first] - 1]
+            prefixed = marks > starts
+            if not prefixed.any():
+                continue
+            # the bounds alternate line start, first '#', so the even
+            # segments of the reduceat are the prefixes; a prefix holds no
+            # line break, so its blanks (as bytes.strip sees them) are
+            # space, '\t', '\v' and '\f'
+            bounds = np.stack([starts, marks], axis=1)[prefixed].ravel()
+            visible = ((data != ord(" "))
+                       & ((data < ord("\t")) | (data > ord("\f"))))
+            if np.logical_or.reduceat(visible, bounds)[::2].any():
+                return True
+    return False
 
 
 def _read_lines(path: Path) -> np.ndarray:
     """The (m, 2) labels, one line at a time; raises ``GraphParseError``
     at the first malformed line."""
-    labels: list[int] = []
+    labels = array("q")  # 8 bytes a label
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -350,14 +351,13 @@ def _read_lines(path: Path) -> np.ndarray:
                 raise GraphParseError(
                     path, line_no, f"non-integer vertex label in {tokens!r}"
                 ) from None
-            if not (_INT64_MIN <= a <= _INT64_MAX
-                    and _INT64_MIN <= b <= _INT64_MAX):
+            try:
+                labels.extend((a, b))
+            except OverflowError:
                 raise GraphParseError(
                     path, line_no, f"vertex label outside int64 in {tokens!r}"
-                )
-            labels.append(a)
-            labels.append(b)
-    return np.array(labels, dtype=np.int64).reshape(-1, 2)
+                ) from None
+    return np.frombuffer(labels, dtype=np.int64).reshape(-1, 2)
 
 
 def choose_r(num_vertices: int) -> int:

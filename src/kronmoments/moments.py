@@ -218,21 +218,10 @@ def closed_form_values(a, b, c, r) -> list:
     of 1-d arrays (a, b, c) its own power, as a lockstep simplex over
     several problems does.  Every power is taken with a float exponent
     array, so a point has the same bits whichever form of ``r`` asked for
-    it, and the same as in ``closed_form_by_power``.
+    it, and the same in the grid's corner pass, which takes ``_values`` of
+    one block's bases at each power.
     """
     return _values(_closed_form_bases(a, b, c), r)
-
-
-def closed_form_by_power(a, b, c, powers):
-    """Yield ``closed_form_values(a, b, c, r)`` for each r of ``powers``.
-
-    The bases are built once, so the grid evaluates a block of its cell
-    corners at several powers for the cost of the powers alone, and holds
-    one power's values at a time.
-    """
-    bases = _closed_form_bases(a, b, c)
-    for r in powers:
-        yield _values(bases, r)
 
 
 def expected_counts(a: float, b: float, c: float, r: int) -> list:

@@ -10,6 +10,7 @@ from kronmoments.estimator import (
     _CORNER_MARGIN,
     _GRID_BLOCK_POINTS,
     _GRID_CELL,
+    FIT_METHODS,
     FitFailure,
     FitProblem,
     LeadingTermInfeasible,
@@ -366,7 +367,7 @@ class TestFitGrid:
             raise AssertionError("the lattice was evaluated")
 
         monkeypatch.setattr(estimator, "closed_form_values", no_sweep)
-        monkeypatch.setattr(estimator, "closed_form_by_power", no_sweep)
+        monkeypatch.setattr(estimator, "_values", no_sweep)
         for r in (-1, 61):
             with pytest.raises(ValueError, match=rf"r={r} outside \[0, 60\]"):
                 fit_grid(GRQC, r)
@@ -710,6 +711,18 @@ class TestBatch:
         assert str(direct[2]) == "starts must be >= 1"
         for res in direct[:1] + direct[3:] + grid[:1] + grid[2:]:
             assert res.method in ("direct", "grid")
+
+    @pytest.mark.parametrize("method", sorted(FIT_METHODS))
+    def test_float_power_is_rejected_alone(self, method):
+        spec = ObjectiveSpec()
+        fit = FIT_METHODS[method]
+        out = fit([FitProblem(GRQC, 13.0, starts=5),
+                   FitProblem(GRQC, 13, starts=5)], spec, 21)
+        assert isinstance(out[0], TypeError)
+        assert str(out[0]) == "r must be an integer, got 13.0"
+        (alone,) = fit([FitProblem(GRQC, 13, starts=5)], spec, 21)
+        assert out[1].params == alone.params
+        assert out[1].objective_value == alone.objective_value
 
     def test_negative_seed_is_rejected_alone(self):
         spec, problems = batch("dsq-f2")

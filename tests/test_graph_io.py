@@ -419,6 +419,47 @@ def test_inline_comment_check_at_a_slice_boundary(tmp_path, monkeypatch,
     assert _has_inline_comment(path) is want
 
 
+def test_inline_comment_check_holds_a_few_slices(tmp_path, monkeypatch):
+    # An indented comment makes the first slice's '#' follow a blank, so
+    # only that slice's lines are checked; the rest are clean, and the
+    # scan holds a few slices at a time, never the file.
+    scan_bytes = 4096
+    monkeypatch.setattr(graph_io, "_SCAN_BYTES", scan_bytes)
+    pairs = np.random.default_rng(27).integers(0, 10 ** 5, size=(120000, 2))
+    path = tmp_path / "g.txt"
+    np.savetxt(path, pairs, fmt="%d", header="  # c", comments="")
+    assert path.read_bytes().startswith(b"  # c\n")
+    assert path.stat().st_size > 300 * scan_bytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert _has_inline_comment(path) is False
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * scan_bytes, peak / scan_bytes
+
+
+def test_line_reader_holds_8_bytes_a_label(tmp_path):
+    # The line reader keeps each label as 8 bytes of a growing buffer, not
+    # as a Python int in a list, and hands that buffer to numpy uncopied.
+    pairs = np.random.default_rng(28).integers(-2 ** 40, 2 ** 40,
+                                               size=(100000, 2))
+    path = tmp_path / "g.txt"
+    np.savetxt(path, pairs, fmt="%d")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        raw = _read_lines(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(raw, pairs)
+    assert peak < 10 * pairs.size, peak / pairs.size
+
+
 def test_bad_utf8_raises_as_line_reading_does(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"1 2\n\xff\xfe 3\n")

@@ -15,7 +15,6 @@ from kronmoments.moments import (
     MAX_POWER,
     _TERMS,
     _closed_form_bases,
-    closed_form_by_power,
     closed_form_values,
     dominance_exponent,
     expected_counts,
@@ -182,21 +181,19 @@ class TestExpectedFeatures:
     def test_per_point_powers_match_each_power_alone(self):
         # every form of r takes its powers with a float exponent array, so
         # none reaches numpy's squaring fast path for a scalar 2, and a
-        # point gets the same bits from the per-point call, from
-        # closed_form_by_power and from a call at its power alone
+        # point gets the same bits from the per-point call and from a call
+        # at its power alone
         rng = np.random.default_rng(11)
         a, b, c = rng.random((3, 300))
         powers = (0, 1, 2, 3, 13, 21, 60)
         r = rng.choice(powers, 300)
         assert set(r.tolist()) == set(powers)
         mixed = closed_form_values(a, b, c, r)
-        table = list(closed_form_by_power(a, b, c, powers))
-        for power, row in zip(powers, table):
+        for power in powers:
             alone = closed_form_values(a, b, c, power)
             at = r == power
-            for got_mixed, got_row, want in zip(mixed, row, alone):
+            for got_mixed, want in zip(mixed, alone):
                 assert np.array_equal(got_mixed[at], want[at])
-                assert np.array_equal(got_row, want)
 
 
 class TestClosedFormBases:
