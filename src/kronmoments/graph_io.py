@@ -293,18 +293,23 @@ def _has_inline_comment(path: Path) -> bool:
     comment lines do, is clean; in any other, each '#' gets its line by
     ``searchsorted`` into the breaks, and the bytes from each line's start
     to its first '#' are tested for a non-blank one in one ``reduceat``.
-    No Python work per '#', and neither the file nor a mask is held whole.
+    No Python work per '#', and neither the file nor a mask is held whole:
+    each slice is read into one buffer, behind its two stand-in bytes.
     """
+    buf = bytearray(_SCAN_BYTES + 2)
+    into = memoryview(buf)[2:]
     with open(path, "rb") as fh:
         head = b"\n "  # the file's first byte opens a blank line
-        while chunk := fh.read(_SCAN_BYTES):
-            buf = head + chunk
+        while n := fh.readinto(into):
+            buf[:2] = head
+            end = n + 2  # the last slice can be short
             # the next slice's stand-in, from the line after the last break
-            newline = buf.rfind(b"\n")
-            tail = buf[max(newline, buf.rfind(b"\r", newline + 1)) + 1:]
+            newline = buf.rfind(b"\n", 0, end)
+            cut = max(newline, buf.rfind(b"\r", newline + 1, end)) + 1
+            tail = buf[cut:end]
             head = (b"\n#" if b"#" in tail
                     else b"\nx" if tail.strip() else b"\n ")
-            data = np.frombuffer(buf, dtype=np.uint8)
+            data = np.frombuffer(buf, dtype=np.uint8, count=end)
             marks = np.flatnonzero(data == ord("#"))
             before = data[marks - 1]  # data[0] is a break, not a '#'
             if ((before == ord("\n")) | (before == ord("\r"))).all():

@@ -19,6 +19,7 @@ from kronmoments.estimator import (
     _fit_grid_batch,
     _nelder_mead_lockstep,
     _scorer,
+    _start_uniforms,
     compute_leading_transforms,
     evaluate_objective,
     fit_best,
@@ -524,6 +525,17 @@ class TestFitDirect:
         again = evaluate_objective(res.params, ObjectiveSpec(), GRQC)
         assert res.objective_value == again
 
+    def test_starts_are_numpys_default_rng_bits(self):
+        # the package draws NumPy's SeedSequence + PCG64 stream itself, so
+        # the starts must match numpy's bit for bit on every numpy release
+        # the package supports; the seeds span one to five 32-bit words
+        for seed in [*range(256), 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1,
+                     2 ** 64 + 3, 2 ** 100 + 12345, 2 ** 130 + 7]:
+            for n in (1, 3, 150, 301):
+                want = np.random.default_rng(seed).random(n)
+                got = np.array(_start_uniforms(seed, n))
+                assert got.tobytes() == want.tobytes(), (seed, n)
+
 
 class TestDirectEndPoints:
     """How the direct fit picks among its lockstep's end points."""
@@ -720,6 +732,21 @@ class TestBatch:
                    FitProblem(GRQC, 13, starts=5)], spec, 21)
         assert isinstance(out[0], TypeError)
         assert str(out[0]) == "r must be an integer, got 13.0"
+        (alone,) = fit([FitProblem(GRQC, 13, starts=5)], spec, 21)
+        assert out[1].params == alone.params
+        assert out[1].objective_value == alone.objective_value
+
+    @pytest.mark.parametrize("method", ["best", "direct"])
+    @pytest.mark.parametrize("field, value", [("seed", 1.5),
+                                              ("starts", 50.0)])
+    def test_float_seed_or_starts_is_rejected_alone(self, method, field,
+                                                     value):
+        spec = ObjectiveSpec()
+        fit = FIT_METHODS[method]
+        bad = FitProblem(GRQC, 13, starts=5)._replace(**{field: value})
+        out = fit([bad, FitProblem(GRQC, 13, starts=5)], spec, 21)
+        assert isinstance(out[0], TypeError)
+        assert str(out[0]) == f"{field} must be an integer, got {value!r}"
         (alone,) = fit([FitProblem(GRQC, 13, starts=5)], spec, 21)
         assert out[1].params == alone.params
         assert out[1].objective_value == alone.objective_value

@@ -441,6 +441,25 @@ def test_inline_comment_check_holds_a_few_slices(tmp_path, monkeypatch):
     assert peak < 16 * scan_bytes, peak / scan_bytes
 
 
+def test_inline_comment_check_reads_into_one_buffer(tmp_path):
+    # On a plain file the scan holds its read buffer and one '#' mask per
+    # slice, about two slices; a copy of each slice behind its stand-in
+    # bytes would make it three.
+    scan_bytes = graph_io._SCAN_BYTES
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"12345 67890\n" * (4 * scan_bytes // 12 + 1000))
+    assert path.stat().st_size > 4 * scan_bytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert _has_inline_comment(path) is False
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * scan_bytes, peak / scan_bytes
+
+
 def test_line_reader_holds_8_bytes_a_label(tmp_path):
     # The line reader keeps each label as 8 bytes of a growing buffer, not
     # as a Python int in a list, and hands that buffer to numpy uncopied.
