@@ -29,6 +29,7 @@ from .moments import (
     _MULTIPLES,
     _closed_form_bases,
     _values,
+    check_int,
     check_power,
     closed_form_values,
     expected_counts,
@@ -663,13 +664,9 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
     fits = []  # (index, problem, features matched)
     for i, p in enumerate(problems):
         try:
-            p = p._replace(r=check_power(p.r))
-            for name in ("seed", "starts"):
-                value = getattr(p, name)
-                if not isinstance(value, (int, np.integer)):
-                    raise TypeError(
-                        f"{name} must be an integer, got {value!r}")
-            p = p._replace(seed=int(p.seed), starts=int(p.starts))
+            p = p._replace(r=check_power(p.r),
+                           seed=check_int("seed", p.seed),
+                           starts=check_int("starts", p.starts))
             if p.starts < 1:
                 raise ValueError("starts must be >= 1")
             if p.seed < 0:

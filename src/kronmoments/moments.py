@@ -29,13 +29,20 @@ MAX_POWER = 60
 FEATURE_NAMES = ("edges", "hairpins", "tripins", "triangles")
 
 
+def check_int(name: str, value) -> int:
+    """``value`` as an int; TypeError naming ``name`` unless it is an int
+    or a NumPy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_power(r) -> int:
     """``r`` as an int; TypeError or ValueError unless it is in [0, MAX_POWER]."""
-    if not isinstance(r, (int, np.integer)):
-        raise TypeError(f"r must be an integer, got {r!r}")
+    r = check_int("r", r)
     if not 0 <= r <= MAX_POWER:
         raise ValueError(f"r={r} outside [0, {MAX_POWER}]")
-    return int(r)
+    return r
 
 
 @dataclass(frozen=True)

@@ -232,11 +232,14 @@ def test_commands_leave_scipy_unloaded(tmp_path):
     proc = python("-c", """
 import sys
 from kronmoments.cli import main
+def numpy_random():
+    return {m for m in sys.modules if m.startswith('numpy.random')}
+# numpy 1.x imports numpy.random with numpy itself; 2.x only on first use
+before = numpy_random()
 codes = [main(["features", sys.argv[1]]),
          main(["experiment", sys.argv[2], "--out", sys.argv[3]])]
 print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),
-      sorted(m for m in sys.modules if m.startswith('numpy.random')),
-      file=sys.stderr)
+      sorted(numpy_random() - before), file=sys.stderr)
 """, str(graph), str(config), str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0])["triangles"] == 1
