@@ -309,9 +309,11 @@ def _finish(params: KroneckerParams, spec, obs, method: str,
 # ---------------------------------------------------------------------------
 
 
-# Lattice points the grid ranks per closed-form evaluation.  At 8k points
-# each of the evaluator's float temporaries is 64 KiB.
-_GRID_BLOCK_POINTS = 8192
+# Lattice points the grid ranks per closed-form evaluation, and b values
+# the leading-term sweep evaluates at once.  At 2k points each of the
+# evaluator's float temporaries is 16 KiB, and a block's bases and powers
+# stay under 1 MB.
+_GRID_BLOCK_POINTS = 2048
 
 # Lattice points per side of a grid cell, the box one pair of corner
 # evaluations bounds (the last cell of an axis may be shorter).  4-point
@@ -467,7 +469,7 @@ def fit_grid(
     Only the lattice cells whose corners admit an objective no worse than
     the best corner's are ranked (branch and bound; see
     ``_fit_grid_batch``), in lexicographic order, in blocks of at most
-    about 8k points, and the lattice is never built whole.  The winner is
+    2,048 points, and the lattice is never built whole.  The winner is
     still the first minimum over the whole lattice.  Memory grows with an
     a-row of cells (5 * grid_points^2 flags) and with one bound per cell
     (about grid_points^3 / 250), not with the lattice, even when nothing
@@ -824,9 +826,15 @@ def _leading(problem: FitProblem, spec: ObjectiveSpec) -> FitResult:
     b_grid = np.linspace(0.0, 1.0, _B_STEPS + 1)
     a_grid = np.clip(transforms.x_hat - b_grid, 0.0, 1.0)
     c_grid = np.clip(transforms.y_hat - b_grid, 0.0, 1.0)
-    # base 13 is the triangle form's leading base, a^3 + c^3 + 3 b^2 (a + c)
-    mismatch = np.abs(_closed_form_bases(a_grid, b_grid, c_grid)[13]
-                      - transforms.delta)
+    # base 13 is the triangle form's leading base, a^3 + c^3 + 3 b^2 (a + c),
+    # evaluated a block of b values at a time
+    mismatch = np.empty_like(b_grid)
+    for start in range(0, b_grid.size, _GRID_BLOCK_POINTS):
+        block = slice(start, start + _GRID_BLOCK_POINTS)
+        mismatch[block] = _closed_form_bases(
+            a_grid[block], b_grid[block], c_grid[block])[13]
+    mismatch -= transforms.delta
+    np.abs(mismatch, out=mismatch)
     best_val = mismatch.min()
     ties = np.nonzero(mismatch == best_val)[0]
     key = min((a_grid[i], b_grid[i], c_grid[i]) for i in ties)
@@ -858,9 +866,11 @@ def fit_leading(
     a(b) = x_hat - b and c(b) = y_hat - b (clamped to [0, 1]) satisfy the
     leading edge and hairpin equations; b is then chosen on a uniform grid
     of step 1e-4 to minimize |a^3 + c^3 + 3 b^2 (a + c) - delta|, the
-    leading triangle mismatch, base 13 of ``_closed_form_bases``.  ``spec``
-    selects only the reported objective (default squared relative errors
-    over all four features).  This is a batch of one (``_fit_leading_batch``).
+    leading triangle mismatch, base 13 of ``_closed_form_bases``, which
+    is evaluated on blocks of ``_GRID_BLOCK_POINTS`` b values, as the grid
+    ranks its lattice.  ``spec`` selects only the reported objective
+    (default squared relative errors over all four features).  This is a
+    batch of one (``_fit_leading_batch``).
     """
     return _one("leading", FitProblem(obs, r), spec)
 

@@ -13,7 +13,10 @@ O(edges + r^2) rather than 4^r.
 
 The t-th deviate of region g is a pure function of (seed, g, t): the
 output of a splitmix64-style counter generator.  The edge set therefore
-does not depend on how many deviates are drawn at a time.
+does not depend on how many deviates are drawn at a time, so the sampler
+draws, unranks and keys its hits in chunks of at most ``_SAMPLE_CHUNK``
+deviates, into one key buffer sorted once: its working set beyond the
+keys is fixed, whatever the sample's size.
 """
 
 from __future__ import annotations
@@ -44,8 +47,13 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
 
-# edges formatted per write by generate_to_file
-_WRITE_ROWS = 1 << 16
+# edges formatted per write by generate_to_file: a block's Python ints and
+# text take about 1 MB
+_WRITE_ROWS = 1 << 13
+
+# deviates drawn, and hits unranked and keyed, per chunk of the sampler:
+# each of a chunk's int64 temporaries is 64 KiB
+_SAMPLE_CHUNK = 1 << 13
 
 
 def _mix64(z: np.uint64) -> np.uint64:
@@ -86,26 +94,35 @@ def _regions(params: KroneckerParams):
 
 def _hit_ranks(seed: int, sizes: np.ndarray, probs: np.ndarray,
                batch: np.ndarray):
-    """Region and in-region rank of every hit, by geometric skips.
+    """Yield the region and in-region rank of every hit, by geometric
+    skips, one chunk at a time.
 
-    Each region first draws ``batch`` deviates; a region they do not carry
-    past its end is topped up from the same stream, so the hits do not
-    depend on ``batch``.  Positions are int64 cumulative sums taken across
-    all drawn regions at once; they may wrap past 2^63, but the difference
-    from a region's start is exact up to its first position past the end
-    (at most twice its size), which is as far as it is read.
+    A chunk is a prefix of the active regions whose wants, each the
+    region's ``batch`` capped at its undrawn cells and at
+    ``_SAMPLE_CHUNK``, sum to at most ``_SAMPLE_CHUNK`` deviates.  A region
+    those deviates do not carry past its end stays active and is topped up
+    from the same stream, so the hits depend on neither ``batch`` nor the
+    chunking.  Positions are int64 cumulative sums taken across a chunk's
+    regions at once; they may wrap past 2^63, but the difference from a
+    region's start is exact up to its first position past the end (at most
+    twice its size), which is as far as it is read.
     """
     with np.errstate(divide="ignore"):
         log_q = np.log1p(-probs)  # -inf at p = 1: every gap is 0
     drawn = np.zeros_like(sizes)  # deviates drawn so far, per region
     end = np.zeros_like(sizes)  # one past the last hit so far, per region
     active = np.flatnonzero(probs > 0)
-    hit_g, hit_rank = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     while active.size:
-        want = np.minimum(batch[active], sizes[active] - drawn[active])
-        first = np.cumsum(want) - want
+        want = np.minimum(np.minimum(batch[active],
+                                     sizes[active] - drawn[active]),
+                          _SAMPLE_CHUNK)
+        total = np.cumsum(want)
+        # each want is at most the chunk, so the prefix holds a region
+        take = int(np.searchsorted(total, _SAMPLE_CHUNK, "right"))
+        part, want = active[:take], want[:take]
+        first = total[:take] - want
         last = first + want - 1
-        g = np.repeat(active, want)
+        g = np.repeat(part, want)
         t = drawn[g] + np.arange(g.size) - np.repeat(first, want)
         u = cell_uniforms(seed, (g << _REGION_SHIFT) | t)
         gap = np.minimum(np.floor(np.log1p(-u) / log_q[g]), sizes[g])
@@ -116,13 +133,12 @@ def _hit_ranks(seed: int, sizes: np.ndarray, probs: np.ndarray,
         past = np.cumsum(beyond)
         ended = np.repeat(past[first] - beyond[first], want)
         keep = past == ended
-        hit_g.append(g[keep])
-        hit_rank.append(stop[keep] - 1)
-        drawn[active] += want
-        end[active] = stop[last]
+        yield g[keep], stop[keep] - 1
+        drawn[part] += want
+        end[part] = stop[last]
         unfinished = past[last] == ended[last]
-        active = active[unfinished & (drawn[active] < sizes[active])]
-    return np.concatenate(hit_g), np.concatenate(hit_rank)
+        active = np.concatenate(
+            (part[unfinished & (drawn[part] < sizes[part])], active[take:]))
 
 
 def _unrank(r: int, i, j, multinomial, rank):
@@ -137,33 +153,39 @@ def _unrank(r: int, i, j, multinomial, rank):
     flips = rank & ((np.int64(1) << (j - 1)) - 1)
     pattern = rank >> (j - 1)
     u = np.zeros_like(rank)
-    v = np.zeros_like(rank)
+    differ = np.zeros_like(rank)  # the differing bits, so v = u ^ differ
     seen = np.zeros(rank.shape, dtype=bool)
     for length in range(r, 0, -1):
         # arrangements whose next pair is (0, 0), and differing
         with_a = count * i // length
         with_b = count * j // length
-        is_a = pattern < with_a
-        pattern -= np.where(is_a, 0, with_a)
-        is_c = ~is_a & (pattern >= with_b)
-        pattern -= np.where(is_c, with_b, 0)
+        rest = pattern - with_a
+        is_a = rest < 0
+        is_c = rest >= with_b  # never with is_a, as with_b >= 0
+        rest -= with_b * is_c
+        pattern = np.where(is_a, pattern, rest)
         is_b = ~(is_a | is_c)
         count = np.where(is_a, with_a,
                          np.where(is_c, count - with_a - with_b, with_b))
         i -= is_a
         j -= is_b
+        # a lower differing bit takes the next flip, as 0 or 1
         lower = is_b & seen
-        flipped = lower & (flips & 1).astype(bool)
+        flipped = flips & lower
         flips >>= lower
         seen |= is_b
-        u = 2 * u + (is_c | flipped)
-        v = 2 * v + ~(is_a | flipped)
-    return u, v
+        u <<= 1
+        u |= flipped
+        u |= is_c
+        differ <<= 1
+        differ |= is_b
+    return u, u ^ differ
 
 
 def _sampled_cells(params: KroneckerParams, seed: int):
-    """(u, v), u < v, of every sampled cell as int64 arrays, each cell
-    once, in no particular order."""
+    """The expected number of sampled cells, and an iterator over the
+    sampled cells (u, v), u < v, as int64 arrays a chunk at a time; each
+    cell comes once, in no particular order."""
     if params.r > MAX_GENERATE_POWER:
         raise ValueError(f"generation supports r <= {MAX_GENERATE_POWER} "
                          f"(region sizes must fit int64), got r={params.r}")
@@ -171,33 +193,78 @@ def _sampled_cells(params: KroneckerParams, seed: int):
     # hits + 1 deviates end a region; this batch rarely needs a top-up
     mean = sizes * probs
     batch = np.minimum(np.ceil(mean + 4 * np.sqrt(mean) + 8), sizes)
-    g, rank = _hit_ranks(seed, sizes, probs, batch.astype(np.int64))
-    return _unrank(params.r, i[g], j[g], multinomial[g], rank)
+    hits = _hit_ranks(seed, sizes, probs, batch.astype(np.int64))
+    return float(mean.sum()), (
+        _unrank(params.r, i[g], j[g], multinomial[g], rank)
+        for g, rank in hits)
+
+
+def _resized(buf, rows: int, expected: float, shape=()):
+    """``buf`` (None: a new int64 buffer) with room for ``rows`` rows of
+    ``shape``; a ValueError naming the sample's size if that memory cannot
+    be had."""
+    try:
+        if buf is None:
+            return np.empty((rows,) + shape, dtype=np.int64)
+        # realloc in place: nothing else views the buffer
+        buf.resize((rows,) + shape, refcheck=False)
+        return buf
+    except (MemoryError, ValueError):
+        gib = rows * 8 * math.prod(shape) / 2 ** 30
+        raise ValueError(
+            f"the sample's {expected:.4g} expected edges need {gib:.4g} GiB, "
+            "more memory than can be allocated") from None
+
+
+def _gathered(expected: float, chunks, shape=()):
+    """The int64 rows of ``chunks``, in order, in one buffer.
+
+    The buffer is allocated for ``expected`` rows and four standard
+    deviations more before the first chunk is drawn, grows only if they
+    are exceeded, and shrinks to the rows it holds.
+    """
+    held = _resized(None, math.ceil(expected + 4 * math.sqrt(expected)) + 8,
+                    expected, shape)
+    filled = 0
+    for rows in chunks:
+        stop = filled + len(rows)
+        if stop > len(held):
+            held = _resized(held, max(stop, len(held) * 5 // 4), expected,
+                            shape)
+        held[filled:stop] = rows
+        filled = stop
+    return _resized(held, filled, expected, shape)
 
 
 def _sorted_keys(params: KroneckerParams, seed: int) -> np.ndarray:
     """Every sampled cell's key (u << r) | v, ascending; for 2r <= 62.
 
     u, v < 2^r pack into one int64 key in (u, v) order, and one sort of it
-    is about twenty times faster than a lexsort of the pairs.
+    is about twenty times faster than a lexsort of the pairs.  Each chunk
+    of cells is keyed into one buffer, so the keys are the only
+    edge-length array held.
     """
-    u, v = _sampled_cells(params, seed)
-    key = u << params.r
-    key |= v
-    del u, v
+    r = params.r
+    expected, cells = _sampled_cells(params, seed)
+    key = _gathered(expected, ((u << r) | v for u, v in cells))
     key.sort()
     return key
+
+
+def _edges_of(key: np.ndarray, r: int) -> np.ndarray:
+    """The (u, v) rows of keys (u << r) | v."""
+    return np.stack([key >> r, key & ((1 << r) - 1)], axis=1)
 
 
 def generate_edges(params: KroneckerParams, seed: int) -> np.ndarray:
     """All sampled edges as an (m, 2) array, ascending (u, v)."""
     r = params.r
     if 2 * r > 62:
-        u, v = _sampled_cells(params, seed)
-        order = np.lexsort((v, u))
-        return np.stack([u[order], v[order]], axis=1)
-    key = _sorted_keys(params, seed)
-    return np.stack([key >> r, key & ((1 << r) - 1)], axis=1)
+        expected, cells = _sampled_cells(params, seed)
+        edges = _gathered(expected, (np.stack(uv, axis=1) for uv in cells),
+                          (2,))
+        return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return _edges_of(_sorted_keys(params, seed), r)
 
 
 def generate(params: KroneckerParams, seed: int) -> SimpleGraph:
@@ -219,9 +286,15 @@ def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:
     """Write a sampled graph to a plain-text edge list.
 
     Header comments record the parameters and seed; edge lines are
-    "u<TAB>v" with u < v in ascending (u, v) order.
+    "u<TAB>v" with u < v in ascending (u, v) order.  The graph is sampled
+    before the file is opened.  Up to r = 31 each block of lines is
+    decoded from the sorted keys as it is written, so no (m, 2) edge array
+    is held; past it the lines come from ``generate_edges``.
     """
-    edges = generate_edges(params, seed)
+    r = params.r
+    packed = 2 * r <= 62
+    rows = _sorted_keys(params, seed) if packed else generate_edges(params,
+                                                                    seed)
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# stochastic Kronecker graph by exact grass-hopping\n")
@@ -230,7 +303,9 @@ def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:
             f"r={params.r} seed={seed}\n"
         )
         fh.write(f"# vertices={params.num_vertices}\n")
-        for start in range(0, len(edges), _WRITE_ROWS):
-            block = edges[start:start + _WRITE_ROWS]
+        for start in range(0, len(rows), _WRITE_ROWS):
+            block = rows[start:start + _WRITE_ROWS]
+            if packed:
+                block = _edges_of(block, r)
             fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
     return path

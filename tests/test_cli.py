@@ -368,6 +368,34 @@ def test_generate_deterministic_across_env_workers(tmp_path, capsys):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+# Caps the process's address space at 3 GiB, then runs the CLI on argv.
+CAPPED_SCRIPT = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from kronmoments.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="caps the address space with RLIMIT_AS")
+def test_generate_too_big_for_memory_is_a_user_error(tmp_path):
+    # the complete graph on 2^16 vertices has 2^31 - 2^15 edges, 16 GiB of
+    # keys: the key buffer is allocated before the first deviate, so the
+    # sample fails at once, and before the file is opened
+    out = tmp_path / "g.txt"
+    proc = python("-c", CAPPED_SCRIPT, "generate", "--a", "1", "--b", "1",
+                  "--c", "1", "--r", "16", "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the sample's 2.147e+09 expected edges "
+                           "need 16 GiB, more memory than can be "
+                           "allocated\n")
+    assert not out.exists()
+
+
 def test_generate_beyond_power_bound(tmp_path, capsys):
     out = tmp_path / "g35.txt"
     code, stdout, err = run(capsys, "generate", "--a", "0.5", "--b", "0.3",

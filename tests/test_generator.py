@@ -1,15 +1,18 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kronmoments.cli import main as cli_main
 from kronmoments.features import count_features
+from kronmoments import generator
 from kronmoments.generator import (
     MAX_GENERATE_POWER,
     _hit_ranks,
     _regions,
+    _sorted_keys,
     _unrank,
     cell_uniforms,
     generate,
@@ -198,12 +201,66 @@ class TestGrassHopping:
         # many times; the hits must equal those from one batch that covers
         # every region
         *_, sizes, probs = _regions(KroneckerParams(0.99, 0.48, 0.25, 5))
-        small = _hit_ranks(seed, sizes, probs, np.ones_like(sizes))
-        large = _hit_ranks(seed, sizes, probs, sizes.copy())
+        small, large = (
+            [np.concatenate(part) for part in zip(*_hit_ranks(
+                seed, sizes, probs, batch))]
+            for batch in (np.ones_like(sizes), sizes.copy()))
         key = [np.lexsort((rank, g)) for g, rank in (small, large)]
         assert small[0].size > 10
         for got, want in zip(small, large):
             assert np.array_equal(got[key[0]], want[key[1]])
+
+    # the samples of each case, all at most about this many chunks long
+    MAX_CHUNKS = 500
+
+    @pytest.mark.parametrize("chunk", [1, 7, generator._SAMPLE_CHUNK])
+    @pytest.mark.parametrize("abc", [(1, 0.3, 0), (0, 1, 0), (1, 1, 0),
+                                     (0.99, 0.48, 0.25)])
+    def test_chunks_give_the_one_batch_keys(self, monkeypatch, chunk, abc):
+        # the t-th deviate of region g depends on (seed, g, t) alone, so
+        # chunking the deviates cannot change the keys; the initiators put
+        # p = 1 and p = 0 regions into one draw
+        a, b, c = abc
+        cases = [KroneckerParams(a, b, c, r) for r in range(13)
+                 if ((a + 2 * b + c) ** r - (a + c) ** r) / 2
+                 <= self.MAX_CHUNKS * chunk]
+        assert len(cases) > 6
+        monkeypatch.setattr(generator, "_SAMPLE_CHUNK", 1 << 62)
+        want = [_sorted_keys(p, seed) for p in cases for seed in (1, 2, 3)]
+        monkeypatch.setattr(generator, "_SAMPLE_CHUNK", chunk)
+        got = [_sorted_keys(p, seed) for p in cases for seed in (1, 2, 3)]
+        assert sum(w.size for w in want) > 100
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_key_buffer_grows_past_the_expected_edges(self, shape):
+        # the buffer holds the expected rows, four standard deviations and 8
+        # more; past them it grows, and it ends at the rows it holds
+        sizes = (5, 9, 0, 30, 100, 1)
+        chunks = [np.arange(n * math.prod(shape), dtype=np.int64)
+                  .reshape((n,) + shape) for n in sizes]
+        got = generator._gathered(1.0, iter(chunks), shape)
+        assert got.shape == (sum(sizes),) + shape
+        assert np.array_equal(got, np.concatenate(chunks))
+
+    def test_keys_trace_8_bytes_an_edge(self):
+        # the sampler holds the key buffer and one chunk's temporaries;
+        # unranking every hit at once traced 118 bytes an edge at r = 16
+        params = KroneckerParams(0.99, 0.48, 0.25, 16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            keys = _sorted_keys(params, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert keys.size > 100_000
+        # a chunk's temporaries are about 32 int64 arrays of a chunk each
+        allowance = 48 * 8 * generator._SAMPLE_CHUNK
+        assert peak <= 8 * keys.size + allowance, peak / keys.size
 
 
 class TestFileOutput:
@@ -257,6 +314,34 @@ class TestFileOutput:
         capsys.readouterr()
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("rows", [1, 7, generator._WRITE_ROWS])
+    def test_write_blocks_give_the_same_bytes(self, tmp_path, capsys,
+                                              monkeypatch, rows):
+        # each block of lines is decoded from the sorted keys on its own
+        want = tmp_path / "want.txt"
+        generate_to_file(PARAMS, seed=4, path=want)
+        monkeypatch.setattr(generator, "_WRITE_ROWS", rows)
+        out = tmp_path / "g.txt"
+        code = cli_main(["generate", "--a", "0.99", "--b", "0.48",
+                         "--c", "0.25", "--r", "8", "--seed", "4",
+                         "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert len(want.read_bytes().splitlines()) > 3 + 7
+
+    @pytest.mark.parametrize("r", [31, 32])
+    def test_file_holds_the_edge_rows_on_both_key_paths(self, tmp_path, r):
+        # up to r = 31 the lines are decoded from the packed keys; past it
+        # they are generate_edges' rows
+        params = KroneckerParams(0.5, 0.3, 0.2, r)
+        out = generate_to_file(params, seed=3, path=tmp_path / "g.txt")
+        body = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")]
+        rows = [list(map(int, ln.split("\t"))) for ln in body]
+        assert len(rows) > 1000
+        assert rows == generate_edges(params, seed=3).tolist()
 
 
 class TestDistribution:

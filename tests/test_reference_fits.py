@@ -6,11 +6,14 @@ closed-form evaluator.  This test only reads it.  The grid must land on the
 same lattice point with the same objective; the direct fit must agree to
 the benchmark's own tolerances, alone and with all eight fits in one batch,
 as the experiment runs them.  The leading fit must land on the recorded point
-with the same objective, or fail as recorded.
+with the same objective, or fail as recorded.  The grid and leading
+batches over the eight problems must also stay within a fixed traced
+memory.
 """
 
 import configparser
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,8 @@ from kronmoments.estimator import (
     LeadingTermInfeasible,
     ObjectiveSpec,
     _fit_direct_batch,
+    _fit_grid_batch,
+    _fit_leading_batch,
     fit_direct,
     fit_grid,
     fit_leading,
@@ -91,3 +96,38 @@ def test_leading_fit_matches_reference(name):
     assert (p.a, p.b, p.c) == (ref["a"], ref["b"], ref["c"])
     assert res.objective_value == pytest.approx(ref["objective"], rel=1e-12,
                                                 abs=0.0)
+
+
+def traced_peak(fit, grid_points):
+    """The traced peak of ``fit`` on the eight problems as one batch, and
+    its results."""
+    names = CONFIG.sections()
+    specs = {fit_inputs(name)[2] for name in names}
+    assert len(specs) == 1
+    problems = [FitProblem(*fit_inputs(name)[:2]) for name in names]
+    spec = specs.pop()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        results = fit(problems, spec, grid_points)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, results
+
+
+def test_grid_batch_memory_is_bounded():
+    # blocks of 2,048 lattice points trace about 1.1 MB; 8,192-point
+    # blocks traced 2.8 MB
+    peak, results = traced_peak(_fit_grid_batch, 101)
+    assert all(res.method == "grid" for res in results)
+    assert peak < 1.5e6, peak
+
+
+def test_leading_batch_memory_is_bounded():
+    # the sweep's 10,001 b values in 2,048-value blocks trace about 0.8 MB;
+    # all 14 bases on every b value at once traced 2.3 MB
+    peak, results = traced_peak(_fit_leading_batch, None)
+    assert sum(isinstance(res, LeadingTermInfeasible) for res in results) == 1
+    assert peak < 1e6, peak
