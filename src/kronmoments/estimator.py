@@ -65,6 +65,10 @@ class FitProblem(NamedTuple):
     starts: int = 50
 
 
+# The least value of each integer fit setting, for the batches and configs
+LEAST_VALUES = {"seed": 0, "starts": 1, "grid_points": 2}
+
+
 class LeadingTermInfeasible(ValueError):
     """The hairpin/edge system of the leading-term solver has no real solution.
 
@@ -347,9 +351,10 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     """The first minimum of an equally spaced grid on {[0,1]^3 : a >= c},
     for every problem at once, by branch and bound over cells.
 
-    Returns one entry per problem: its FitResult, or the ValueError that
-    rejected it.  The lattice is split into cells of ``_GRID_CELL`` points
-    per axis, keeping those that hold a point with a >= c.  Every expected
+    Returns one entry per problem: its FitResult, or the TypeError or
+    ValueError that rejected it, a bad ``grid_points`` included.  The
+    lattice is split into cells of ``_GRID_CELL`` points per axis,
+    keeping those that hold a point with a >= c.  Every expected
     count is a polynomial with nonnegative coefficients in (a, b, c), so
     over a cell it lies between its values at the cell's low and high
     corners, and every objective term falls as E nears F and rises beyond
@@ -369,8 +374,8 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     for i, p in enumerate(problems):
         try:
             p = p._replace(r=check_power(p.r))
-            if grid_points < 2:
-                raise ValueError("grid_points must be >= 2")
+            n = check_int("grid_points", grid_points,
+                          LEAST_VALUES["grid_points"])
             fits.append((i, p, _require_fittable(spec, p.obs)))
         except (TypeError, ValueError) as exc:
             out[i] = exc
@@ -383,7 +388,6 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     at_power = {}  # r -> the fits j at power r
     for j, (_, p, _) in enumerate(fits):
         at_power.setdefault(p.r, []).append(j)
-    n = grid_points
     axis = np.linspace(0.0, 1.0, n)
     k = -(-n // _GRID_CELL)  # cells per axis
     low = np.arange(k) * _GRID_CELL
@@ -651,9 +655,9 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
 
     Returns one entry per problem: its FitResult, or the TypeError,
     ValueError or FitFailure that problem gave; ``seed`` and ``starts``
-    must be integers.  A problem's starts are the rows of NumPy's
-    ``default_rng(seed).random((starts, 3))``, drawn bit for bit by
-    ``_start_uniforms``.  The lockstep ranks each point by
+    must be integers of at least their ``LEAST_VALUES``.  A problem's
+    starts are the rows of NumPy's ``default_rng(seed).random((starts,
+    3))``, drawn bit for bit by ``_start_uniforms``.  The lockstep ranks each point by
     ``closed_form_values`` at its problem's power, one call for the points
     of every problem whatever their powers, and the batch's scorer
     against its problem's counts.  Each problem's end points are then
@@ -666,13 +670,10 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
     fits = []  # (index, problem, features matched)
     for i, p in enumerate(problems):
         try:
-            p = p._replace(r=check_power(p.r),
-                           seed=check_int("seed", p.seed),
-                           starts=check_int("starts", p.starts))
-            if p.starts < 1:
-                raise ValueError("starts must be >= 1")
-            if p.seed < 0:
-                raise ValueError("seed must be >= 0")
+            p = p._replace(
+                r=check_power(p.r),
+                seed=check_int("seed", p.seed, LEAST_VALUES["seed"]),
+                starts=check_int("starts", p.starts, LEAST_VALUES["starts"]))
             fits.append((i, p, _require_fittable(spec, p.obs)))
         except (TypeError, ValueError) as exc:
             out[i] = exc

@@ -23,15 +23,16 @@ import numpy as np
 
 from .estimator import (
     FIT_METHODS,
+    LEAST_VALUES,
     FitProblem,
     FitResult,
     ObjectiveSpec,
     unexplained,
 )
 from .features import FeatureCounts, count_features, read_counts_json
-from .generator import generate
+from .generator import check_in_memory, generate
 from .graph_io import choose_r, load_edge_list
-from .moments import FEATURE_NAMES, KroneckerParams, check_power
+from .moments import FEATURE_NAMES, KroneckerParams, check_int, check_power
 
 FIT_CSV_COLUMNS = (
     "graph", "fit_type", "replication", "a", "b", "c", "verts",
@@ -72,7 +73,7 @@ class ExperimentConfig:
 
 
 # the integer keys of a section and their smallest allowed values
-_INT_MINIMUMS = {"replications": 1, "seed": 0, "starts": 1, "grid_points": 2}
+_INT_MINIMUMS = {"replications": 1, **LEAST_VALUES}
 # every key a section may set; "output" is [DEFAULT]'s, passed to each
 _SECTION_KEYS = {"graph", "counts", "params", "r", "objective", "features",
                  "methods", "output", *_INT_MINIMUMS}
@@ -86,7 +87,8 @@ def parse_experiment_config(path) -> ExperimentConfig:
     starts, grid_points, output (section-independent output directory);
     any other key is a ConfigError.  Referenced paths must exist at parse
     time; replications and starts must be >= 1, seed >= 0, grid_points
-    >= 2.  A key left out keeps its ``ExperimentSection`` default.
+    >= 2, and a synthetic section's r at most what ``generate`` can hold.
+    A key left out keeps its ``ExperimentSection`` default.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
@@ -133,6 +135,7 @@ def _parse_section(name: str, raw: dict) -> ExperimentSection:
         if section.r is None:
             raise ValueError("synthetic sections need r")
         section.params = KroneckerParams(a, b, c, section.r)
+        check_in_memory(section.params)
     sources = [s for s in (section.graph, section.counts, section.params)
                if s is not None]
     if len(sources) == 0:
@@ -153,10 +156,8 @@ def _parse_section(name: str, raw: dict) -> ExperimentSection:
         section.methods = methods
     for key, minimum in _INT_MINIMUMS.items():
         if key in raw:
-            value = _int_value(key, raw[key])
-            if value < minimum:
-                raise ValueError(f"{key} must be >= {minimum}")
-            setattr(section, key, value)
+            setattr(section, key,
+                    check_int(key, _int_value(key, raw[key]), minimum))
     return section
 
 
@@ -178,34 +179,24 @@ def parse_features(text: str) -> tuple:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+def _fits_row(graph, fit_type, replication, verts, **columns) -> dict:
+    """A fits.csv row: the columns given, and every other one blank."""
+    row = dict.fromkeys(FIT_CSV_COLUMNS, "")
+    row.update(graph=graph, fit_type=fit_type, replication=replication,
+               verts=verts, **columns)
+    return row
+
+
 def fit_csv_row(graph: str, replication, result: FitResult, verts: int) -> dict:
+    """The fits.csv row of a fit; a feature without an E/F ratio is blank."""
     p = result.params
-    row = {
-        "graph": graph,
-        "fit_type": result.method,
-        "replication": replication,
-        "a": f"{p.a:.10g}",
-        "b": f"{p.b:.10g}",
-        "c": f"{p.c:.10g}",
-        "verts": verts,
-        "objective": f"{result.objective_value:.10g}",
-        "seconds": f"{result.elapsed:.3f}",
-    }
-    for name in FEATURE_NAMES:
-        ratio = result.feature_ratios.get(name)
-        row[name] = "" if ratio is None else f"{ratio:.10g}"
-    return row
-
-
-def source_csv_row(graph: str, obs: FeatureCounts) -> dict:
-    row = {
-        "graph": graph, "fit_type": "source", "replication": "",
-        "a": "", "b": "", "c": "", "verts": obs.vertices,
-        "objective": "", "seconds": "",
-    }
-    for name in FEATURE_NAMES:
-        row[name] = obs.get(name)
-    return row
+    ratios = {name: f"{ratio:.10g}"
+              for name, ratio in result.feature_ratios.items()
+              if ratio is not None}
+    return _fits_row(graph, result.method, replication, verts,
+                     a=f"{p.a:.10g}", b=f"{p.b:.10g}", c=f"{p.c:.10g}",
+                     objective=f"{result.objective_value:.10g}",
+                     seconds=f"{result.elapsed:.3f}", **ratios)
 
 
 def _load_counts(section: ExperimentSection) -> FeatureCounts:
@@ -273,11 +264,8 @@ def _fit_rows(src: _Source, outcomes: dict, index: int):
             rows.append(fit_csv_row(sec.name, src.replication, res, verts))
         else:
             notes.append(f"skipped: {reason}")
-            row = {name: "" for name in FIT_CSV_COLUMNS}
-            row.update(graph=sec.name, fit_type=method,
-                       replication=src.replication, verts=verts,
-                       objective=f"skipped: {reason}")
-            rows.append(row)
+            rows.append(_fits_row(sec.name, method, src.replication, verts,
+                                  objective=f"skipped: {reason}"))
         label = " ".join(str(x) for x in (method, src.replication) if x != "")
         for note in notes:
             print(f"[{sec.name}] {label}: {note}", file=sys.stderr)
@@ -311,7 +299,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
         if not section.synthetic:
             obs = _load_counts(section)
             r = fit_power(obs, section.r)
-            fit_rows.append(source_csv_row(section.name, obs))
+            fit_rows.append(_fits_row(
+                section.name, "source", "", obs.vertices,
+                **{name: obs.get(name) for name in FEATURE_NAMES}))
             sources.append(_Source(section, "", obs, r))
             continue
         for k in range(section.replications):

@@ -267,18 +267,24 @@ def generate_edges(params: KroneckerParams, seed: int) -> np.ndarray:
     return _edges_of(_sorted_keys(params, seed), r)
 
 
+def check_in_memory(params: KroneckerParams) -> None:
+    """ValueError unless ``generate`` can sample at ``params.r``: a
+    ``SimpleGraph`` holds at most ``_MAX_VERTICES`` vertices, so r <= 31."""
+    if params.num_vertices > _MAX_VERTICES:
+        raise ValueError(f"a graph in memory holds at most {_MAX_VERTICES} "
+                         f"vertices (r <= {_MAX_VERTICES.bit_length() - 1}), "
+                         f"got r={params.r}")
+
+
 def generate(params: KroneckerParams, seed: int) -> SimpleGraph:
-    """Sample a graph in memory; r <= 31, as a ``SimpleGraph`` holds at
-    most ``_MAX_VERTICES`` vertices, and more is a ValueError before any
-    sampling.
+    """Sample a graph in memory; past ``check_in_memory``'s r <= 31 it is
+    a ValueError before any sampling.
 
     The sampler's sorted keys (u << r) | v are the graph's own keys
     u * 2^r + v, and its cells are distinct with u < v, so the graph takes
     them as they are.
     """
-    if params.num_vertices > _MAX_VERTICES:
-        raise ValueError(f"a graph in memory holds at most {_MAX_VERTICES} "
-                         f"vertices (r <= 31), got r={params.r}")
+    check_in_memory(params)
     return SimpleGraph(params.num_vertices, _sorted_keys(params, seed))
 
 
@@ -286,26 +292,36 @@ def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:
     """Write a sampled graph to a plain-text edge list.
 
     Header comments record the parameters and seed; edge lines are
-    "u<TAB>v" with u < v in ascending (u, v) order.  The graph is sampled
-    before the file is opened.  Up to r = 31 each block of lines is
-    decoded from the sorted keys as it is written, so no (m, 2) edge array
-    is held; past it the lines come from ``generate_edges``.
+    "u<TAB>v" with u < v in ascending (u, v) order.  The file is created
+    before the graph is sampled, so a path that cannot be written fails
+    first, and removed on any later error: a failed run leaves no file,
+    not even a truncated one.  Up to r = 31 each block of lines is decoded
+    from the sorted keys as it is written, so no (m, 2) edge array is
+    held; past it the lines come from ``generate_edges``.
     """
     r = params.r
     packed = 2 * r <= 62
-    rows = _sorted_keys(params, seed) if packed else generate_edges(params,
-                                                                    seed)
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# stochastic Kronecker graph by exact grass-hopping\n")
-        fh.write(
-            f"# a={params.a!r} b={params.b!r} c={params.c!r} "
-            f"r={params.r} seed={seed}\n"
-        )
-        fh.write(f"# vertices={params.num_vertices}\n")
-        for start in range(0, len(rows), _WRITE_ROWS):
-            block = rows[start:start + _WRITE_ROWS]
-            if packed:
-                block = _edges_of(block, r)
-            fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            rows = (_sorted_keys(params, seed) if packed
+                    else generate_edges(params, seed))
+            fh.write("# stochastic Kronecker graph by exact grass-hopping\n")
+            fh.write(
+                f"# a={params.a!r} b={params.b!r} c={params.c!r} "
+                f"r={params.r} seed={seed}\n"
+            )
+            fh.write(f"# vertices={params.num_vertices}\n")
+            for start in range(0, len(rows), _WRITE_ROWS):
+                block = rows[start:start + _WRITE_ROWS]
+                if packed:
+                    block = _edges_of(block, r)
+                fh.write(("%d\t%d\n" * len(block))
+                         % tuple(block.ravel().tolist()))
+    except BaseException:
+        # a regular file only: never a device or a link like /dev/stdout
+        if path.is_file() and not path.is_symlink():
+            path.unlink()
+        raise
     return path

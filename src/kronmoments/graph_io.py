@@ -337,10 +337,17 @@ def _has_inline_comment(path: Path) -> bool:
 
 def _read_lines(path: Path) -> np.ndarray:
     """The (m, 2) labels, one line at a time; raises ``GraphParseError``
-    at the first malformed line."""
+    at the first malformed line, a line that is not UTF-8 included: the
+    text layer decodes ahead of the line it returns, so bad bytes are kept
+    as surrogates and each line that is not ASCII is checked alone."""
     labels = array("q")  # 8 bytes a label
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise GraphParseError(path, line_no, str(exc)) from None
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -29,11 +29,14 @@ MAX_POWER = 60
 FEATURE_NAMES = ("edges", "hairpins", "tripins", "triangles")
 
 
-def check_int(name: str, value) -> int:
+def check_int(name: str, value, least: int | None = None) -> int:
     """``value`` as an int; TypeError naming ``name`` unless it is an int
-    or a NumPy integer."""
-    if not isinstance(value, (int, np.integer)):
+    or a NumPy integer (not a bool), ValueError if it is below ``least``.
+    Every integer setting of a fit or a config is checked here."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
     return int(value)
 
 
@@ -148,67 +151,48 @@ _MULTIPLES = (2, 2, 6, 6)
 _DEGREES = (1, 2, 3, 3)
 
 
-# The bases whose power more than one closed form takes: indices 10 and 12.
-_REUSED = frozenset(
-    k for k in range(14)
-    if sum(any(j == k for _, j in terms) for terms in _TERMS) > 1)
+def _sums(bases, r) -> list:
+    """The four signed sums of ``_TERMS`` over ``bases`` raised to ``r``.
 
-
-def _combine(terms, power):
-    """Sum coef * power(index) over the (coefficient, index) terms.
-
-    The coefficients of every closed form sum to zero, so the combination
-    is rewritten as partial-sum multiples of differences of consecutive
-    powers.  When all bases coincide (the degenerate initiators) every
-    difference is an exact floating-point zero, and in the nearly-cancelled
-    regime the subtractions happen before any magnitude is lost.  Each
-    power is asked for once, and each difference is scaled (unless its
+    Each base is raised once, into a list, so bases 10 and 12 serve both
+    the tripins and the triangles.  The coefficients of every closed form
+    sum to zero, so each sum is rewritten as partial-sum multiples of
+    differences of consecutive powers.  When all bases coincide (the
+    degenerate initiators) every difference is an exact floating-point
+    zero, and in the nearly-cancelled regime the subtractions happen
+    before any magnitude is lost.  Each difference is scaled (unless its
     multiple is 1) and summed in place: arrays are updated where they lie,
     while numpy floats and Python ints are rebound, so the same code
     serves the arrays, the float arguments and ``expected_counts``.
     """
-    prev = power(terms[0][1])
-    total = None
-    running = 0
-    for (coef, _), (_, k) in zip(terms, terms[1:]):
-        running += coef
-        cur = power(k)
-        diff = prev - cur
-        if running != 1:
-            diff *= running
-        if total is None:
-            total = diff
-        else:
-            total += diff
-        prev = cur
-    return total
+    powers = [base ** r for base in bases]
+    sums = []
+    for terms in _TERMS:
+        total = None
+        running = 0
+        for (coef, j), (_, k) in zip(terms, terms[1:]):
+            running += coef
+            diff = powers[j] - powers[k]
+            if running != 1:
+                diff *= running
+            if total is None:
+                total = diff
+            else:
+                total += diff
+        sums.append(total)
+    return sums
 
 
 def _values(bases, r) -> list:
-    """The four clamped closed forms of ``bases`` at power ``r``.
-
-    Each base is raised when its form first needs it, and only the powers
-    the triangles reuse outlive the tripins, so a block holds a few power
-    arrays, not 14.  Every value is combined, divided and clamped in place;
-    with float bases the values are numpy floats.
-    """
+    """The four clamped closed forms of ``bases`` at power ``r``: their
+    ``_sums``, each divided by its multiple and clamped at zero in place;
+    with float bases the values are numpy floats."""
     # one float exponent per value, so every form of r runs numpy's
     # elementwise power loop and none reaches its squaring fast path; the
     # first base, a + 2b + c, has the values' shape
     r = np.full(np.shape(bases[0]), r, dtype=float)
-    reused = {}
-
-    def power(k):
-        if k in reused:
-            return reused[k]
-        p = bases[k] ** r
-        if k in _REUSED:
-            reused[k] = p
-        return p
-
     out = []
-    for terms, multiple in zip(_TERMS, _MULTIPLES):
-        total = _combine(terms, power)
+    for total, multiple in zip(_sums(bases, r), _MULTIPLES):
         total /= multiple
         out.append(np.maximum(
             total, 0.0, out=total if isinstance(total, np.ndarray) else None))
@@ -221,12 +205,13 @@ def closed_form_values(a, b, c, r) -> list:
     In plain double precision, clamped at zero: where the signed terms
     nearly cancel, a value keeps only some of its digits.  (a, b, c) may be
     floats or numpy arrays; the grid passes a block of its live lattice
-    points at once.  ``r`` is one power, or an integer array that gives each point
-    of 1-d arrays (a, b, c) its own power, as a lockstep simplex over
-    several problems does.  Every power is taken with a float exponent
-    array, so a point has the same bits whichever form of ``r`` asked for
-    it, and the same in the grid's corner pass, which takes ``_values`` of
-    one block's bases at each power.
+    points at once.  ``r`` is one power, or an integer array that gives
+    each point of 1-d arrays (a, b, c) its own power, as a lockstep
+    simplex over several problems does.  The values are ``_values`` of the
+    bases: ``_sums``, divided and clamped.  Every power is taken with a
+    float exponent array, so a point has the same bits whichever form of
+    ``r`` asked for it, and the same in the grid's corner pass, which
+    takes ``_values`` of one block's bases at each power.
     """
     return _values(_closed_form_bases(a, b, c), r)
 
@@ -243,10 +228,9 @@ def expected_counts(a: float, b: float, c: float, r: int) -> list:
     ratios = [float(x).as_integer_ratio() for x in (a, b, c)]
     shift = max(q.bit_length() for _, q in ratios) - 1  # d = 2**shift
     ints = [n << (shift - q.bit_length() + 1) for n, q in ratios]
-    powers = [base ** r for base in _closed_form_bases(*ints)]
-    return [_combine(terms, powers.__getitem__)
-            / (multiple << (degree * r * shift))
-            for terms, degree, multiple in zip(_TERMS, _DEGREES, _MULTIPLES)]
+    return [total / (multiple << (degree * r * shift))
+            for total, degree, multiple
+            in zip(_sums(_closed_form_bases(*ints), r), _DEGREES, _MULTIPLES)]
 
 
 def expected_features(params: KroneckerParams) -> ExpectedFeatures:

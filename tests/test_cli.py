@@ -582,6 +582,20 @@ def test_features_label_beyond_int64(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, line_number", [
+    (b"1 2\n# caf\xe9\n2 3\n", 2),
+    (b"1 2\n2 3\n3 4\xe9\n", 3),
+], ids=["comment", "label"])
+def test_features_non_utf8_line_is_named(tmp_path, capsys, text,
+                                         line_number):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text)
+    code, out, err = run(capsys, "features", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:{line_number}: 'utf-8' codec ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     # user errors -> 1
     assert run(capsys, "features", str(tmp_path / "nope.txt"))[0] == 1

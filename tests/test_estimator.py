@@ -738,7 +738,9 @@ class TestBatch:
 
     @pytest.mark.parametrize("method", ["best", "direct"])
     @pytest.mark.parametrize("field, value", [("seed", 1.5),
-                                              ("starts", 50.0)])
+                                              ("starts", 50.0),
+                                              ("seed", True),
+                                              ("starts", True)])
     def test_float_seed_or_starts_is_rejected_alone(self, method, field,
                                                      value):
         spec = ObjectiveSpec()
@@ -750,6 +752,16 @@ class TestBatch:
         (alone,) = fit([FitProblem(GRQC, 13, starts=5)], spec, 21)
         assert out[1].params == alone.params
         assert out[1].objective_value == alone.objective_value
+
+    @pytest.mark.parametrize("method", ["grid", "best"])
+    def test_float_grid_points_is_rejected_per_problem(self, method):
+        problems = [FitProblem(GRQC, 13, starts=5),
+                    FitProblem(GRQC, 14, starts=5)]
+        out = FIT_METHODS[method](problems, ObjectiveSpec(), 21.0)
+        assert len(out) == 2
+        for res in out:
+            assert isinstance(res, TypeError)
+            assert str(res) == "grid_points must be an integer, got 21.0"
 
     def test_negative_seed_is_rejected_alone(self):
         spec, problems = batch("dsq-f2")

@@ -250,6 +250,20 @@ def test_bad_params_are_a_config_error(tmp_path, capsys, params, message):
     assert not (out / "fits.csv").exists()
 
 
+def test_synthetic_section_past_r_31_is_a_config_error(tmp_path, capsys):
+    # generate holds at most r = 31 in memory: the section is rejected when
+    # the config is read, before [ok]'s counts or the output directory
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"[ok]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
+                   "[big]\nparams = 0.5,0.3,0.2\nr = 40\n")
+    out = tmp_path / "out"
+    assert cli_main(["experiment", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [big] ") and "r <= 31" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (out / "fits.csv").exists()
+
+
 def test_unset_keys_keep_the_section_defaults(tmp_path):
     counts = FIXTURES / "ca-GrQc.counts.json"
     cfg = tmp_path / "exp.cfg"

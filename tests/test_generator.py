@@ -343,6 +343,26 @@ class TestFileOutput:
         assert len(rows) > 1000
         assert rows == generate_edges(params, seed=3).tolist()
 
+    def test_missing_directory_fails_before_sampling(self, tmp_path,
+                                                     monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the file was created")
+
+        monkeypatch.setattr(generator, "_sampled_cells", no_sampling)
+        with pytest.raises(OSError):
+            generate_to_file(PARAMS, seed=1, path=tmp_path / "no" / "g.txt")
+
+    def test_failed_sample_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing_sample(*args):
+            assert out.exists()  # created before any sampling
+            raise ValueError("no sample")
+
+        out = tmp_path / "g.txt"
+        monkeypatch.setattr(generator, "_sampled_cells", failing_sample)
+        with pytest.raises(ValueError, match="no sample"):
+            generate_to_file(PARAMS, seed=1, path=out)
+        assert not out.exists()
+
 
 class TestDistribution:
     def test_uniforms_are_uniform(self):

@@ -482,8 +482,27 @@ def test_line_reader_holds_8_bytes_a_label(tmp_path):
 def test_bad_utf8_raises_as_line_reading_does(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"1 2\n\xff\xfe 3\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(GraphParseError) as exc:
         load_edge_list(path)
+    assert exc.value.line_number == 2
+
+
+# A Latin-1 byte where UTF-8 is read: in a comment line, in a label line,
+# and on the last of 1,001 lines, which the text layer decodes before it
+# returns line 1
+@pytest.mark.parametrize("text, line_number", [
+    (b"1 2\n# caf\xe9\n2 3\n", 2),
+    (b"1 2\n2 3\n3 4\xe9\n", 3),
+    (b"1 2\n" * 1000 + b"# caf\xe9\n", 1001),
+], ids=["comment", "label", "last-of-1001"])
+def test_non_utf8_line_is_named(tmp_path, text, line_number):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text)
+    with pytest.raises(GraphParseError) as exc:
+        load_edge_list(path)
+    assert exc.value.line_number == line_number
+    assert str(exc.value).startswith(
+        f"{path}:{line_number}: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_sorted_and_shuffled_edges_build_the_same_graph():
