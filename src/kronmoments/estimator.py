@@ -885,8 +885,13 @@ def _fit_best_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     """``fit_best`` on every problem, each method run as one batch.
 
     Returns one entry per problem: its FitResult, or the error of a
-    method that could not be skipped.
+    method that could not be skipped.  A bad ``grid_points`` is every
+    problem's error, a bad seed's too, found before any batch runs.
     """
+    try:
+        check_int("grid_points", grid_points, LEAST_VALUES["grid_points"])
+    except (TypeError, ValueError) as exc:
+        return [exc] * len(problems)
     by_method = {method: FIT_METHODS[method](problems, spec, grid_points)
                  for method in ("direct", "grid", "leading")}
     held_out = None

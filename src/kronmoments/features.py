@@ -4,8 +4,8 @@ Edges, hairpins (2-stars) and tripins (3-stars) follow from the degree
 sequence, accumulated in Python integers so no width can overflow.
 Triangles come from the degree-ordered forward wedge check of Schank &
 Wagner and Latapy: every wedge at a triangle's lowest-ranked vertex is
-looked up among the sorted forward edge keys, O(E^{3/2}) wedges in all,
-checked in bounded chunks by a binary search of one row each, in int64.
+looked up among its row's forward far ends, O(E^{3/2}) wedges in all,
+checked in bounded chunks by a binary search of one row each.
 """
 
 from __future__ import annotations
@@ -120,11 +120,8 @@ def count_degree_features(g: SimpleGraph) -> tuple[int, int, int]:
     edges2 = 0
     hairpins2 = 0
     tripins6 = 0
-    for d, count in enumerate(hist):
-        if count == 0 or d == 0:
-            continue
-        n = int(count)
-        d = int(d)
+    for d in np.flatnonzero(hist).tolist():  # the degrees that occur
+        n = int(hist[d])
         edges2 += n * d
         hairpins2 += n * d * (d - 1)
         tripins6 += n * d * (d - 1) * (d - 2)
@@ -145,16 +142,16 @@ def count_triangles(g: SimpleGraph) -> int:
     TCS 2008).  Under the degree order a vertex has at most sqrt(2E)
     forward neighbours, so there are O(E^{3/2}) wedges.
 
-    Besides the graph, only the sorted forward keys u * base + v (8 bytes
-    per edge, decoded from ``g.keys`` a chunk at a time) and tables with
-    one entry per vertex are held whole.  The wedges are checked in chunks
-    of whole rows, a row being one vertex's forward edges: a chunk holds
-    at most ``_WEDGE_CHUNK`` edges and as many wedges (a row with more is a
-    chunk of its own) and finds its edges' far ends and wedge offsets from
-    its own slice of the keys.  Wedge (v, w) can only be found in row v,
-    so each is looked up by a binary search of that row alone, which
-    reads a few nearby keys rather than ranging over all of them.  So
-    memory is the graph, the keys and a few chunk buffers.
+    Besides the graph, only the forward edges and tables with one entry
+    per vertex are held whole: int32 ranks, then row and wedge starts.
+    The forward keys u * base + v (int64, from ``g.keys`` a chunk at a
+    time) are sorted once and narrowed in place to their far ends v, 4
+    bytes per edge (8 where base >= 2^31).  The wedges are checked in
+    chunks of whole rows, a row being one vertex's forward edges, of at
+    most ``_WEDGE_CHUNK`` edges and as many wedges (a row with more is a
+    chunk of its own).  Wedge (v, w) can only be found in row v, so each
+    is looked up by a binary search of that row alone, which reads a few
+    nearby far ends rather than ranging over all of them.
     """
     n = g.num_vertices
     m = g.num_edges
@@ -162,16 +159,22 @@ def count_triangles(g: SimpleGraph) -> int:
         return 0
     # ranks run past the isolated vertices, so the key base is at most 2E;
     # degree * n + id is below n^2, which fits in int64 for any SimpleGraph,
-    # and sorted, its remainders mod n list the ids in (degree, id) order
+    # and sorted, its remainders mod n list the ids in (degree, id) order,
+    # the isolated ones first; they get no rank, as they have no edge
     isolated = n - np.count_nonzero(g.degrees)
     base = n - isolated
+    far_type = np.int32 if base < 2 ** 31 else np.int64
     order = g.degrees * n
-    order += np.arange(n)
+    for low in range(0, n, _WEDGE_CHUNK):
+        order[low:low + _WEDGE_CHUNK] += np.arange(
+            low, min(low + _WEDGE_CHUNK, n))
     order.sort()
     order %= n
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(-isolated, n - isolated, dtype=np.int64)
-    del order
+    rank = np.empty(n, dtype=far_type)
+    for low in range(0, base, _WEDGE_CHUNK):
+        part = order[isolated + low:isolated + low + _WEDGE_CHUNK]
+        rank[part] = np.arange(low, low + part.size, dtype=far_type)
+    del order, part
     # edge (x, y) of ranks x < y becomes x * base + y
     keys = np.empty(m, dtype=np.int64)
     for low in range(0, m, _WEDGE_CHUNK):
@@ -184,20 +187,30 @@ def count_triangles(g: SimpleGraph) -> int:
         part += x
     del rank, u, v, x, y
     keys.sort()
-    # keys[starts[u]:starts[u + 1]] is row u, the forward[u] forward edges
-    # of rank u, whose keys lie in [u * base, (u + 1) * base); it makes
-    # forward[u] (forward[u] - 1) / 2 wedges, and wedge_starts[u] wedges
-    # come before it
-    starts = np.arange(base + 1, dtype=np.int64)
-    starts *= base
-    starts = keys.searchsorted(starts)
-    forward = np.diff(starts)
-    longest = int(forward.max())
-    forward *= forward - 1
-    forward //= 2
+    # keys[starts[u]:starts[u + 1]] is row u, the forward edges of rank u,
+    # whose keys lie in [u * base, (u + 1) * base)
+    starts = np.empty(base + 1, dtype=np.int64)
+    for low in range(0, base + 1, _WEDGE_CHUNK):
+        bounds = np.arange(low, min(low + _WEDGE_CHUNK, base + 1)) * base
+        starts[low:low + bounds.size] = keys.searchsorted(bounds)
+    # each key narrows to its far end in the front of its own buffer,
+    # every block read before it is overwritten; the buffer then shrinks
+    for low in range(0, m, _WEDGE_CHUNK):
+        part = keys[low:low + _WEDGE_CHUNK] % base
+        keys.view(far_type)[low:low + part.size] = part
+    keys.resize(-(-m * np.dtype(far_type).itemsize // 8), refcheck=False)
+    far = keys.view(far_type)[:m]
+    # row u's forward[u] edges make forward[u] (forward[u] - 1) / 2 wedges,
+    # and wedge_starts[u] wedges come before it
     wedge_starts = np.zeros(base + 1, dtype=np.int64)
-    np.cumsum(forward, out=wedge_starts[1:])
-    del forward
+    forward = wedge_starts[1:]
+    np.subtract(starts[1:], starts[:-1], out=forward)
+    longest = int(forward.max())
+    for low in range(0, base, _WEDGE_CHUNK):
+        part = forward[low:low + _WEDGE_CHUNK]
+        part *= part - 1
+        part //= 2
+    np.cumsum(forward, out=forward)
     triangles = 0
     first = 0
     while first < base:
@@ -208,7 +221,7 @@ def count_triangles(g: SimpleGraph) -> int:
             int(np.searchsorted(wedge_starts, wedge_starts[first]
                                 + _WEDGE_CHUNK, side="right"))) - 1)
         low, high = int(starts[first]), int(starts[last])
-        hi = keys[low:high] % base
+        hi = far[low:high].astype(np.int64)
         # edge i's wedges pair hi[i] with hi[i + 1:row_end[i]], its later
         # neighbours in the same row; counting wedges in edge order, edge
         # i's are numbered from ends[i] - wedges[i], so wedge j's w is
@@ -224,45 +237,48 @@ def count_triangles(g: SimpleGraph) -> int:
         w = np.repeat(row_end, wedges)
         w += np.arange(ends[-1])
         del row_end, ends
-        rows = np.repeat(hi, wedges)
-        needles = rows * base
-        needles += hi.take(w)
-        del w, hi, wedges
-        triangles += _count_in_rows(keys, starts, longest, rows, needles)
-        del rows, needles  # before the next chunk allocates its own
+        needles = hi.take(w)
+        del w
+        # edge i's wedges are looked up in row hi[i]
+        at = np.repeat(starts.take(hi), wedges)
+        end = np.repeat(starts[1:].take(hi), wedges)
+        del hi, wedges
+        triangles += _count_in_rows(far, at, end, longest, needles)
+        del at, end, needles  # before the next chunk allocates its own
     return triangles
 
 
-def _count_in_rows(keys: np.ndarray, starts: np.ndarray, longest: int,
-                   rows: np.ndarray, needles: np.ndarray) -> int:
-    """How many ``needles`` are among the sorted ``keys``, needle i looked
-    up in row ``rows[i]``, ``keys[starts[r]:starts[r + 1]]``, alone.
+def _count_in_rows(far: np.ndarray, at: np.ndarray, end: np.ndarray,
+                   longest: int, needles: np.ndarray) -> int:
+    """How many ``needles`` are among their rows' far ends, needle i looked
+    up in ``far[at[i]:end[i]]`` alone.
 
-    Every key of a later row must be larger than the row's needles, and no
-    row may hold more than ``longest`` keys.  A branchless binary search
-    steps each needle by 2^k, ..., 2, 1 (2^(k+1) > ``longest``) from just
-    before its row towards the last key below it: a probe past the row
-    reads a larger key and does not move the needle on.  A probe past the
-    end of ``keys`` is clipped to the largest key; it moves the needle on,
-    possibly beyond the array, only when the needle is larger than every
-    key, and then the final clipped read cannot match it.  Overwrites
-    ``rows``.
+    Rows ascend and hold at most ``longest`` entries.  A branchless binary
+    search moves each ``at``, its row's first entry not known to be below
+    the needle, past each probe 2^k - 1, ..., 1, 0 entries on
+    (2^(k+1) > ``longest``) that is below the needle.  Probes are clamped
+    to the row's last index (an empty row's, the entry before it, clipped
+    into the array, moves nothing), and a needle is found only where
+    ``at`` ends in its row on an equal entry.  Overwrites ``at`` and
+    ``end``.
     """
-    at = rows
-    starts.take(rows, out=at)
-    at -= 1
+    end -= 1  # the row's last index
     probe = np.empty_like(at)
-    found = np.empty_like(at)
+    found = np.empty(at.size, dtype=far.dtype)
     below = np.empty(at.size, dtype=bool)
     for k in reversed(range(longest.bit_length())):
-        np.add(at, 1 << k, out=probe)
-        keys.take(probe, mode="clip", out=found)
+        np.add(at, (1 << k) - 1, out=probe)
+        np.minimum(probe, end, out=probe)
+        far.take(probe, mode="clip", out=found)
         np.less(found, needles, out=below)
-        np.multiply(below, 1 << k, out=found)
-        at += found
-    at += 1
-    keys.take(at, mode="clip", out=found)
-    return int(np.count_nonzero(found == needles))
+        # at <= probe + 1, so this moves at only where the probe is below
+        probe += 1
+        np.multiply(probe, below, out=probe)
+        np.maximum(at, probe, out=at)
+    np.less_equal(at, end, out=below)
+    far.take(at, mode="clip", out=found)
+    below &= found == needles
+    return int(np.count_nonzero(below))
 
 
 def count_features(g: SimpleGraph) -> FeatureCounts:

@@ -12,10 +12,9 @@ _INT64_MAX = 2 ** 63 - 1
 _MAX_VERTICES = 3_037_000_499  # isqrt(_INT64_MAX): every lo * n + hi fits
 # Bytes per slice in the scan for a '#' that opens no line.
 _SCAN_BYTES = 1 << 20
-# Label entries per block of the numbering's passes.
+# Label entries, pairs or keys per block of the load's passes.
 _LABEL_BLOCK = 1 << 16
-# Fewer label entries than this are numbered in int32 ids, more in int64.
-_INT32_IDS = 2 ** 31
+_PACKED_ENTRIES = 2 ** 32  # from this many entries, pair indices pass 31 bits
 
 
 class GraphParseError(ValueError):
@@ -41,8 +40,8 @@ class SimpleGraph:
     labels, which ascend strictly, so ``np.searchsorted(labels, label)`` is
     a label's id; it is None for a graph built programmatically.
     ``edge_array`` decodes the keys into ascending (m, 2) rows (u, v) on
-    each access.  Degrees are precomputed.  Instances are treated as
-    immutable after construction.
+    each access.  Degrees are precomputed, and the keys checked, a block
+    of keys at a time.  Instances are treated as immutable once built.
     """
 
     def __init__(
@@ -76,18 +75,21 @@ class SimpleGraph:
         self.labels = labels
         self.loops_dropped = int(loops_dropped)
         self.duplicates_dropped = int(duplicates_dropped)
-        # each edge adds one to both ends' degrees: the higher ends, then
-        # the lower ends, in one temporary
-        ends = keys % n
-        self.degrees = np.bincount(
-            ends, minlength=n).astype(np.int64, copy=False)
-        # u < v exactly when u * n + v < v * (n + 1), which fits in int64
-        # since (n - 1) * (n + 1) < n^2
-        ends *= n + 1
-        if (keys >= ends).any():
-            raise ValueError("edge key with u >= v")
-        np.floor_divide(keys, n, out=ends)
-        self.degrees += np.bincount(ends, minlength=n)
+        # each edge adds one to both ends' degrees, the higher then the
+        # lower, in blocks of at least n keys, as each bincount costs n
+        self.degrees = np.zeros(n, dtype=np.int64)
+        step = max(_LABEL_BLOCK, n)
+        for start in range(0, keys.size, step):
+            block = keys[start:start + step]
+            ends = block % n
+            self.degrees += np.bincount(ends, minlength=n)
+            # u < v exactly when u * n + v < v * (n + 1), which fits in
+            # int64 since (n - 1) * (n + 1) < n^2
+            ends *= n + 1
+            if (block >= ends).any():
+                raise ValueError("edge key with u >= v")
+            np.floor_divide(block, n, out=ends)
+            self.degrees += np.bincount(ends, minlength=n)
 
     @property
     def edge_array(self) -> np.ndarray:
@@ -123,33 +125,35 @@ class SimpleGraph:
             num_vertices = int(arr.max()) + 1 if arr.size else 0
         num_vertices = int(num_vertices)
         keys, loops = _edge_keys(arr, num_vertices)
-        return cls._from_keys(num_vertices, keys, loops, labels)
+        keys[loops] = _INT64_MAX
+        return cls._from_keys(num_vertices, keys, loops.sum(), labels)
 
     @classmethod
-    def _from_keys(cls, num_vertices: int, keys: np.ndarray,
-                   loops: np.ndarray, labels) -> "SimpleGraph":
-        """The graph on the distinct non-loop ``keys``, ``loops`` marking
-        the loops, with both drop counts.  Overwrites ``keys``, which owns
-        its buffer: the loops sort last, set past every key, the first of
-        each run of equal keys moves to the front, and the buffer shrinks to
-        those; so no copy of the keys outlives a step.
+    def _from_keys(cls, num_vertices: int, keys: np.ndarray, loops: int,
+                   labels) -> "SimpleGraph":
+        """The graph on the distinct ``keys`` but the ``loops`` set to
+        ``_INT64_MAX``, which no key reaches (see ``_MAX_VERTICES``), with
+        both drop counts.  Overwrites ``keys``, which owns its buffer: the
+        loops sort last, the first of each run of equal keys moves to the
+        front a block of ``_LABEL_BLOCK`` at a time, and the buffer shrinks
+        to those, so the keys are never copied whole.
         """
-        loops_dropped = int(np.count_nonzero(loops))
-        keys[loops] = _INT64_MAX  # no key reaches it: see _MAX_VERTICES
         keys.sort()
-        kept = keys[:keys.size - loops_dropped]
-        # the first of each run (np.unique's hash path is far slower)
-        first = np.empty(kept.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(kept[1:], kept[:-1], out=first[1:])
-        distinct = int(np.count_nonzero(first))
-        kept[:distinct] = kept[first]
-        duplicates_dropped = kept.size - distinct
-        # no view of the buffer is left, so it shrinks in place
-        del first, kept
+        end = keys.size - loops
+        distinct = 0
+        last = -1  # below every key
+        for start in range(0, end, _LABEL_BLOCK):
+            block = keys[start:min(start + _LABEL_BLOCK, end)]
+            first = np.empty(block.size, dtype=bool)
+            first[0] = block[0] != last
+            np.not_equal(block[1:], block[:-1], out=first[1:])
+            last = block[-1]
+            kept = block[first]  # keys[:start] is read
+            keys[distinct:distinct + kept.size] = kept
+            distinct += kept.size
+            del first, kept  # none outlives its block
         keys.resize(distinct, refcheck=False)
-        return cls(num_vertices, keys, labels, loops_dropped,
-                   duplicates_dropped)
+        return cls(num_vertices, keys, labels, loops, end - distinct)
 
     def __repr__(self):
         return (f"SimpleGraph(num_vertices={self.num_vertices}, "
@@ -158,10 +162,10 @@ class SimpleGraph:
 
 def _edge_keys(pairs: np.ndarray, num_vertices: int):
     """Each row's int64 key lo * num_vertices + hi (lo <= hi) and the loop
-    mask, from int32 or int64 ``pairs``; ValueError for an endpoint out of
-    range.  Past ``_MAX_VERTICES`` a key can overflow, and the graph's
-    constructor raises."""
-    # int32 ids widen here, before lo * num_vertices can overflow
+    mask, from integer ``pairs``; ValueError for an endpoint out of range.
+    Past ``_MAX_VERTICES`` a key can overflow, and the graph's constructor
+    raises."""
+    # narrower ints widen here, before lo * num_vertices can overflow
     lo = np.minimum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     if lo.size and (lo.min() < 0 or hi.max() >= num_vertices):
@@ -178,12 +182,12 @@ def load_edge_list(path) -> SimpleGraph:
     Format: one "u v" pair of integer labels per line, any whitespace,
     lines starting with '#' are comments.  Vertex ids number the labels
     in ascending order, so loading the same file twice gives identical
-    graphs; the numbering is one in-place sort of a packed int64 key (see
-    ``_number_labels``), with ``np.unique`` for labels too far apart to
-    pack.  Self-loops are dropped (their vertices are kept, degree 0) and
-    duplicate pairs - including reversed ones - are merged; both drop
-    counts are recorded on the result.  A label outside the int64 range is
-    a parse error.
+    graphs; the numbering and the keying are two in-place sorts of a
+    packed int64 key (see ``_key_labels``), with ``np.unique`` for labels
+    too far apart to pack.  Self-loops are dropped (their vertices are
+    kept, degree 0) and duplicate pairs - including reversed ones - are
+    merged; both drop counts are recorded on the result.  A label outside
+    the int64 range is a parse error.
 
     The whole file is first read in one ``np.loadtxt`` call.  When that
     cannot stand for the line-by-line reading - loadtxt rejects the file,
@@ -193,73 +197,88 @@ def load_edge_list(path) -> SimpleGraph:
     ``GraphParseError`` with the line number.  Both readings give the same
     labels, so the graph does not depend on which one ran.
 
-    Each stage frees what the next does not need: the labels' buffer is
-    the numbering's sort key, the ids take 4 bytes per label read (int32
-    below 2^31 of them), and once they have become the edge keys, which
-    the graph keeps as its own, they are dropped before the degrees are
-    counted.  So the load holds at most the labels' buffer and the ids
-    while it numbers, and the finished graph is its 8-byte edge keys, its
-    degrees and its labels.
+    Every stage works in the buffer the labels were read into (the line
+    reading's labels are copied into one of their own once): the sort key,
+    then the edge keys, then, deduplicated and shrunk, the graph's keys.
+    So the load holds that buffer, 16 bytes a pair, the distinct labels
+    and block buffers, and the graph is its 8-byte keys, its degrees and
+    its labels.
     """
     path = Path(path)
     raw = _read_bulk(path)
     if raw is None:
-        raw = _read_lines(path)
-    labels, ids = _number_labels(raw)
-    del raw  # its buffer was the sort key
-    keys, loops = _edge_keys(ids.reshape(-1, 2), labels.size)
-    del ids  # before the graph's arrays are allocated
+        raw = _read_lines(path).copy()  # the array('q') owns its labels
+    labels, keys, loops = _key_labels(raw)
+    del raw  # np.unique's input, where it numbered the labels
     return SimpleGraph._from_keys(labels.size, keys, loops, labels)
 
 
-def _number_labels(raw: np.ndarray):
-    """(labels, ids): the distinct labels ascending, and each entry's index
-    among them, as ``np.unique(raw, return_inverse=True)`` gives them, with
-    int32 ids when there are fewer than 2^31 entries.
+def _key_labels(raw: np.ndarray):
+    """(labels, keys, loops) of the (m, 2) labels ``raw``: the distinct
+    labels ascending, each row's edge key lo * n + hi of its labels' ids
+    as ``np.unique(raw, return_inverse=True)`` numbers them (a loop's set
+    to ``_INT64_MAX``), and the number of loops.
 
-    With N entries, one in-place sort of the int64 key
-    (label - min) * N + position groups equal labels in ascending order.
-    A block of ``_LABEL_BLOCK`` keys at a time then splits into label,
-    position and group number; the group numbers scatter into the ids by
-    position, and each group's label moves to the front of the key, which
-    the blocks have already read.  So besides ``raw``, whose buffer is the
-    key and which is overwritten, the numbering holds the 4N-byte ids and
-    block-sized buffers.  Where the largest key would pass int64 (labels
-    some 2^63 / N apart), ``np.unique`` numbers them instead, with int64
-    ids.
+    With N entries, an in-place sort of (label - min) * N + position
+    groups equal labels.  A pass over blocks of ``_LABEL_BLOCK`` moves
+    each group's label out and writes (position >> 1) << 32 | group back,
+    so a second sort puts each pair's two groups side by side, the lower
+    first.  A pass over blocks of pairs writes their keys over the front
+    half, each block read before it is overwritten, and ``raw`` (which
+    owns its buffer) shrinks to them.  So besides ``raw`` this holds block
+    buffers and 8 bytes per distinct label (16 while they are joined).
+    ``np.unique`` and ``_edge_keys`` take labels some 2^63 / N apart, or
+    2^32 entries or more (a pair index past 31 bits), instead.
     """
     key = raw.reshape(-1)
-    n = key.size
-    if n == 0:
-        return key, np.empty(0, dtype=np.int32)
-    low = int(key.min())
+    size = key.size
+    low = int(key.min()) if size else 0
     # in Python ints: max - min itself can pass int64
-    if (int(key.max()) - low + 1) * n > 2 ** 63:
-        return np.unique(key, return_inverse=True)
-    ids = np.empty(n, dtype=np.int32 if n < _INT32_IDS else np.int64)
+    if (size >= _PACKED_ENTRIES
+            or (int(key.max(initial=low)) - low + 1) * size > 2 ** 63):
+        labels, ids = np.unique(key, return_inverse=True)
+        keys, loops = _edge_keys(ids.reshape(-1, 2), labels.size)
+        keys[loops] = _INT64_MAX
+        return labels, keys, int(np.count_nonzero(loops))
     key -= low
-    key *= n
-    for start in range(0, n, _LABEL_BLOCK):
+    key *= size
+    for start in range(0, size, _LABEL_BLOCK):
         block = key[start:start + _LABEL_BLOCK]
         block += np.arange(start, start + block.size)
     key.sort()
+    parts = []  # each block's new labels
     groups = 0
     last = -1  # below every label - min
-    for start in range(0, n, _LABEL_BLOCK):
-        label, position = np.divmod(key[start:start + _LABEL_BLOCK], n)
+    for start in range(0, size, _LABEL_BLOCK):
+        block = key[start:start + _LABEL_BLOCK]
+        label, position = np.divmod(block, size)
         first = np.empty(label.size, dtype=bool)
         first[0] = label[0] != last
         np.not_equal(label[1:], label[:-1], out=first[1:])
         last = label[-1]
-        group = np.cumsum(first)
-        group += groups - 1
-        ids[position] = group
-        label = label[first]
-        # key[:start] is read, and groups + label.size <= start + block
-        key[groups:groups + label.size] = label
-        groups += label.size
-    labels = key[:groups] + low
-    return labels, ids
+        parts.append(label[first])
+        np.cumsum(first, out=label)
+        label += groups - 1
+        groups += parts[-1].size
+        position >>= 1
+        position <<= 32
+        np.bitwise_or(position, label, out=block)
+    labels = np.concatenate(parts) if parts else key[:0].copy()
+    del parts
+    labels += low
+    key.sort()
+    loops = 0
+    for start in range(0, size // 2, _LABEL_BLOCK):
+        ends = key[2 * start:2 * (start + _LABEL_BLOCK)] & 0xFFFFFFFF
+        lo, hi = ends[0::2], ends[1::2]
+        loop = lo == hi
+        loops += int(np.count_nonzero(loop))
+        block = key[start:start + lo.size]  # read, as key[:2 * start] is
+        np.multiply(lo, labels.size, out=block)
+        block += hi
+        block[loop] = _INT64_MAX
+    raw.resize(size // 2, refcheck=False)
+    return labels, raw, loops
 
 
 def _read_bulk(path: Path) -> np.ndarray | None:

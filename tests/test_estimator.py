@@ -763,6 +763,28 @@ class TestBatch:
             assert isinstance(res, TypeError)
             assert str(res) == "grid_points must be an integer, got 21.0"
 
+    # best checks grid_points before its direct batch runs, and a problem
+    # whose seed is bad too reports the grid_points error
+    @pytest.mark.parametrize("grid_points, error, message", [
+        (1, ValueError, "grid_points must be >= 2"),
+        (21.0, TypeError, "grid_points must be an integer, got 21.0"),
+    ], ids=["one", "float"])
+    def test_best_rejects_grid_points_before_fitting(self, monkeypatch,
+                                                     grid_points, error,
+                                                     message):
+        import kronmoments.estimator as estimator
+
+        def no_fit(objective, x0):
+            raise AssertionError("a direct fit ran")
+
+        monkeypatch.setattr(estimator, "_nelder_mead_lockstep", no_fit)
+        problems = [FitProblem(GRQC, 13, starts=5),
+                    FitProblem(GRQC, 14, seed=-1, starts=5)]
+        out = FIT_METHODS["best"](problems, ObjectiveSpec(), grid_points)
+        assert len(out) == 2
+        for res in out:
+            assert type(res) is error and str(res) == message
+
     def test_negative_seed_is_rejected_alone(self):
         spec, problems = batch("dsq-f2")
         problems[1] = problems[1]._replace(seed=-1)

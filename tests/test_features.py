@@ -11,6 +11,7 @@ from kronmoments.features import (
     count_triangles,
 )
 from kronmoments.generator import generate
+from kronmoments.graph_io import SimpleGraph
 from kronmoments.moments import KroneckerParams
 from oracles import checked_graph
 
@@ -51,6 +52,25 @@ def test_star_three_leaves():
     g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert count_degree_features(g) == (3, 3, 1)
     assert count_triangles(g) == 0
+
+
+def test_degree_features_visit_only_the_degrees_that_occur(monkeypatch):
+    # a star's degree histogram runs to its hub's degree, 10^6, but holds
+    # two degrees: the loop visits those two, not a million zeros
+    leaves = 10 ** 6
+    g = SimpleGraph(leaves + 1, np.arange(1, leaves + 1))
+    visited = []
+    flatnonzero = np.flatnonzero
+
+    def spy(a):
+        visited.append(flatnonzero(a).size)
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", spy)
+    assert count_degree_features(g) == (
+        leaves, leaves * (leaves - 1) // 2,
+        leaves * (leaves - 1) * (leaves - 2) // 6)
+    assert visited == [2]
 
 
 def test_k4_and_c4():

@@ -11,7 +11,7 @@ from kronmoments.graph_io import (
     SimpleGraph,
     _edge_keys,
     _has_inline_comment,
-    _number_labels,
+    _key_labels,
     _read_bulk,
     _read_lines,
     choose_r,
@@ -552,20 +552,57 @@ NUMBERING_CASES = {
 }
 
 
+def _unique_keying(raw):
+    """The labels, edge keys (a loop's set past every key) and loop count
+    of np.unique's numbering of ``raw``, keyed by _edge_keys."""
+    labels, ids = _unique_numbering(raw)
+    keys, loops = _edge_keys(ids.reshape(-1, 2), labels.size)
+    keys[loops] = graph_io._INT64_MAX
+    return labels, keys, int(loops.sum())
+
+
 @pytest.mark.parametrize("case", list(NUMBERING_CASES))
 def test_packed_numbering_matches_unique(monkeypatch, case):
     rng = np.random.default_rng(0)
     for _ in range(20):
         raw = NUMBERING_CASES[case](rng, int(rng.integers(1, 300)))
         raw = raw.astype(np.int64)
-        want_labels, want_ids = _unique_numbering(raw)
-        # blocks of 1 and 3 entries put group starts on block boundaries
+        want_labels, want_keys, want_loops = _unique_keying(raw)
+        # blocks of 1 and 3 entries put group starts on block boundaries,
+        # and make the keying's blocks of pairs overwrite the blocks they
+        # read in every possible way
         for block in (1, 3, 1 << 16):
             monkeypatch.setattr(graph_io, "_LABEL_BLOCK", block)
-            labels, ids = _number_labels(raw.copy())
-            assert labels.dtype == np.int64 and ids.dtype == np.int32
+            monkeypatch.setattr(np, "unique", None)  # the packed path only
+            labels, keys, loops = _key_labels(raw.copy())
+            monkeypatch.undo()
+            assert labels.dtype == keys.dtype == np.int64
             assert np.array_equal(labels, want_labels)
-            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(keys, want_keys)
+            assert loops == want_loops
+
+
+# Each text reads in bulk and line by line to the same graph: pairs with
+# loops and reversed twins, no pairs at all (which only the line reading
+# reads) and nothing but loops
+@pytest.mark.parametrize("text", [
+    "".join(f"{u} {v}\n" for u, v in np.random.default_rng(33).integers(
+        -40, 40, size=(500, 2)).tolist()),
+    "# nothing but a comment\n",
+    "5 5\n-3 -3\n5 5\n",
+], ids=["pairs", "empty", "all-loops"])
+def test_bulk_and_line_readers_build_the_same_graph(tmp_path, monkeypatch,
+                                                    text):
+    path = write(tmp_path, text)
+    bulk = load_edge_list(path)
+    monkeypatch.setattr(graph_io, "_read_bulk", lambda path: None)
+    lines = load_edge_list(path)
+    for name in ("keys", "degrees", "labels"):
+        assert np.array_equal(getattr(bulk, name), getattr(lines, name))
+        assert getattr(bulk, name).dtype == getattr(lines, name).dtype
+    assert (bulk.loops_dropped, bulk.duplicates_dropped) == (
+        lines.loops_dropped, lines.duplicates_dropped)
+    assert bulk.num_vertices == lines.num_vertices
 
 
 @pytest.mark.parametrize("first, last, packed", [
@@ -639,9 +676,10 @@ def test_from_pairs_matches_the_constructor():
 
 
 def test_loader_drops_the_ids_before_the_graph(tmp_path, monkeypatch):
-    # Two int32 ids per pair are dropped once the pairs' edge keys are
-    # made, so when the graph's fields are filled, the load holds less than
-    # the ids and the finished graph together.
+    # The pairs are numbered and keyed in the buffer they were read into,
+    # which becomes the graph's keys, and the dedupe holds only block
+    # buffers, so once the graph's fields are filled the load holds the
+    # finished graph and a few KB: no ids, no loop mask (a byte a pair).
     rng = np.random.default_rng(24)
     pairs = rng.integers(0, 3000, size=(40000, 2)) * 7919 - 10 ** 6
     path = tmp_path / "g.txt"
@@ -661,10 +699,9 @@ def test_loader_drops_the_ids_before_the_graph(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert g.loops_dropped > 0 and g.duplicates_dropped > 0
-    ids = pairs.size * 4
     graph = g.keys.nbytes + g.degrees.nbytes + g.labels.nbytes
     assert len(held) == 1
-    assert held[0] - base < ids + graph, (held[0] - base, ids, graph)
+    assert held[0] - base < graph + (1 << 13), (held[0] - base, graph)
 
 
 def test_loaded_graph_holds_its_keys_degrees_and_labels(tmp_path):
@@ -701,57 +738,65 @@ def test_loaded_graph_holds_its_keys_degrees_and_labels(tmp_path):
 
 
 def test_numbering_holds_its_input_and_int32_ids(monkeypatch):
-    # Besides its input, which it overwrites, the numbering of N entries
-    # holds the 4N bytes of int32 ids, the labels it returns and a few
-    # buffers of _LABEL_BLOCK entries: no N-length position array, start
-    # mask, int64 ids or np.arange.
+    # Besides its input, which becomes the edge keys, the numbering and
+    # keying of N entries holds the labels it returns, twice while each
+    # block's labels are joined, and a few buffers of _LABEL_BLOCK
+    # entries: no ids, no N-length position array, start mask or
+    # np.arange.
     block = 1 << 10
     monkeypatch.setattr(graph_io, "_LABEL_BLOCK", block)
     rng = np.random.default_rng(26)
     raw = rng.integers(-2 ** 40, 2 ** 40, size=5000)[
         rng.integers(0, 5000, size=(60000, 2))]
-    n = raw.size
-    want_labels, want_ids = _unique_numbering(raw)
+    want = _unique_keying(raw)
     tracemalloc.start()
     try:
+        raw = raw.copy()  # traced, so that its shrinking is seen
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        labels, ids = _number_labels(raw)
+        labels, keys, loops = _key_labels(raw)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert ids.dtype == np.int32
-    assert np.array_equal(labels, want_labels)
-    assert np.array_equal(ids, want_ids)
-    bound = 4 * n + labels.nbytes + 64 * block + (1 << 12)
+    assert keys is raw and keys.shape == (60000,)
+    assert np.array_equal(labels, want[0])
+    assert np.array_equal(keys, want[1])
+    assert loops == want[2]
+    bound = 2 * labels.nbytes + 64 * block + (1 << 12)
     assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("limit", [1, 8, 9, 300])
-def test_ids_switch_to_int64_at_the_entry_limit(tmp_path, monkeypatch,
-                                                 limit):
-    # below the limit the ids are int32, from it int64, with the same
-    # values; the loaded graph does not depend on which
-    monkeypatch.setattr(graph_io, "_INT32_IDS", limit)
+def test_packing_entry_limit_sends_the_load_to_unique(tmp_path, monkeypatch,
+                                                      limit):
+    # from the limit on, np.unique numbers the labels and _edge_keys keys
+    # them, as for labels too far apart to pack; the graph is the same
     rng = np.random.default_rng(limit)
-    raw = rng.integers(-20, 20, size=(4, 2))
-    labels, ids = _number_labels(raw.copy())
-    want_labels, want_ids = _unique_numbering(raw)
-    assert ids.dtype == (np.int32 if raw.size < limit else np.int64)
-    assert np.array_equal(labels, want_labels)
-    assert np.array_equal(ids, want_ids)
     pairs = rng.integers(-10 ** 9, 10 ** 9, size=50)[
-        rng.integers(0, 50, size=(200, 2))]
+        rng.integers(0, 50, size=(4 + 50 * (limit > 100), 2))]
+    pairs[:2, 1] = pairs[:2, 0]  # two loops
+    pairs[2] = pairs[3, ::-1]  # a reversed twin
     path = tmp_path / "g.txt"
     np.savetxt(path, pairs, fmt="%d")
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(graph_io, "_PACKED_ENTRIES", limit)
+    monkeypatch.setattr(np, "unique", spy)
     g = load_edge_list(path)
     monkeypatch.undo()
+    assert len(calls) == (pairs.size >= limit)
     want = load_edge_list(path)
     for name in ("keys", "degrees", "labels"):
         assert np.array_equal(getattr(g, name), getattr(want, name))
         assert getattr(g, name).dtype == getattr(want, name).dtype
     assert (g.loops_dropped, g.duplicates_dropped) == (
         want.loops_dropped, want.duplicates_dropped)
+    assert g.loops_dropped >= 2 and g.duplicates_dropped >= 1
 
 
 def test_edge_keys_widen_int32_ids_near_2_31():

@@ -139,45 +139,50 @@ def test_chunk_boundaries(monkeypatch, name, chunk):
                                      list(range(41))],
                          ids=lambda v: "-".join(map(str, v[:8])))
 def test_row_search_finds_exactly_the_row_keys(lengths, extra):
-    # row r holds `length` random columns of 0..63 as keys r * 64 + column;
-    # every key r * 64 + w of every row is searched, in random order, and
-    # must be found exactly when row r holds it
+    # row r holds `length` random far ends of 0..63, ascending, in
+    # far[starts[r]:starts[r + 1]]; every far end 0..63 is searched in
+    # every row, in random order, and must be found exactly when that row
+    # holds it, not when an empty neighbour or a row at either end of the
+    # array does
     rng = np.random.default_rng(len(lengths) + extra)
-    rows = [np.sort(rng.choice(64, size=k, replace=False)) + 64 * r
-            for r, k in enumerate(lengths)]
-    keys = np.concatenate(rows).astype(np.int64)
+    rows = [np.sort(rng.choice(64, size=k, replace=False)) for k in lengths]
+    far = np.concatenate(rows).astype(np.int32)
     starts = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
-    row_of = np.repeat(np.arange(len(lengths), dtype=np.int64), 64)
-    needles = row_of * 64 + np.tile(np.arange(64), len(lengths))
+    row_of = np.repeat(np.arange(len(lengths)), 64)
+    needles = np.tile(np.arange(64), len(lengths))
     order = rng.permutation(needles.size)
     row_of, needles = row_of[order], needles[order]
-    want = np.isin(needles, keys)
+    want = np.array([w in rows[r] for r, w in zip(row_of, needles)])
     longest = max(lengths) + extra
-    assert _count_in_rows(keys, starts, longest, row_of.copy(),
+    assert _count_in_rows(far, starts[row_of], starts[row_of + 1], longest,
                           needles) == int(want.sum())
     # one needle at a time, so a wrong answer names its needle
     for r, x, hit in zip(row_of[:200], needles[:200], want[:200]):
-        assert _count_in_rows(keys, starts, longest, np.array([r]),
+        assert _count_in_rows(far, starts[[r]], starts[[r + 1]], longest,
                               np.array([x])) == hit, (r, x)
 
 
 def test_triangle_count_allocates_keys_and_chunks(monkeypatch):
     # What count_triangles allocates on top of the graph is at most
     #   8 E             the sorted forward keys (int64), decoded from the
-    #                   graph's keys a chunk at a time
-    # + 64 n            a few int64 tables with one entry per vertex
-    # + 64 max(C, R)    a few int64 chunk buffers; a chunk holds at most
+    #                   graph's keys a chunk at a time, then narrowed to
+    #                   their int32 far ends in place
+    # + 16 n            int32 ranks beside the keys, or the int64 row and
+    #                   wedge starts beside the far ends
+    # + 64 max(C, R)    a few chunk buffers; a chunk holds at most
     #                   C = _WEDGE_CHUNK edges and C wedges, or one row of
     #                   R > C wedges
     # bytes.  A small C keeps the last term below the first, so one more
-    # E-length int64 array held through the count would pass the bound.
+    # E-length int64 array held through the count would pass the bound,
+    # and so would int64 ranks, order, row starts and wedge counts held
+    # beside the int64 keys (about 21 n here).
     g = GRAPHS["chung-lu-hubs"]()
     chunk = 1 << 10
     monkeypatch.setattr(features, "_WEDGE_CHUNK", chunk)
     edges = forward_degrees(g)
     largest_row = int((edges * (edges - 1) // 2).max())
-    bound = (8 * g.num_edges + 64 * g.num_vertices
+    bound = (8 * g.num_edges + 16 * g.num_vertices
              + 64 * max(chunk, largest_row))
     tracemalloc.start()
     try:
