@@ -1,8 +1,8 @@
 """Command-line surface: features, expected, fit, generate, experiment.
 
 Exit codes: 0 success, 1 user error (bad flags, unreadable or malformed
-input), 2 internal error.  Every command is deterministic given its flags
-and --seed.
+input, or input too big for memory), 2 internal error.  Every command is
+deterministic given its flags and --seed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .estimator import (
     FitFailure,
     FitProblem,
     ObjectiveSpec,
+    _one,
     unexplained,
 )
 from .experiment import (
@@ -39,10 +40,6 @@ from .moments import (
     dominance_exponent,
     expected_features,
 )
-
-
-class _UserError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,7 +103,7 @@ def _load_counts_source(source: str) -> FeatureCounts:
     """Feature counts from a path: an edge list or a counts JSON."""
     path = Path(source)
     if not path.exists():
-        raise _UserError(f"no such file: {source}")
+        raise ValueError(f"no such file: {source}")
     if path.suffix == ".json":
         return read_counts_json(path)
     graph = load_edge_list(path)
@@ -155,14 +152,10 @@ def _cmd_fit(args) -> int:
     r = fit_power(counts, args.r)
     spec = ObjectiveSpec.from_code(args.objective,
                                    features=parse_features(args.features))
-
-    (result,) = FIT_METHODS[args.method](
-        [FitProblem(counts, r, args.seed, args.starts)], spec,
-        args.grid_points)
-    if isinstance(result, Exception):
-        raise result
+    result = _one(args.method, FitProblem(counts, r, args.seed, args.starts),
+                  spec, args.grid_points)
     if not math.isfinite(result.objective_value):
-        raise _UserError(unexplained(spec, r))
+        raise ValueError(unexplained(spec, r))
 
     payload = result.to_dict()
     payload["r"] = r
@@ -209,8 +202,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _DISPATCH[args.command](args)
-    except (_UserError, FitFailure, OSError, ValueError) as exc:
+    except (FitFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except Exception:
         traceback.print_exc()

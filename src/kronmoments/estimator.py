@@ -16,7 +16,7 @@ import contextlib
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -771,10 +771,7 @@ class LeadingTransforms:
     y_hat: float
 
     def to_dict(self) -> dict:
-        return {
-            "e": self.e, "h": self.h, "delta": self.delta, "t": self.t,
-            "x_hat": self.x_hat, "y_hat": self.y_hat,
-        }
+        return asdict(self)
 
 
 def compute_leading_transforms(obs: FeatureCounts, r: int) -> LeadingTransforms:

@@ -74,7 +74,7 @@ class ExperimentConfig:
 
 # the integer keys of a section and their smallest allowed values
 _INT_MINIMUMS = {"replications": 1, **LEAST_VALUES}
-# every key a section may set; "output" is [DEFAULT]'s, passed to each
+# every key a section may set; "output" only with [DEFAULT]'s value
 _SECTION_KEYS = {"graph", "counts", "params", "r", "objective", "features",
                  "methods", "output", *_INT_MINIMUMS}
 
@@ -84,10 +84,10 @@ def parse_experiment_config(path) -> ExperimentConfig:
 
     Recognized keys: graph, counts, params (a,b,c), r, replications,
     objective (code like dsq-f2), features (comma list), methods, seed,
-    starts, grid_points, output (section-independent output directory);
-    any other key is a ConfigError.  Referenced paths must exist at parse
-    time; replications and starts must be >= 1, seed >= 0, grid_points
-    >= 2, and a synthetic section's r at most what ``generate`` can hold.
+    starts, grid_points, output (under [DEFAULT] only); any other key is a
+    ConfigError.  Referenced paths must exist at parse time; replications
+    and starts must be >= 1, seed >= 0, grid_points >= 2, and a synthetic
+    section's r at most what ``generate`` can hold.
     A key left out keeps its ``ExperimentSection`` default.
     """
     path = Path(path)
@@ -103,8 +103,11 @@ def parse_experiment_config(path) -> ExperimentConfig:
 
     sections = []
     for name in parser.sections():
+        raw = dict(parser.items(name))
         try:
-            sections.append(_parse_section(name, dict(parser.items(name))))
+            if raw.get("output") != output:
+                raise ValueError("output is read only under [DEFAULT]")
+            sections.append(_parse_section(name, raw))
         except ValueError as exc:  # the one place a section is named
             raise ConfigError(f"[{name}] {exc}") from None
     if not sections:

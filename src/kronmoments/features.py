@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -70,18 +70,11 @@ class FeatureCounts:
         return getattr(self, feature)
 
     def to_dict(self) -> dict:
-        return {
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "hairpins": self.hairpins,
-            "tripins": self.tripins,
-            "triangles": self.triangles,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureCounts":
-        return cls(d["vertices"], d["edges"], d["hairpins"], d["tripins"],
-                   d["triangles"])
+        return cls(*(d[f.name] for f in fields(cls)))
 
 
 def read_counts_json(path) -> FeatureCounts:
@@ -114,8 +107,6 @@ def count_degree_features(g: SimpleGraph) -> tuple[int, int, int]:
     degree histogram with Python integers, so arbitrarily large degrees
     and vertex counts cannot wrap around.
     """
-    if g.num_vertices == 0:
-        return 0, 0, 0
     hist = np.bincount(g.degrees)
     edges2 = 0
     hairpins2 = 0
@@ -161,7 +152,7 @@ def count_triangles(g: SimpleGraph) -> int:
     # degree * n + id is below n^2, which fits in int64 for any SimpleGraph,
     # and sorted, its remainders mod n list the ids in (degree, id) order,
     # the isolated ones first; they get no rank, as they have no edge
-    isolated = n - np.count_nonzero(g.degrees)
+    isolated = g.num_isolated
     base = n - isolated
     far_type = np.int32 if base < 2 ** 31 else np.int64
     order = g.degrees * n

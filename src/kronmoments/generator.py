@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph_io import _MAX_VERTICES, SimpleGraph
+from .graph_io import _MAX_VERTICES, SimpleGraph, _edge_rows
 from .moments import KroneckerParams
 
 # the largest r whose region sizes fit int64: the biggest region at r = 34
@@ -146,15 +146,16 @@ def _unrank(r: int, i, j, multinomial, rank):
 
     rank = pattern * 2^(j-1) + flips.  ``pattern`` ranks the arrangement of
     bit-pair types over the r positions, top bit first, in the order
-    (0, 0) < differing < (1, 1).  The highest differing bit is (0, 1); bit
-    by bit, ``flips`` says which of the lower differing bits are (1, 0).
+    (0, 0) < differing < (1, 1).  ``flips``, shifted up one bit, gives the
+    differing bits their u bits, top first: the highest takes the 0, so it
+    is (0, 1), and each lower one the next flip, 1 for (1, 0).
     """
     i, j, count = i.copy(), j.copy(), multinomial
     flips = rank & ((np.int64(1) << (j - 1)) - 1)
+    flips <<= 1
     pattern = rank >> (j - 1)
     u = np.zeros_like(rank)
     differ = np.zeros_like(rank)  # the differing bits, so v = u ^ differ
-    seen = np.zeros(rank.shape, dtype=bool)
     for length in range(r, 0, -1):
         # arrangements whose next pair is (0, 0), and differing
         with_a = count * i // length
@@ -169,11 +170,9 @@ def _unrank(r: int, i, j, multinomial, rank):
                          np.where(is_c, count - with_a - with_b, with_b))
         i -= is_a
         j -= is_b
-        # a lower differing bit takes the next flip, as 0 or 1
-        lower = is_b & seen
-        flipped = flips & lower
-        flips >>= lower
-        seen |= is_b
+        # a differing bit takes the next flip, as 0 or 1
+        flipped = flips & is_b
+        flips >>= is_b
         u <<= 1
         u |= flipped
         u |= is_c
@@ -251,20 +250,14 @@ def _sorted_keys(params: KroneckerParams, seed: int) -> np.ndarray:
     return key
 
 
-def _edges_of(key: np.ndarray, r: int) -> np.ndarray:
-    """The (u, v) rows of keys (u << r) | v."""
-    return np.stack([key >> r, key & ((1 << r) - 1)], axis=1)
-
-
 def generate_edges(params: KroneckerParams, seed: int) -> np.ndarray:
     """All sampled edges as an (m, 2) array, ascending (u, v)."""
-    r = params.r
-    if 2 * r > 62:
+    if 2 * params.r > 62:
         expected, cells = _sampled_cells(params, seed)
         edges = _gathered(expected, (np.stack(uv, axis=1) for uv in cells),
                           (2,))
         return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    return _edges_of(_sorted_keys(params, seed), r)
+    return _edge_rows(_sorted_keys(params, seed), params.num_vertices)
 
 
 def check_in_memory(params: KroneckerParams) -> None:
@@ -296,11 +289,10 @@ def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:
     before the graph is sampled, so a path that cannot be written fails
     first, and removed on any later error: a failed run leaves no file,
     not even a truncated one.  Up to r = 31 each block of lines is decoded
-    from the sorted keys as it is written, so no (m, 2) edge array is
-    held; past it the lines come from ``generate_edges``.
+    from the sorted keys u * 2^r + v by ``_edge_rows`` as it is written,
+    so no (m, 2) edge array is held; past it, ``generate_edges`` gives them.
     """
-    r = params.r
-    packed = 2 * r <= 62
+    packed = 2 * params.r <= 62
     path = Path(path)
     fh = open(path, "w", encoding="utf-8", newline="\n")
     try:
@@ -316,7 +308,7 @@ def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:
             for start in range(0, len(rows), _WRITE_ROWS):
                 block = rows[start:start + _WRITE_ROWS]
                 if packed:
-                    block = _edges_of(block, r)
+                    block = _edge_rows(block, params.num_vertices)
                 fh.write(("%d\t%d\n" * len(block))
                          % tuple(block.ravel().tolist()))
     except BaseException:

@@ -94,11 +94,8 @@ class SimpleGraph:
     @property
     def edge_array(self) -> np.ndarray:
         """The (m, 2) int64 rows (u, v), u < v, in ascending order, decoded
-        from ``keys`` afresh on each access."""
-        edges = np.empty((self.keys.size, 2), dtype=np.int64)
-        np.divmod(self.keys, self.num_vertices,
-                  out=(edges[:, 0], edges[:, 1]))
-        return edges
+        from ``keys`` by ``_edge_rows`` afresh on each access."""
+        return _edge_rows(self.keys, self.num_vertices)
 
     @property
     def num_edges(self) -> int:
@@ -106,7 +103,8 @@ class SimpleGraph:
 
     @property
     def num_isolated(self) -> int:
-        return int((self.degrees == 0).sum())
+        """The vertices of degree 0, counted without a mask of n bytes."""
+        return self.num_vertices - int(np.count_nonzero(self.degrees))
 
     @classmethod
     def from_pairs(cls, pairs, num_vertices: int | None = None,
@@ -158,6 +156,13 @@ class SimpleGraph:
     def __repr__(self):
         return (f"SimpleGraph(num_vertices={self.num_vertices}, "
                 f"num_edges={self.num_edges})")
+
+
+def _edge_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (m, 2) int64 rows (u, v) of keys u * n + v, by one np.divmod."""
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 def _edge_keys(pairs: np.ndarray, num_vertices: int):

@@ -17,7 +17,7 @@ brute-force and fold-identity oracles that check them live with the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +77,7 @@ class KroneckerParams:
         return 1 << self.r
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "r": self.r}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

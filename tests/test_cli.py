@@ -356,7 +356,7 @@ def test_triangle_count_memory_is_bounded(tmp_path, capsys):
     assert float(proc.stderr.splitlines()[-1]) < 160.0
 
 
-def test_generate_deterministic_across_env_workers(tmp_path, capsys):
+def test_generate_deterministic_across_runs(tmp_path, capsys):
     blobs = []
     for run_index in range(3):
         out = tmp_path / f"g{run_index}.txt"
@@ -394,6 +394,22 @@ def test_generate_too_big_for_memory_is_a_user_error(tmp_path):
                            "need 16 GiB, more memory than can be "
                            "allocated\n")
     assert not out.exists()
+
+
+def test_out_of_memory_is_a_user_error(tmp_path, capsys, monkeypatch):
+    # a MemoryError anywhere in a command is one error line, exit 1; the
+    # load is made to raise it, as a real allocation would take the memory
+    def no_memory(path):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr("kronmoments.cli.load_edge_list", no_memory)
+    path = tmp_path / "k3.txt"
+    path.write_text("1 2\n2 3\n1 3\n")
+    code, stdout, err = run(capsys, "features", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert err == ("error: out of memory: Unable to allocate 8.00 GiB for "
+                   "an array\n")
 
 
 def test_generate_beyond_power_bound(tmp_path, capsys):

@@ -294,6 +294,28 @@ def test_default_output_directory(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "experiment-out").exists()
 
 
+@pytest.mark.parametrize("default", ["", "[DEFAULT]\noutput = shared\n"])
+def test_section_output_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                          default):
+    # a section's own output would be ignored: it is refused before any
+    # file is written, unless it repeats [DEFAULT]'s
+    monkeypatch.chdir(tmp_path)
+    counts = FIXTURES / "ca-GrQc.counts.json"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{default}[a]\ncounts = {counts}\nmethods = leading\n"
+                   f"output = {tmp_path / 'sec-out'}\n")
+    with pytest.raises(ConfigError,
+                       match=r"^\[a\] output is read only under \[DEFAULT\]$"):
+        parse_experiment_config(cfg)
+    assert cli_main(["experiment", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [a] output is read only under [DEFAULT]\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+    cfg.write_text(f"[DEFAULT]\noutput = shared\n\n[a]\ncounts = {counts}\n"
+                   "methods = leading\noutput = shared\n")
+    assert parse_experiment_config(cfg).output_dir == Path("shared")
+
+
 @pytest.mark.parametrize("method", ["direct", "grid"])
 def test_failed_fit_is_skipped_without_stopping_the_batch(tmp_path, capsys,
                                                           method):

@@ -305,6 +305,12 @@ class TestFileOutput:
          "c64b21edcc4bbccbc52fababafae4834a3c6282ed2f195af87fd9fca6b648da2"),
         (0.9, 0.5, 0.2, 14, 0,
          "c31eb008edbff5d066394703e51178b5f210fa8ec82e496b95254756c6bd76de"),
+        # past r = 31 the file comes from the lexsort of the unranked rows,
+        # and r = 34 unranks the widest flips words
+        (0.5, 0.3, 0.2, 33, 1,
+         "ecb1223c0eb62c3a1f121fabc4b347f9da5ede8ec438f8638cbf928e8cc09cae"),
+        (0.5, 0.3, 0.2, 34, 1,
+         "5b4fa6c94074f99bf797dc120f84d2d59204f4a359cfd140754edf3015784573"),
     ])
     def test_golden_bytes(self, tmp_path, capsys, a, b, c, r, seed, digest):
         out = tmp_path / "g.txt"
