@@ -495,6 +495,16 @@ _XATOL, _FATOL = 1e-8, np.inf
 _MAXITER = 2000
 
 
+# Each trial point is _TRIAL_X * centroid + _TRIAL_W * worst vertex:
+# reflection, expansion, outside and inside contraction, in order.  scipy
+# subtracts the worst vertex's multiple where its weight is negative, and
+# a - b * c is a + (-b) * c exactly in IEEE arithmetic.
+_TRIAL_X = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO,
+                     1 - _PSI], dtype=float)[:, None, None]
+_TRIAL_W = np.array([-_RHO, -_RHO * _CHI, -_PSI * _RHO,
+                     _PSI], dtype=float)[:, None, None]
+
+
 def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
     """Bounded Nelder-Mead on [0, 1]^n from every row of ``x0`` at once.
 
@@ -505,9 +515,12 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
     each iteration evaluates every live start's trial points in at most
     two calls.  The reflection, expansion and both contraction points
     depend only on the centroid and the worst vertex, so all four are
-    ranked in one call of 4 x live-starts points, and each start then uses
-    those its branch needs; the shrinks take the second call.  Each start
-    takes exactly the steps of
+    formed by one broadcast (``_TRIAL_X``, ``_TRIAL_W``) and ranked in one
+    call of 4 x live-starts points; each start's second trial point is
+    then gathered by index, and its new worst vertex written once, for
+    every start (a shrinking one is rewritten whole, from a copy taken
+    before).  The shrinks take the second call.  Each start takes exactly
+    the steps of
     scipy.optimize.minimize(method="Nelder-Mead", bounds=[(0, 1)] * n,
     options=dict(xatol=1e-8, fatol=inf, maxiter=2000)) with a stable sort,
     whatever else shares the array.  A start retires when it converges, or
@@ -523,10 +536,12 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
     sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
     fsim = objective(sim.reshape(-1, n),
                      np.repeat(np.arange(k), n + 1)).reshape(k, n + 1)
+    # each live start's first entry in the flattened simplices and values
+    offsets = np.arange(0, k * (n + 1), n + 1)[:, None]
 
     def sort(sim, fsim):
-        ind = (np.argsort(fsim, axis=1, kind="stable")
-               + np.arange(0, fsim.size, n + 1)[:, None])
+        ind = np.argsort(fsim, axis=1, kind="stable")
+        ind += offsets[:len(ind)]
         return sim.reshape(-1, n)[ind], fsim.ravel()[ind]
 
     sim, fsim = sort(sim, fsim)
@@ -535,55 +550,54 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
     sim, fsim = sim[ids], fsim[ids]
     iterations = 1
     while ids.size and iterations < _MAXITER:
-        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
+        live = ids.size
+        done = ((np.abs(sim[:, 1:] - sim[:, :1]).reshape(live, -1).max(axis=1)
+                 <= _XATOL)
                 & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
         if done.any():
             best[ids[done]] = sim[done, 0]
             ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
-            if not ids.size:
+            live = ids.size
+            if not live:
                 break
 
-        xbar = sim[:, :-1].sum(axis=1) / n
-        worst = sim[:, -1]
-        # reflection, expansion, outside and inside contraction, in order
-        trials = np.clip(np.stack([
-            (1 + _RHO) * xbar - _RHO * worst,
-            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
-            (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
-            (1 - _PSI) * xbar + _PSI * worst,
-        ]), 0.0, 1.0)
+        xbar = np.add.reduce(sim[:, :-1], axis=1)
+        xbar /= n
+        trials = _TRIAL_X * xbar
+        trials += _TRIAL_W * sim[:, -1]
+        np.clip(trials, 0.0, 1.0, out=trials)
         ftrials = objective(trials.reshape(-1, n),
-                            np.tile(ids, 4)).reshape(4, -1)
-        xr, fxr = trials[0], ftrials[0]
+                            np.concatenate((ids,) * 4)).reshape(4, -1)
+        fxr = ftrials[0]
         expand = fxr < fsim[:, 0]
         contract = ~expand & ~(fxr < fsim[:, -2])
         outside = contract & (fxr < fsim[:, -1])
         inside = contract & ~outside
 
-        # the second trial point of each start that expands or contracts
-        x2 = np.where(expand[:, None], trials[1],
-                      np.where(outside[:, None], trials[2], trials[3]))
-        f2 = np.where(expand, ftrials[1],
-                      np.where(outside, ftrials[2], ftrials[3]))
+        # the second trial point of each start: expansion, outside or
+        # inside contraction
+        rows = np.arange(live)
+        second = np.where(expand, 1, np.where(outside, 2, 3))
+        f2 = ftrials[second, rows]
         take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
                  | (inside & (f2 < fsim[:, -1])))
-        take_r = ~contract & ~take2
         shrink = contract & ~take2
-        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
-        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
-        if shrink.any():
-            s = sim[shrink]
-            s[:, 1:] = np.clip(s[:, :1] + _SIGMA * (s[:, 1:] - s[:, :1]),
-                               0.0, 1.0)
-            sim[shrink] = s
+        shrunk = sim[shrink]  # before the worst vertex is overwritten
+        second *= take2  # the reflection where the second is not taken
+        sim[:, -1] = trials[second, rows]
+        fsim[:, -1] = ftrials[second, rows]
+        if shrunk.size:
+            shrunk[:, 1:] = np.clip(
+                shrunk[:, :1] + _SIGMA * (shrunk[:, 1:] - shrunk[:, :1]),
+                0.0, 1.0)
+            sim[shrink] = shrunk
             fsim[shrink, 1:] = objective(
-                s[:, 1:].reshape(-1, n), np.repeat(ids[shrink], n)
+                shrunk[:, 1:].reshape(-1, n), np.repeat(ids[shrink], n)
             ).reshape(-1, n)
         iterations += 1
         sim, fsim = sort(sim, fsim)
     best[ids] = sim[:, 0]
     return best
-
 
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
@@ -686,7 +700,7 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
 
     def objective(points, rows):
         problem = owner[rows]
-        a, b, c = points.T
+        a, b, c = points.T.copy()  # contiguous coordinates
         return score(closed_form_values(a, b, c, powers[problem]), problem)
 
     # each problem's rows of random((starts, 3)), in C order

@@ -30,7 +30,7 @@ from .estimator import (
     unexplained,
 )
 from .features import FeatureCounts, count_features, read_counts_json
-from .generator import check_in_memory, generate
+from .generator import MAX_SEED, check_in_memory, generate
 from .graph_io import choose_r, load_edge_list
 from .moments import FEATURE_NAMES, KroneckerParams, check_int, check_power
 
@@ -87,7 +87,8 @@ def parse_experiment_config(path) -> ExperimentConfig:
     starts, grid_points, output (under [DEFAULT] only); any other key is a
     ConfigError.  Referenced paths must exist at parse time; replications
     and starts must be >= 1, seed >= 0, grid_points >= 2, and a synthetic
-    section's r at most what ``generate`` can hold.
+    section's r at most what ``generate`` can hold, and its last sampler
+    seed at most ``MAX_SEED``.
     A key left out keeps its ``ExperimentSection`` default.
     """
     path = Path(path)
@@ -161,6 +162,13 @@ def _parse_section(name: str, raw: dict) -> ExperimentSection:
         if key in raw:
             setattr(section, key,
                     check_int(key, _int_value(key, raw[key]), minimum))
+    # replication k samples seed + k, and re-realizes its fit from
+    # seed + k + _REREALIZE_SEED_GAP
+    last = section.seed + section.replications - 1 + _REREALIZE_SEED_GAP
+    if section.synthetic and last > MAX_SEED:
+        raise ValueError(
+            f"the last sampler seed, seed + replications - 1 + "
+            f"{_REREALIZE_SEED_GAP}, must be <= {MAX_SEED}, got {last}")
     return section
 
 

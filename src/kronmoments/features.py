@@ -5,7 +5,9 @@ sequence, accumulated in Python integers so no width can overflow.
 Triangles come from the degree-ordered forward wedge check of Schank &
 Wagner and Latapy: every wedge at a triangle's lowest-ranked vertex is
 looked up among its row's forward far ends, O(E^{3/2}) wedges in all,
-checked in bounded chunks by a binary search of one row each.
+checked in bounded chunks in int32 (int64 past 2^31 edges or ranks).  A
+32-bit signature per row drops most open wedges, and each one left is
+found or not by a binary search of its row.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .moments import MAX_POWER
 # (a row with more wedges is a chunk of its own); also the edges decoded
 # at a time into rank keys.
 _WEDGE_CHUNK = 1 << 15
+# Far ends below this are int32, and so are positions among fewer edges.
+_INT32_END = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -134,15 +138,24 @@ def count_triangles(g: SimpleGraph) -> int:
     forward neighbours, so there are O(E^{3/2}) wedges.
 
     Besides the graph, only the forward edges and tables with one entry
-    per vertex are held whole: int32 ranks, then row and wedge starts.
-    The forward keys u * base + v (int64, from ``g.keys`` a chunk at a
-    time) are sorted once and narrowed in place to their far ends v, 4
-    bytes per edge (8 where base >= 2^31).  The wedges are checked in
-    chunks of whole rows, a row being one vertex's forward edges, of at
+    per vertex are held whole: int32 ranks, then the row starts, the
+    wedge starts and the row signatures.  The forward keys u * base + v
+    (int64, from ``g.keys`` a chunk at a time, into a buffer of max(E, n)
+    entries whose front first held the sorted rank order) are sorted once
+    and narrowed in place to their far ends v, 4 bytes per edge (8 where
+    base >= 2^31).  Positions in the far ends - the row starts and every
+    wedge-length array - are int32 while E < 2^31, int64 from there; a
+    chunk's wedge count fits too, as a row of d <= sqrt(2E) forward edges
+    makes d (d - 1) / 2 < E wedges.  Row
+    v's signature is the int32 OR of bit w mod 32 over its far ends w, so
+    a wedge (v, w) whose bit is clear in row v's signature is open without
+    a search, and a closing wedge always passes.  The wedges are checked
+    in chunks of whole rows, a row being one vertex's forward edges, of at
     most ``_WEDGE_CHUNK`` edges and as many wedges (a row with more is a
     chunk of its own).  Wedge (v, w) can only be found in row v, so each
-    is looked up by a binary search of that row alone, which reads a few
-    nearby far ends rather than ranging over all of them.
+    one that passes its signature is looked up by a binary search of that
+    row alone, which reads a few nearby far ends rather than ranging over
+    all of them.
     """
     n = g.num_vertices
     m = g.num_edges
@@ -154,8 +167,15 @@ def count_triangles(g: SimpleGraph) -> int:
     # the isolated ones first; they get no rank, as they have no edge
     isolated = g.num_isolated
     base = n - isolated
-    far_type = np.int32 if base < 2 ** 31 else np.int64
-    order = g.degrees * n
+    far_type = np.int32 if base < _INT32_END else np.int64
+    pos_type = np.int32 if m < _INT32_END else np.int64
+    # the order is sorted in the front of the forward keys' buffer, which
+    # the keys overwrite only once the ranks are taken: a separate array,
+    # once freed, can stay in the allocator's heap while the keys fill
+    # (about 22 MB of the features peak at r = 22)
+    buffer = np.empty(max(m, n), dtype=np.int64)
+    order = buffer[:n]
+    np.multiply(g.degrees, n, out=order)
     for low in range(0, n, _WEDGE_CHUNK):
         order[low:low + _WEDGE_CHUNK] += np.arange(
             low, min(low + _WEDGE_CHUNK, n))
@@ -166,31 +186,51 @@ def count_triangles(g: SimpleGraph) -> int:
         part = order[isolated + low:isolated + low + _WEDGE_CHUNK]
         rank[part] = np.arange(low, low + part.size, dtype=far_type)
     del order, part
-    # edge (x, y) of ranks x < y becomes x * base + y
-    keys = np.empty(m, dtype=np.int64)
+    # edge (x, y) of ranks x < y becomes x * base + y; on int64, // by a
+    # scalar costs a fraction of % or np.divmod
+    keys = buffer[:m]
     for low in range(0, m, _WEDGE_CHUNK):
-        u, v = np.divmod(g.keys[low:low + _WEDGE_CHUNK], n)
+        k = g.keys[low:low + _WEDGE_CHUNK]
+        u = k // n
+        v = u * n
+        np.subtract(k, v, out=v)
         x, y = rank.take(u), rank.take(v)
         part = keys[low:low + _WEDGE_CHUNK]
         np.minimum(x, y, out=part)
         part *= base
         np.maximum(x, y, out=x)
         part += x
-    del rank, u, v, x, y
+    del rank, k, u, v, x, y
     keys.sort()
     # keys[starts[u]:starts[u + 1]] is row u, the forward edges of rank u,
     # whose keys lie in [u * base, (u + 1) * base)
-    starts = np.empty(base + 1, dtype=np.int64)
+    starts = np.empty(base + 1, dtype=pos_type)
     for low in range(0, base + 1, _WEDGE_CHUNK):
         bounds = np.arange(low, min(low + _WEDGE_CHUNK, base + 1)) * base
         starts[low:low + bounds.size] = keys.searchsorted(bounds)
     # each key narrows to its far end in the front of its own buffer,
     # every block read before it is overwritten; the buffer then shrinks
     for low in range(0, m, _WEDGE_CHUNK):
-        part = keys[low:low + _WEDGE_CHUNK] % base
+        k = keys[low:low + _WEDGE_CHUNK]
+        part = k - k // base * base
         keys.view(far_type)[low:low + part.size] = part
-    keys.resize(-(-m * np.dtype(far_type).itemsize // 8), refcheck=False)
-    far = keys.view(far_type)[:m]
+    del keys, k
+    buffer.resize(-(-m * np.dtype(far_type).itemsize // 8), refcheck=False)
+    far = buffer.view(far_type)[:m]
+    # sig[u] sets bit w & 31 for each far end w of row u: a block of rows
+    # at a time, each non-empty row ORed by reduceat from its first far end
+    # to the next non-empty row's (an empty row keeps 0)
+    sig = np.zeros(base, dtype=np.int32)
+    for low in range(0, base, _WEDGE_CHUNK):
+        bounds = starts[low:low + _WEDGE_CHUNK + 1]
+        filled = np.flatnonzero(bounds[1:] > bounds[:-1])
+        if not filled.size:
+            continue
+        bits = far[bounds[0]:bounds[-1]] & 31
+        np.left_shift(1, bits, out=bits, dtype=bits.dtype)
+        sig[low + filled] = np.bitwise_or.reduceat(
+            bits, bounds.take(filled) - bounds[0])
+    del bounds, filled, bits
     # row u's forward[u] edges make forward[u] (forward[u] - 1) / 2 wedges,
     # and wedge_starts[u] wedges come before it
     wedge_starts = np.zeros(base + 1, dtype=np.int64)
@@ -205,14 +245,16 @@ def count_triangles(g: SimpleGraph) -> int:
     triangles = 0
     first = 0
     while first < base:
-        # whole rows with at most _WEDGE_CHUNK edges and as many wedges
+        # whole rows with at most _WEDGE_CHUNK edges and as many wedges;
+        # the edge bound is cut to m, so it fits the starts' own dtype and
+        # the search does not cast them
+        edge_bound = pos_type(min(int(starts[first]) + _WEDGE_CHUNK, m))
         last = max(first + 1, min(
-            int(np.searchsorted(starts, starts[first] + _WEDGE_CHUNK,
-                                side="right")),
+            int(np.searchsorted(starts, edge_bound, side="right")),
             int(np.searchsorted(wedge_starts, wedge_starts[first]
                                 + _WEDGE_CHUNK, side="right"))) - 1)
         low, high = int(starts[first]), int(starts[last])
-        hi = far[low:high].astype(np.int64)
+        hi = far[low:high]
         # edge i's wedges pair hi[i] with hi[i + 1:row_end[i]], its later
         # neighbours in the same row; counting wedges in edge order, edge
         # i's are numbered from ends[i] - wedges[i], so wedge j's w is
@@ -220,20 +262,31 @@ def count_triangles(g: SimpleGraph) -> int:
         row_end = np.repeat(starts[first + 1:last + 1] - low,
                             np.diff(starts[first:last + 1]))
         first = last
-        wedges = row_end - np.arange(1, high - low + 1)
-        ends = np.cumsum(wedges)
+        wedges = row_end - np.arange(1, high - low + 1, dtype=pos_type)
+        ends = np.cumsum(wedges, dtype=pos_type)
         if not ends.size or not ends[-1]:
             continue
         row_end -= ends
         w = np.repeat(row_end, wedges)
-        w += np.arange(ends[-1])
+        w += np.arange(ends[-1], dtype=pos_type)
         del row_end, ends
         needles = hi.take(w)
         del w
-        # edge i's wedges are looked up in row hi[i]
-        at = np.repeat(starts.take(hi), wedges)
-        end = np.repeat(starts[1:].take(hi), wedges)
+        # edge i's wedges are looked up in row hi[i], those whose needle's
+        # bit is set in that row's signature
+        rows = np.repeat(hi, wedges)
         del hi, wedges
+        keep = sig.take(rows)
+        keep >>= needles & 31
+        keep &= 1
+        kept = keep.astype(bool)
+        del keep
+        rows = np.compress(kept, rows)
+        needles = np.compress(kept, needles)
+        del kept
+        at = starts.take(rows)
+        end = starts[1:].take(rows)
+        del rows
         triangles += _count_in_rows(far, at, end, longest, needles)
         del at, end, needles  # before the next chunk allocates its own
     return triangles
@@ -250,7 +303,9 @@ def _count_in_rows(far: np.ndarray, at: np.ndarray, end: np.ndarray,
     (2^(k+1) > ``longest``) that is below the needle.  Probes are clamped
     to the row's last index (an empty row's, the entry before it, clipped
     into the array, moves nothing), and a needle is found only where
-    ``at`` ends in its row on an equal entry.  Overwrites ``at`` and
+    ``at`` ends in its row on an equal entry.  The positions ``at`` and
+    ``end`` and the far ends (with the needles) may each be int32 or
+    int64; the search works in their own dtypes.  Overwrites ``at`` and
     ``end``.
     """
     end -= 1  # the row's last index

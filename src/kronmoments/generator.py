@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .estimator import LEAST_VALUES
 from .graph_io import _MAX_VERTICES, SimpleGraph, _edge_rows
-from .moments import KroneckerParams
+from .moments import KroneckerParams, check_int
 
 # the largest r whose region sizes fit int64: the biggest region at r = 34
 # is 0.40 * 2^63 cells, at r = 35 it is 1.57 * 2^63
@@ -37,6 +38,10 @@ MAX_GENERATE_POWER = 34
 # (r+1)r/2 <= 595 regions and the hits of any region that fits in memory
 # stay far inside their fields
 _REGION_SHIFT = 48
+
+# the counter generator's key is one 64-bit word: a larger seed, taken
+# mod 2^64, would stand for another seed's stream
+MAX_SEED = 2 ** 64 - 1
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -65,13 +70,13 @@ def _mix64(z: np.uint64) -> np.uint64:
 def cell_uniforms(seed: int, cell_indices: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) deviates for cells, as splitmix64 counter outputs.
 
-    The seed is itself sent through the finalizer first, so streams for
-    nearby seeds are as decorrelated as streams for nearby cells; the
-    deviate remains a pure function of (seed, index).
+    The seed, in [0, ``MAX_SEED``], is itself sent through the finalizer
+    first, so streams for nearby seeds are as decorrelated as streams for
+    nearby cells; the deviate remains a pure function of (seed, index).
     """
     idx = np.asarray(cell_indices, dtype=np.uint64)
     with np.errstate(over="ignore"):  # modular 2^64 arithmetic is intended
-        key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA)
+        key = _mix64(np.uint64(seed) + _GAMMA)
         z = _mix64(key + (idx + np.uint64(1)) * _GAMMA)
     return (z >> _S11) * _TO_UNIT
 
@@ -181,10 +186,18 @@ def _unrank(r: int, i, j, multinomial, rank):
     return u, u ^ differ
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; TypeError or ValueError unless it is an integer
+    in [0, ``MAX_SEED``]."""
+    return check_int("seed", seed, LEAST_VALUES["seed"], MAX_SEED)
+
+
 def _sampled_cells(params: KroneckerParams, seed: int):
     """The expected number of sampled cells, and an iterator over the
     sampled cells (u, v), u < v, as int64 arrays a chunk at a time; each
-    cell comes once, in no particular order."""
+    cell comes once, in no particular order.  The seed passes
+    ``check_seed`` first."""
+    seed = check_seed(seed)
     if params.r > MAX_GENERATE_POWER:
         raise ValueError(f"generation supports r <= {MAX_GENERATE_POWER} "
                          f"(region sizes must fit int64), got r={params.r}")
@@ -285,13 +298,15 @@ def generate_to_file(params: KroneckerParams, seed: int, path) -> Path:
     """Write a sampled graph to a plain-text edge list.
 
     Header comments record the parameters and seed; edge lines are
-    "u<TAB>v" with u < v in ascending (u, v) order.  The file is created
-    before the graph is sampled, so a path that cannot be written fails
-    first, and removed on any later error: a failed run leaves no file,
-    not even a truncated one.  Up to r = 31 each block of lines is decoded
+    "u<TAB>v" with u < v in ascending (u, v) order.  A bad seed
+    (``check_seed``) is an error before the file is created.  The file is
+    created before the graph is sampled, so a path that cannot be written
+    fails first, and removed on any later error: a failed run leaves no
+    file, not even a truncated one.  Up to r = 31 each block of lines is decoded
     from the sorted keys u * 2^r + v by ``_edge_rows`` as it is written,
     so no (m, 2) edge array is held; past it, ``generate_edges`` gives them.
     """
+    seed = check_seed(seed)
     packed = 2 * params.r <= 62
     path = Path(path)
     fh = open(path, "w", encoding="utf-8", newline="\n")

@@ -75,21 +75,22 @@ class SimpleGraph:
         self.labels = labels
         self.loops_dropped = int(loops_dropped)
         self.duplicates_dropped = int(duplicates_dropped)
-        # each edge adds one to both ends' degrees, the higher then the
-        # lower, in blocks of at least n keys, as each bincount costs n
+        # each edge adds one to both ends' degrees, the lower then the
+        # higher, in blocks of at least n keys, as each bincount costs n
         self.degrees = np.zeros(n, dtype=np.int64)
         step = max(_LABEL_BLOCK, n)
         for start in range(0, keys.size, step):
             block = keys[start:start + step]
-            ends = block % n
+            ends = block // n  # on int64, a fraction of the cost of %
+            self.degrees += np.bincount(ends, minlength=n)
+            ends *= n
+            np.subtract(block, ends, out=ends)
             self.degrees += np.bincount(ends, minlength=n)
             # u < v exactly when u * n + v < v * (n + 1), which fits in
             # int64 since (n - 1) * (n + 1) < n^2
             ends *= n + 1
             if (block >= ends).any():
                 raise ValueError("edge key with u >= v")
-            np.floor_divide(block, n, out=ends)
-            self.degrees += np.bincount(ends, minlength=n)
 
     @property
     def edge_array(self) -> np.ndarray:
@@ -224,39 +225,41 @@ def _key_labels(raw: np.ndarray):
     as ``np.unique(raw, return_inverse=True)`` numbers them (a loop's set
     to ``_INT64_MAX``), and the number of loops.
 
-    With N entries, an in-place sort of (label - min) * N + position
-    groups equal labels.  A pass over blocks of ``_LABEL_BLOCK`` moves
-    each group's label out and writes (position >> 1) << 32 | group back,
-    so a second sort puts each pair's two groups side by side, the lower
-    first.  A pass over blocks of pairs writes their keys over the front
-    half, each block read before it is overwritten, and ``raw`` (which
-    owns its buffer) shrinks to them.  So besides ``raw`` this holds block
-    buffers and 8 bytes per distinct label (16 while they are joined).
-    ``np.unique`` and ``_edge_keys`` take labels some 2^63 / N apart, or
-    2^32 entries or more (a pair index past 31 bits), instead.
+    With N entries and b = (N - 1).bit_length(), an in-place sort of
+    (label - min) << b | position groups equal labels.  A pass over blocks
+    of ``_LABEL_BLOCK`` shifts each group's label out and writes
+    (position >> 1) << 32 | group back, so a second sort puts each pair's
+    two groups side by side, the lower first.  A pass over blocks of pairs
+    writes their keys over the front half, each block read before it is
+    overwritten, and ``raw`` (which owns its buffer) shrinks to them.  So
+    besides ``raw`` this holds block buffers and 8 bytes per distinct
+    label (16 while they are joined).  ``np.unique`` and ``_edge_keys``
+    take labels with (max - min + 1) << b past 2^63, or 2^32 entries or
+    more (a pair index past 31 bits), instead.
     """
     key = raw.reshape(-1)
     size = key.size
     low = int(key.min()) if size else 0
+    bits = (size - 1).bit_length()
     # in Python ints: max - min itself can pass int64
     if (size >= _PACKED_ENTRIES
-            or (int(key.max(initial=low)) - low + 1) * size > 2 ** 63):
+            or (int(key.max(initial=low)) - low + 1) << bits > 2 ** 63):
         labels, ids = np.unique(key, return_inverse=True)
         keys, loops = _edge_keys(ids.reshape(-1, 2), labels.size)
         keys[loops] = _INT64_MAX
         return labels, keys, int(np.count_nonzero(loops))
     key -= low
-    key *= size
+    key <<= bits
     for start in range(0, size, _LABEL_BLOCK):
         block = key[start:start + _LABEL_BLOCK]
-        block += np.arange(start, start + block.size)
+        block |= np.arange(start, start + block.size)
     key.sort()
     parts = []  # each block's new labels
     groups = 0
     last = -1  # below every label - min
     for start in range(0, size, _LABEL_BLOCK):
         block = key[start:start + _LABEL_BLOCK]
-        label, position = np.divmod(block, size)
+        label = block >> bits
         first = np.empty(label.size, dtype=bool)
         first[0] = label[0] != last
         np.not_equal(label[1:], label[:-1], out=first[1:])
@@ -265,9 +268,11 @@ def _key_labels(raw: np.ndarray):
         np.cumsum(first, out=label)
         label += groups - 1
         groups += parts[-1].size
-        position >>= 1
-        position <<= 32
-        np.bitwise_or(position, label, out=block)
+        # (position >> 1) << 32, as the position's bits but its lowest
+        # shifted up 31
+        block &= (1 << bits) - 2
+        block <<= 31
+        block |= label
     labels = np.concatenate(parts) if parts else key[:0].copy()
     del parts
     labels += low

@@ -29,14 +29,18 @@ MAX_POWER = 60
 FEATURE_NAMES = ("edges", "hairpins", "tripins", "triangles")
 
 
-def check_int(name: str, value, least: int | None = None) -> int:
+def check_int(name: str, value, least: int | None = None,
+              most: int | None = None) -> int:
     """``value`` as an int; TypeError naming ``name`` unless it is an int
-    or a NumPy integer (not a bool), ValueError if it is below ``least``.
-    Every integer setting of a fit or a config is checked here."""
+    or a NumPy integer (not a bool), ValueError if it is below ``least``
+    or above ``most``.  Every integer setting of a fit or a config, and
+    the sampler's seed, is checked here."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}")
     return int(value)
 
 
@@ -157,11 +161,12 @@ def _sums(bases, r) -> list:
     Each base is raised once, into a list, so bases 10 and 12 serve both
     the tripins and the triangles.  The coefficients of every closed form
     sum to zero, so each sum is rewritten as partial-sum multiples of
-    differences of consecutive powers.  When all bases coincide (the
-    degenerate initiators) every difference is an exact floating-point
-    zero, and in the nearly-cancelled regime the subtractions happen
-    before any magnitude is lost.  Each difference is scaled (unless its
-    multiple is 1) and summed in place: arrays are updated where they lie,
+    differences of consecutive powers; the tripins' one difference with
+    multiple 0 is skipped.  When all bases coincide (the degenerate
+    initiators) every difference is an exact floating-point zero, and in
+    the nearly-cancelled regime the subtractions happen before any
+    magnitude is lost.  Each difference is scaled (unless its multiple is
+    1) and summed in place: arrays are updated where they lie,
     while numpy floats and Python ints are rebound, so the same code
     serves the arrays, the float arguments and ``expected_counts``.
     """
@@ -172,6 +177,8 @@ def _sums(bases, r) -> list:
         running = 0
         for (coef, j), (_, k) in zip(terms, terms[1:]):
             running += coef
+            if not running:  # the tripins' difference of bases 10 and 11
+                continue
             diff = powers[j] - powers[k]
             if running != 1:
                 diff *= running

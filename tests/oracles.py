@@ -22,6 +22,9 @@
 - ``leading_oracle`` is the leading-term fit with its four roots and its
   triangle mismatch written out by hand, not read from the closed forms'
   tables.
+- ``lockstep_oracle`` is the lockstep Nelder-Mead as it was written before
+  its step took fewer numpy calls: each trial point built on its own, and
+  each branch's new worst vertex written through its own mask.
 """
 
 from __future__ import annotations
@@ -33,6 +36,17 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from kronmoments.estimator import (
+    _CHI,
+    _FATOL,
+    _MAXITER,
+    _NONZDELT,
+    _PSI,
+    _RHO,
+    _SIGMA,
+    _XATOL,
+    _ZDELT,
+)
 from kronmoments.graph_io import SimpleGraph
 from kronmoments.moments import (
     FEATURE_NAMES,
@@ -341,3 +355,77 @@ def leading_oracle(obs, r):
     point = min((float(a[i]), float(b[i]), float(c[i]))
                 for i in np.nonzero(mismatch == best)[0])
     return point, (e, h, delta, t, x_hat, y_hat), float(best)
+
+
+def lockstep_oracle(objective, x0: np.ndarray) -> np.ndarray:
+    """``estimator._nelder_mead_lockstep``'s contract, as it was first
+    written: the same objective calls in the same order, and the same
+    end points, bit for bit."""
+    k, n = x0.shape
+    dims = np.arange(n)
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    sim[:, dims + 1, dims] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    # reflect vertices pushed past the upper bound back inside, then clip
+    sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
+    fsim = objective(sim.reshape(-1, n),
+                     np.repeat(np.arange(k), n + 1)).reshape(k, n + 1)
+
+    def sort(sim, fsim):
+        ind = (np.argsort(fsim, axis=1, kind="stable")
+               + np.arange(0, fsim.size, n + 1)[:, None])
+        return sim.reshape(-1, n)[ind], fsim.ravel()[ind]
+
+    sim, fsim = sort(sim, fsim)
+    best = sim[:, 0].copy()
+    ids = np.flatnonzero(np.isfinite(fsim).any(axis=1))
+    sim, fsim = sim[ids], fsim[ids]
+    iterations = 1
+    while ids.size and iterations < _MAXITER:
+        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
+        if done.any():
+            best[ids[done]] = sim[done, 0]
+            ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
+            if not ids.size:
+                break
+
+        xbar = sim[:, :-1].sum(axis=1) / n
+        worst = sim[:, -1]
+        # reflection, expansion, outside and inside contraction, in order
+        trials = np.clip(np.stack([
+            (1 + _RHO) * xbar - _RHO * worst,
+            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+            (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+            (1 - _PSI) * xbar + _PSI * worst,
+        ]), 0.0, 1.0)
+        ftrials = objective(trials.reshape(-1, n),
+                            np.tile(ids, 4)).reshape(4, -1)
+        xr, fxr = trials[0], ftrials[0]
+        expand = fxr < fsim[:, 0]
+        contract = ~expand & ~(fxr < fsim[:, -2])
+        outside = contract & (fxr < fsim[:, -1])
+        inside = contract & ~outside
+
+        # the second trial point of each start that expands or contracts
+        x2 = np.where(expand[:, None], trials[1],
+                      np.where(outside[:, None], trials[2], trials[3]))
+        f2 = np.where(expand, ftrials[1],
+                      np.where(outside, ftrials[2], ftrials[3]))
+        take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
+                 | (inside & (f2 < fsim[:, -1])))
+        take_r = ~contract & ~take2
+        shrink = contract & ~take2
+        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
+        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = np.clip(s[:, :1] + _SIGMA * (s[:, 1:] - s[:, :1]),
+                               0.0, 1.0)
+            sim[shrink] = s
+            fsim[shrink, 1:] = objective(
+                s[:, 1:].reshape(-1, n), np.repeat(ids[shrink], n)
+            ).reshape(-1, n)
+        iterations += 1
+        sim, fsim = sort(sim, fsim)
+    best[ids] = sim[:, 0]
+    return best

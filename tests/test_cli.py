@@ -166,11 +166,33 @@ def test_fit_negative_seed_is_an_error(tmp_path, capsys):
     code, out, err = run(capsys, "fit", str(FIXTURES / "ca-GrQc.counts.json"),
                          "--method", "direct", "--seed", "-1")
     assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
-    # a generator seed may be any integer
-    code, _, _ = run(capsys, "generate", "--a", "0.9", "--b", "0.5",
-                     "--c", "0.2", "--r", "3", "--seed", "-1",
-                     "--out", str(tmp_path / "g.txt"))
-    assert code == 0
+    # and so is a generator seed, before its file is created
+    code, out, err = run(capsys, "generate", "--a", "0.9", "--b", "0.5",
+                         "--c", "0.2", "--r", "3", "--seed", "-1",
+                         "--out", str(tmp_path / "g.txt"))
+    assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
+    assert not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-5, "seed must be >= 0"),
+    (2 ** 64, f"seed must be <= {2 ** 64 - 1}"),
+    # 2^64 + 5 once sampled seed 5's graph under a header naming it
+    (2 ** 64 + 5, f"seed must be <= {2 ** 64 - 1}"),
+    (2 ** 64 - 1, None),
+    (0, None),
+])
+def test_generate_seed_must_fit_64_bits(tmp_path, capsys, seed, error):
+    out_path = tmp_path / "g.txt"
+    code, out, err = run(capsys, "generate", "--a", "0.9", "--b", "0.5",
+                         "--c", "0.2", "--r", "5", f"--seed={seed}",
+                         "--out", str(out_path))
+    if error is None:
+        assert (code, out, err) == (0, f"{out_path}\n", "")
+        assert f"seed={seed}\n" in out_path.read_text()
+    else:
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+        assert not out_path.exists()
 
 
 def test_fit_feature_list_drops_blank_tokens(capsys):

@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import warnings
@@ -36,7 +37,7 @@ from kronmoments.moments import (
     expected_features,
 )
 from oracles import (checked_graph, grid_oracle, leading_oracle,
-                     plain_objective, whole_lattice)
+                     lockstep_oracle, plain_objective, whole_lattice)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -570,6 +571,69 @@ class TestDirectEndPoints:
             self.fit(monkeypatch, [(0.5, 0.0, 0.25), (0.125, 0.0, 0.0)])
 
 
+def direct_lockstep(monkeypatch, spec, problems):
+    """The objective and the starts _fit_direct_batch hands its lockstep."""
+    import kronmoments.estimator as estimator
+
+    seen = []
+    monkeypatch.setattr(
+        estimator, "_nelder_mead_lockstep",
+        lambda objective, x0: seen.append((objective, x0.copy())) or x0)
+    _fit_direct_batch(problems, spec)
+    monkeypatch.undo()
+    ((objective, x0),) = seen
+    return objective, x0
+
+
+def reference_batch(monkeypatch):
+    """The eight reference problems' direct fits, as one batch."""
+    config = configparser.ConfigParser(interpolation=None)
+    config.read(FIXTURES.parent / "configs" / "reference-fits.cfg",
+                encoding="utf-8")
+    sections = [config[name] for name in config.sections()]
+    (code,) = {section["objective"] for section in sections}
+    problems = [
+        FitProblem(load_counts(Path(section["counts"]).name.split(".")[0]),
+                   int(section["r"]), seed=int(section["seed"]),
+                   starts=int(section["starts"]))
+        for section in sections]
+    assert len(problems) == 8
+    return direct_lockstep(monkeypatch, ObjectiveSpec.from_code(code),
+                           problems)
+
+
+def bumpy(points, rows):
+    # rough enough that both contractions often fail, so simplices shrink
+    return np.sin(997.0 * points @ np.array([1.0, 1.7, 2.3]))
+
+
+def half_infinite(points, rows):
+    # the even starts' first simplices are infinite, and they retire at
+    # once; the odd starts' bowl converges
+    values = ((points - 0.3) ** 2).sum(axis=1)
+    values[rows % 2 == 0] = np.inf
+    return values
+
+
+LOCKSTEP_CASES = {
+    "reference-batch": reference_batch,
+    # kinked, and infinite wherever an expectation is 0
+    "ca-GrQc-dabs-f": lambda monkeypatch: direct_lockstep(
+        monkeypatch, ObjectiveSpec.from_code("dabs-f"),
+        [FitProblem(GRQC, 13, seed=0, starts=50)]),
+    "ca-GrQc-dsq-e": lambda monkeypatch: direct_lockstep(
+        monkeypatch, ObjectiveSpec.from_code("dsq-e"),
+        [FitProblem(GRQC, 13, seed=0, starts=50)]),
+    "shrinks": lambda monkeypatch: (
+        bumpy, np.random.default_rng(3).random((20, 3))),
+    "infinite": lambda monkeypatch: (
+        lambda points, rows: np.full(len(points), np.inf),
+        np.random.default_rng(5).random((6, 3))),
+    "infinite-half": lambda monkeypatch: (
+        half_infinite, np.random.default_rng(6).random((6, 3))),
+}
+
+
 class TestLockstepNelderMead:
     """The lockstep simplex against scipy's Nelder-Mead, start by start."""
 
@@ -615,6 +679,39 @@ class TestLockstepNelderMead:
         x0 = np.random.default_rng(5).random((4, 3))
         assert np.array_equal(_nelder_mead_lockstep(objective, x0), x0)
         assert calls == [16]
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_calls_and_end_points_match_the_oracle(self, monkeypatch, case):
+        # every objective call, its points and rows, in order, and the end
+        # points, bit for bit against the lockstep as first written
+        objective, x0 = LOCKSTEP_CASES[case](monkeypatch)
+        runs = []
+        for lockstep in (lockstep_oracle, _nelder_mead_lockstep):
+            calls = []
+
+            def recorded(points, rows):
+                calls.append((points.copy(), rows.copy()))
+                return objective(points, rows)
+
+            runs.append((calls, lockstep(recorded, x0.copy())))
+        (want_calls, want), (calls, ends) = runs
+        assert len(calls) == len(want_calls)
+        for k, ((points, rows), (want_points, want_rows)) in enumerate(
+                zip(calls, want_calls)):
+            assert np.array_equal(points, want_points), k
+            assert np.array_equal(rows, want_rows), k
+        assert np.array_equal(ends, want)
+        if case == "shrinks":
+            # a shrink call ranks n = 3 points per start, every other call
+            # n + 1 = 4
+            assert any(rows.size == 3 * np.unique(rows).size
+                       for _, rows in calls)
+        if case == "infinite":
+            assert len(calls) == 1
+        if case == "infinite-half":
+            # the infinite starts are ranked in the first call only
+            assert len(calls) > 1
+            assert not any((rows % 2 == 0).any() for _, rows in calls[1:])
 
 
 # Batches whose problems differ in r.  r = 2 pins the scalar-exponent

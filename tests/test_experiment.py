@@ -264,6 +264,43 @@ def test_synthetic_section_past_r_31_is_a_config_error(tmp_path, capsys):
     assert not (out / "fits.csv").exists()
 
 
+@pytest.mark.parametrize("seed, replications, ok", [
+    # replication k samples seed + k and seed + k + 1,000,003
+    (2 ** 64 - 1 - 1_000_003, 1, True),
+    (2 ** 64 - 1 - 1_000_003, 2, False),
+    (2 ** 64 - 1_000_003, 1, False),
+    (2 ** 64 + 5, 1, False),
+])
+def test_synthetic_seeds_past_64_bits_are_a_config_error(tmp_path, capsys,
+                                                         seed, replications,
+                                                         ok):
+    cfg = tmp_path / "seeds.cfg"
+    cfg.write_text("[syn]\nparams = 0.5,0.3,0.2\nr = 5\n"
+                   f"seed = {seed}\nreplications = {replications}\n")
+    if ok:
+        (section,) = parse_experiment_config(cfg).sections
+        assert (section.seed, section.replications) == (seed, replications)
+        return
+    last = seed + replications - 1 + 1_000_003
+    with pytest.raises(ConfigError, match=rf"\[syn\] the last sampler seed,"
+                       rf".* must be <= {2 ** 64 - 1}, got {last}"):
+        parse_experiment_config(cfg)
+    out = tmp_path / "out"
+    assert cli_main(["experiment", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (out / "fits.csv").exists()
+
+
+def test_fit_seed_is_not_bounded_by_the_sampler(tmp_path):
+    # a counts section's seed only draws the direct fit's starts
+    cfg = tmp_path / "big-seed.cfg"
+    cfg.write_text(f"[x]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
+                   f"seed = {2 ** 64 + 5}\n")
+    (section,) = parse_experiment_config(cfg).sections
+    assert section.seed == 2 ** 64 + 5
+
+
 def test_unset_keys_keep_the_section_defaults(tmp_path):
     counts = FIXTURES / "ca-GrQc.counts.json"
     cfg = tmp_path / "exp.cfg"

@@ -131,6 +131,21 @@ class TestGenerate:
         e2 = generate_edges(PARAMS, seed=2)
         assert e1.shape != e2.shape or not np.array_equal(e1, e2)
 
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (2 ** 64, ValueError), (2 ** 64 + 11, ValueError),
+        (11.0, TypeError), (True, TypeError)])
+    def test_seed_outside_64_bits_is_an_error(self, seed, error):
+        # a seed taken mod 2^64 would sample another seed's graph
+        for sample in (generate_edges, generate):
+            with pytest.raises(error, match="seed must be"):
+                sample(PARAMS, seed=seed)
+
+    def test_largest_seed_has_its_own_stream(self):
+        top = generate_edges(PARAMS, seed=2 ** 64 - 1)
+        for seed in (0, 1, 2 ** 63 - 1):
+            other = generate_edges(PARAMS, seed=seed)
+            assert top.shape != other.shape or not np.array_equal(top, other)
+
     def test_power_bound(self):
         assert MAX_GENERATE_POWER == 34
         with pytest.raises(ValueError, match="r <= 34"):

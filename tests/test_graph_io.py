@@ -638,6 +638,35 @@ def test_numbering_on_both_sides_of_the_key_limit(tmp_path, monkeypatch,
     assert g.edge_array.tolist() == [[0, 2], [1, 2]]
 
 
+@pytest.mark.parametrize("span, packed", [(2 ** 60, True),
+                                          (2 ** 60 + 1, False)],
+                         ids=["at-limit", "one-past"])
+def test_packing_limit_counts_whole_position_bits(monkeypatch, span,
+                                                  packed):
+    # N = 6 entries take b = 3 position bits, so labels pack while
+    # (max - min + 1) << 3 <= 2^63: a span of 2^60 labels, where
+    # (max - min + 1) * 6 would allow 2^63 / 6
+    first = -7
+    last = first + span - 1
+    middle = first + span // 3
+    raw = np.array([[last, first], [middle, last], [first, middle]],
+                   dtype=np.int64)
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    labels, keys, loops = _key_labels(raw.copy())
+    assert (not calls) == packed
+    monkeypatch.undo()
+    want_labels, want_keys, want_loops = _unique_keying(raw)
+    assert labels.tolist() == want_labels.tolist() == [first, middle, last]
+    assert np.array_equal(keys, want_keys) and loops == want_loops == 0
+
+
 def test_from_pairs_matches_the_constructor():
     # from_pairs keys, sorts and merges the pairs; the constructor takes
     # the distinct keys as they are and keeps them as its own
