@@ -119,6 +119,9 @@ def _load_counts_source(source: str) -> FeatureCounts:
             "they count toward the vertex total",
             file=sys.stderr,
         )
+    # no count reads the labels: free them before the triangle count
+    # sets the peak
+    graph.labels = None
     return count_features(graph)
 
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .estimator import (
     FIT_METHODS,
     LEAST_VALUES,
@@ -210,10 +208,21 @@ def fit_csv_row(graph: str, replication, result: FitResult, verts: int) -> dict:
                      seconds=f"{result.elapsed:.3f}", **ratios)
 
 
+def _median(values) -> float:
+    """The median of a non-empty list, the mean of the middle two for an
+    even length; numpy's median imports numpy.ma on its first call."""
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def _load_counts(section: ExperimentSection) -> FeatureCounts:
     if section.counts is not None:
         return read_counts_json(section.counts)
     graph = load_edge_list(section.graph)
+    # no count reads the labels: free them before the triangle count
+    # sets the peak
+    graph.labels = None
     return count_features(graph)
 
 
@@ -372,7 +381,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
         }
         for key, values in fitted[section.name].items():
             summary[f"median_{key}"] = (
-                f"{float(np.median(values)):.10g}" if values else "")
+                f"{_median(values):.10g}" if values else "")
         summary_rows.append(summary)
     def _row_key(row):
         rep = row["replication"]

@@ -9,7 +9,9 @@ holds r!/(i! j! k!) * 2^(j-1) of them.  Each region is sampled exactly
 by geometric skips between hits (Ramani, Eikmeier & Gleich, "Coin-flipping,
 ball-dropping, and grass-hopping for generating random graphs from matrices
 of edge probabilities", SIAM Review 61(3), 2019), so the expected work is
-O(edges + r^2) rather than 4^r.
+O(edges + r^2) rather than 4^r.  A hit's rank within its region is
+unranked to its cell ``_UNRANK_BITS`` bit positions a step, by a binary
+search of per-r tables of the arrangement counts of each next prefix.
 
 The t-th deviate of region g is a pure function of (seed, g, t): the
 output of a splitmix64-style counter generator.  The edge set therefore
@@ -21,6 +23,7 @@ keys is fixed, whatever the sample's size.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -59,6 +62,9 @@ _WRITE_ROWS = 1 << 13
 # deviates drawn, and hits unranked and keyed, per chunk of the sampler:
 # each of a chunk's int64 temporaries is 64 KiB
 _SAMPLE_CHUNK = 1 << 13
+
+# bit positions _unrank decodes per step: 3^4 prefixes search in 7 rounds
+_UNRANK_BITS = 4
 
 
 def _mix64(z: np.uint64) -> np.uint64:
@@ -146,7 +152,80 @@ def _hit_ranks(seed: int, sizes: np.ndarray, probs: np.ndarray,
             (part[unfinished & (drawn[part] < sizes[part])], active[take:]))
 
 
-def _unrank(r: int, i, j, multinomial, rank):
+@functools.lru_cache(maxsize=8)
+def _unrank_levels(r: int) -> tuple:
+    """``_unrank``'s tables at r, one tuple per step: levels L = r, r - t,
+    ..., each taking s = t = ``_UNRANK_BITS`` positions, the last the
+    fewer left.
+
+    A state (i, j) holds i (0, 0) and j differing positions among the L
+    left; ``bases`` maps i * (r + 1) + j to the offset of its row, whose
+    entry q is ``starts[offset + 1 + q]``.  A row holds 0, the cumulative
+    arrangement counts of the 3^s prefixes of the next s positions in
+    order ((0, 0) < differing < (1, 1), top position first; a prefix that
+    cannot occur weighs 0), then the int64 maximum up to a power-of-two
+    width.  So ``starts[pos]`` is the row entry before ``pos``, and
+    ``search`` holds (2^k, ``starts[2^k:]``) per search round, k
+    descending.  The other tables are indexed by the prefix plus one, p1:
+    ``moves[p1]`` takes the prefix's (0, 0) and differing counts off
+    i * (r + 1) + j, ``differing[p1]`` is the differing count, and
+    ``u_bits`` and ``v_bits`` at (p1 << t) | flips give the prefix's bits
+    of u and v in place, the n-th differing position from the top taking
+    flip bit n.
+    """
+    t = _UNRANK_BITS
+    stride = r + 1
+    levels = []
+    for length in range(r, 0, -t):
+        s = min(t, length)
+        rest = length - s
+        prefixes = 3 ** s
+        # above 3^s, so the search's count, 3^s at most, stays in the row
+        width = 1 << prefixes.bit_length()
+        # each prefix's position types, top first: 0 (0, 0), 1, 2 (1, 1)
+        kind = (np.arange(prefixes)[:, None]
+                // 3 ** np.arange(s - 1, -1, -1) % 3)
+        a = np.count_nonzero(kind == 0, axis=1)
+        b = np.count_nonzero(kind == 1, axis=1)
+        # the states i + j <= L, numbered offset[i] + j
+        i, j = np.nonzero(np.add.outer(np.arange(length + 1),
+                                       np.arange(length + 1)) <= length)
+        # arrangements of the rest: multinomial[s + x, s + y] counts those
+        # with x (0, 0) and y differing positions, 0 for x or y below 0
+        multinomial = np.zeros((length + 1 + s,) * 2, dtype=np.int64)
+        multinomial[s:s + rest + 1, s:s + rest + 1] = [
+            [math.comb(rest, x) * math.comb(rest - x, y)
+             for y in range(rest + 1)] for x in range(rest + 1)]
+        rows = np.full((i.size, width), np.iinfo(np.int64).max,
+                       dtype=np.int64)
+        rows[:, 0] = 0
+        np.cumsum(multinomial[i[:, None] - a + s, j[:, None] - b + s],
+                  axis=1, out=rows[:, 1:prefixes + 1])
+        starts = np.concatenate(([0], rows.ravel()))
+        bases = np.zeros(stride * stride, dtype=np.int64)
+        bases[i * stride + j] = np.arange(i.size) * width
+        # the n-th differing position from the top takes flip bit n
+        differ = kind == 1
+        nth = np.cumsum(differ, axis=1) - differ
+        flip = np.arange(1 << t) >> nth[:, :, None] & 1
+        one = (kind == 2)[:, :, None] | differ[:, :, None] & (flip == 1)
+        place = np.int64(1) << np.arange(s - 1 + rest, rest - 1, -1,
+                                         dtype=np.int64)
+        u_bits = (one * place[:, None]).sum(axis=1)
+        v_bits = u_bits ^ (differ * place).sum(axis=1)[:, None]
+        search = tuple((np.int64(1 << k), starts[1 << k:])
+                       for k in range(prefixes.bit_length() - 1, -1, -1))
+        # index 0 of the prefix tables is no prefix: p1 >= 1
+        no_prefix = np.zeros(1 << t, dtype=np.int64)
+        levels.append((bases, starts, search,
+                       np.concatenate(([0], a * stride + b)),
+                       np.concatenate(([0], b)),
+                       np.concatenate((no_prefix, u_bits.ravel())),
+                       np.concatenate((no_prefix, v_bits.ravel()))))
+    return tuple(levels)
+
+
+def _unrank(r: int, i, j, rank):
     """Cells (u, v) for ranks within regions, as int64 arrays.
 
     rank = pattern * 2^(j-1) + flips.  ``pattern`` ranks the arrangement of
@@ -154,36 +233,36 @@ def _unrank(r: int, i, j, multinomial, rank):
     (0, 0) < differing < (1, 1).  ``flips``, shifted up one bit, gives the
     differing bits their u bits, top first: the highest takes the 0, so it
     is (0, 1), and each lower one the next flip, 1 for (1, 0).
+
+    Each step decodes ``_UNRANK_BITS`` positions from ``_unrank_levels``'
+    tables: a branchless binary search of the state's row finds the
+    prefix whose arrangements hold ``pattern``, and one ``take`` each gives
+    its start, its counts and its u and v bits, flips deposited.
     """
-    i, j, count = i.copy(), j.copy(), multinomial
+    t = _UNRANK_BITS
+    low = (1 << t) - 1
     flips = rank & ((np.int64(1) << (j - 1)) - 1)
     flips <<= 1
     pattern = rank >> (j - 1)
+    state = i * (r + 1) + j
     u = np.zeros_like(rank)
-    differ = np.zeros_like(rank)  # the differing bits, so v = u ^ differ
-    for length in range(r, 0, -1):
-        # arrangements whose next pair is (0, 0), and differing
-        with_a = count * i // length
-        with_b = count * j // length
-        rest = pattern - with_a
-        is_a = rest < 0
-        is_c = rest >= with_b  # never with is_a, as with_b >= 0
-        rest -= with_b * is_c
-        pattern = np.where(is_a, pattern, rest)
-        is_b = ~(is_a | is_c)
-        count = np.where(is_a, with_a,
-                         np.where(is_c, count - with_a - with_b, with_b))
-        i -= is_a
-        j -= is_b
-        # a differing bit takes the next flip, as 0 or 1
-        flipped = flips & is_b
-        flips >>= is_b
-        u <<= 1
-        u |= flipped
-        u |= is_c
-        differ <<= 1
-        differ |= is_b
-    return u, u ^ differ
+    v = np.zeros_like(rank)
+    for (bases, starts, search, moves, differing, u_bits,
+         v_bits) in _unrank_levels(r):
+        base = bases.take(state)
+        pos = base.copy()
+        for step, ahead in search:
+            pos += (ahead.take(pos) <= pattern) * step
+        pattern -= starts.take(pos)
+        pos -= base  # the prefix plus one
+        state -= moves.take(pos)
+        next_flips = flips & low
+        flips >>= differing.take(pos)
+        pos <<= t
+        pos |= next_flips
+        u |= u_bits.take(pos)
+        v |= v_bits.take(pos)
+    return u, v
 
 
 def check_seed(seed) -> int:
@@ -201,13 +280,13 @@ def _sampled_cells(params: KroneckerParams, seed: int):
     if params.r > MAX_GENERATE_POWER:
         raise ValueError(f"generation supports r <= {MAX_GENERATE_POWER} "
                          f"(region sizes must fit int64), got r={params.r}")
-    i, j, multinomial, sizes, probs = _regions(params)
+    i, j, _, sizes, probs = _regions(params)
     # hits + 1 deviates end a region; this batch rarely needs a top-up
     mean = sizes * probs
     batch = np.minimum(np.ceil(mean + 4 * np.sqrt(mean) + 8), sizes)
     hits = _hit_ranks(seed, sizes, probs, batch.astype(np.int64))
     return float(mean.sum()), (
-        _unrank(params.r, i[g], j[g], multinomial[g], rank)
+        _unrank(params.r, i[g], j[g], rank)
         for g, rank in hits)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from array import array
 from pathlib import Path
@@ -15,6 +16,8 @@ _SCAN_BYTES = 1 << 20
 # Label entries, pairs or keys per block of the load's passes.
 _LABEL_BLOCK = 1 << 16
 _PACKED_ENTRIES = 2 ** 32  # from this many entries, pair indices pass 31 bits
+# Suffixes by which np.loadtxt, given a path, picks a decompressor.
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class GraphParseError(ValueError):
@@ -201,7 +204,9 @@ def load_edge_list(path) -> SimpleGraph:
     label, which loadtxt would take for a trailing comment - the file is
     read again line by line, 8 bytes a label, and that reading raises the
     ``GraphParseError`` with the line number.  Both readings give the same
-    labels, so the graph does not depend on which one ran.
+    labels, so the graph does not depend on which one ran.  The file is
+    plain text whatever its name: one named like a compressed file is read
+    through an open handle, as loadtxt would decompress it by its path.
 
     Every stage works in the buffer the labels were read into (the line
     reading's labels are copied into one of their own once): the sort key,
@@ -303,8 +308,13 @@ def _read_bulk(path: Path) -> np.ndarray | None:
             # numpy releases from 1.23 read a token such as "1.5" or "1e3"
             # through a float and only warn; that token must be an error
             warnings.simplefilter("error", DeprecationWarning)
-            raw = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
-                             encoding="utf-8")
+            # loadtxt reads a path faster than a handle, but decompresses a
+            # path by these suffixes
+            with (open(path, encoding="utf-8")
+                  if path.suffix in _DECOMPRESSED_SUFFIXES
+                  else contextlib.nullcontext(path)) as source:
+                raw = np.loadtxt(source, dtype=np.int64, comments="#",
+                                 ndmin=2, encoding="utf-8")
     # a bad token, an int64 overflow, bad UTF-8 or a float-read token
     except (ValueError, DeprecationWarning):
         return None

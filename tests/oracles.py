@@ -25,6 +25,9 @@
 - ``lockstep_oracle`` is the lockstep Nelder-Mead as it was written before
   its step took fewer numpy calls: each trial point built on its own, and
   each branch's new worst vertex written through its own mask.
+- ``per_bit_unrank`` is the sampler's rank-to-cell bijection as it was
+  written before it decoded several positions per step: one bit position
+  a step, from the running multinomial, with no tables.
 """
 
 from __future__ import annotations
@@ -429,3 +432,41 @@ def lockstep_oracle(objective, x0: np.ndarray) -> np.ndarray:
         sim, fsim = sort(sim, fsim)
     best[ids] = sim[:, 0]
     return best
+
+
+def per_bit_unrank(r: int, i, j, multinomial, rank):
+    """``generator._unrank``'s cells (u, v), one bit position a step.
+
+    ``pattern`` = rank >> (j - 1) ranks the arrangement of bit-pair types,
+    top first, (0, 0) < differing < (1, 1); at each position the
+    arrangements that put (0, 0) or a differing pair next are the running
+    count times i / length or j / length.  The flips, shifted up one bit,
+    give the differing positions their u bits top first, the highest a 0.
+    """
+    i, j, count = i.copy(), j.copy(), multinomial
+    flips = rank & ((np.int64(1) << (j - 1)) - 1)
+    flips <<= 1
+    pattern = rank >> (j - 1)
+    u = np.zeros_like(rank)
+    differ = np.zeros_like(rank)  # the differing bits, so v = u ^ differ
+    for length in range(r, 0, -1):
+        with_a = count * i // length
+        with_b = count * j // length
+        rest = pattern - with_a
+        is_a = rest < 0
+        is_c = rest >= with_b  # never with is_a, as with_b >= 0
+        rest -= with_b * is_c
+        pattern = np.where(is_a, pattern, rest)
+        is_b = ~(is_a | is_c)
+        count = np.where(is_a, with_a,
+                         np.where(is_c, count - with_a - with_b, with_b))
+        i -= is_a
+        j -= is_b
+        flipped = flips & is_b
+        flips >>= is_b
+        u <<= 1
+        u |= flipped
+        u |= is_c
+        differ <<= 1
+        differ |= is_b
+    return u, u ^ differ

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import os
 import subprocess
@@ -47,6 +48,29 @@ def test_features_reports_drops_on_stderr(tmp_path, capsys):
     assert code == 0
     assert "1 loop" in err and "1 duplicate" in err
     assert "isolated" in err
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_features_plain_file_with_a_compressed_name(tmp_path, capsys,
+                                                    suffix):
+    # a graph file is plain text whatever its name: its suffix picks no
+    # decompressor
+    twin = tmp_path / "g.txt"
+    twin.write_text("1 2\n2 3\n1 3\n3 4\n")
+    named = tmp_path / f"g{suffix}"
+    named.write_bytes(twin.read_bytes())
+    want = run(capsys, "features", str(twin))
+    assert want[0] == 0
+    assert run(capsys, "features", str(named)) == want
+
+
+def test_features_gzip_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "g.gz"
+    path.write_bytes(gzip.compress(b"1 2\n2 3\n1 3\n"))
+    code, out, err = run(capsys, "features", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:1: ")
+    assert err.count("\n") == 1
 
 
 def test_expected_complete_graph(capsys):
@@ -254,20 +278,27 @@ def test_commands_leave_scipy_unloaded(tmp_path):
     proc = python("-c", """
 import sys
 from kronmoments.cli import main
-def numpy_random():
-    return {m for m in sys.modules if m.startswith('numpy.random')}
-# numpy 1.x imports numpy.random with numpy itself; 2.x only on first use
-before = numpy_random()
+def loaded(package):
+    return {m for m in sys.modules
+            if m == package or m.startswith(package + '.')}
+# numpy 1.x imports numpy.random and numpy.ma with numpy itself; 2.x only
+# on first use
+before = loaded('numpy.random') | loaded('numpy.ma')
 codes = [main(["features", sys.argv[1]]),
-         main(["experiment", sys.argv[2], "--out", sys.argv[3]])]
-print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),
-      sorted(numpy_random() - before), file=sys.stderr)
-""", str(graph), str(config), str(tmp_path / "out"))
+         main(["experiment", sys.argv[2], "--out", sys.argv[3]]),
+         main(["generate", "--a", "0.99", "--b", "0.48", "--c", "0.25",
+               "--r", "8", "--seed", "1", "--out", sys.argv[4]])]
+print(codes, sorted(loaded('scipy')), sorted(loaded('numpy.random') - before),
+      sorted(loaded('numpy.ma') - before), file=sys.stderr)
+""", str(graph), str(config), str(tmp_path / "out"), str(tmp_path / "g8.txt"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0])["triangles"] == 1
     assert (tmp_path / "out" / "fits.csv").exists()
-    # the direct fit draws its starts without importing numpy.random
-    assert proc.stderr.splitlines()[-1] == "[0, 0] [] []"
+    assert (tmp_path / "out" / "summary.csv").exists()
+    assert (tmp_path / "g8.txt").exists()
+    # the direct fit draws its starts without importing numpy.random, and
+    # the summary's median and the sampler import no numpy.ma
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0] [] [] []"
 
 
 # one triangle on two vertices: no parameters give it a nonzero expectation

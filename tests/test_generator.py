@@ -22,7 +22,7 @@ from kronmoments.generator import (
 from kronmoments import graph_io
 from kronmoments.graph_io import load_edge_list
 from kronmoments.moments import KroneckerParams, expected_features
-from oracles import checked_graph, probability_matrix
+from oracles import checked_graph, per_bit_unrank, probability_matrix
 
 PARAMS = KroneckerParams(0.99, 0.48, 0.25, 8)
 
@@ -178,10 +178,10 @@ class TestGrassHopping:
         # unrank every index of every region: each cell u < v appears
         # exactly once, with the probability its region carries
         params = KroneckerParams(0.9, 0.5, 0.3, r)
-        i, j, multinomial, sizes, probs = _regions(params)
+        i, j, _, sizes, probs = _regions(params)
         g = np.repeat(np.arange(sizes.size), sizes)
         rank = np.arange(g.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        u, v = _unrank(r, i[g], j[g], multinomial[g], rank)
+        u, v = _unrank(r, i[g], j[g], rank)
         n = 1 << r
         assert np.all((0 <= u) & (u < v) & (v < n))
         cells = u * n + v
@@ -189,6 +189,40 @@ class TestGrassHopping:
         cell = probability_matrix(params)
         for x, y, p in zip(u.tolist(), v.tolist(), probs[g].tolist()):
             assert p == pytest.approx(cell[x, y], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_unrank_matches_the_per_bit_oracle_everywhere(self, r):
+        # every rank of every region, so every step size and state is met
+        i, j, multinomial, sizes, _ = _regions(KroneckerParams(0.9, 0.5,
+                                                               0.3, r))
+        g = np.repeat(np.arange(sizes.size), sizes)
+        rank = np.arange(g.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        got = _unrank(r, i[g], j[g], rank)
+        want = per_bit_unrank(r, i[g], j[g], multinomial[g], rank)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("r", [13, 20, 34])
+    def test_unrank_matches_the_per_bit_oracle_on_samples(self, r):
+        # the sampler's first chunks, then ranks spread over whole regions
+        # up to the widest patterns and flips words at r = 34
+        params = KroneckerParams(0.99, 0.48, 0.25, r)
+        i, j, multinomial, sizes, probs = _regions(params)
+        hits = _hit_ranks(1, sizes, probs, np.minimum(sizes, 1 << 12))
+        rng = np.random.default_rng(r)
+        g = rng.integers(0, sizes.size, 20_000)
+        cases = [*(next(hits) for _ in range(3)),
+                 (g, rng.integers(0, sizes[g]))]
+        for g, rank in cases:
+            got = _unrank(r, i[g], j[g], rank)
+            want = per_bit_unrank(r, i[g], j[g], multinomial[g], rank)
+            assert np.array_equal(got, want)
+
+    def test_unrank_tables_are_built_once_and_small(self):
+        levels = generator._unrank_levels(22)
+        assert generator._unrank_levels(22) is levels
+        assert sum(table.nbytes for level in levels
+                   for table in level if isinstance(table, np.ndarray)
+                   ) <= 1 << 20
 
     def test_certain_and_impossible_regions(self):
         # a = c = 1, b = 0: the p = 1 regions are exactly those with j = 0

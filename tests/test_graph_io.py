@@ -317,6 +317,16 @@ def test_bulk_parse_falls_back_for_errors(tmp_path, text, line_number,
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("suffix", graph_io._DECOMPRESSED_SUFFIXES)
+def test_bulk_parse_reads_compressed_names_as_plain_text(tmp_path, suffix):
+    # loadtxt would decompress these names by path; the handle it gets
+    # reads them as the plain text they are
+    text = "1 2\n2 3\n# comment\n1 3\n"
+    want = _read_bulk(write(tmp_path, text))
+    got = _read_bulk(write(tmp_path, text, f"g{suffix}"))
+    assert got is not None and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("text, line_number", [
     ("1.5 2\n", 1),
     ("1 2\n1e3 4\n", 2),
