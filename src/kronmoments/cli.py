@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -24,6 +25,7 @@ from .estimator import (
     unexplained,
 )
 from .experiment import (
+    _count_graph,
     fit_csv_row,
     fit_power,
     parse_experiment_config,
@@ -31,9 +33,8 @@ from .experiment import (
     run_experiment,
     FIT_CSV_COLUMNS,
 )
-from .features import FeatureCounts, count_features, read_counts_json
+from .features import FeatureCounts, read_counts_json
 from .generator import MAX_GENERATE_POWER, generate_to_file
-from .graph_io import load_edge_list
 from .moments import (
     FEATURE_NAMES,
     KroneckerParams,
@@ -50,22 +51,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kronmoments",
                      description="Moment-based fitting and exact sampling "
                                  "of stochastic Kronecker graphs")
     sub = parser.add_subparsers(dest="command", required=True)
+    initiator = argparse.ArgumentParser(add_help=False)
+    for flag in ("--a", "--b", "--c"):
+        initiator.add_argument(flag, type=float, required=True)
+    initiator.add_argument("--r", type=int, required=True)
 
     p = sub.add_parser("features", help="count features of an edge-list file")
+    p.set_defaults(run=_cmd_features)
     p.add_argument("graph", help="edge-list path ('#' comments, 'u v' lines)")
 
-    p = sub.add_parser("expected", help="closed-form expected feature counts")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = sub.add_parser("expected", parents=[initiator],
+                       help="closed-form expected feature counts")
+    p.set_defaults(run=_cmd_expected)
 
     p = sub.add_parser("fit", help="fit (a, b, c) to a graph or counts JSON")
+    p.set_defaults(run=_cmd_fit)
     p.add_argument("source", help="edge-list path, or a JSON counts file "
                                   "as produced by the features command")
     p.add_argument("--objective", default="dsq-f2",
@@ -83,16 +89,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="json", choices=("json", "csv", "both"))
 
-    p = sub.add_parser("generate", help="sample a graph exactly by "
+    p = sub.add_parser("generate", parents=[initiator],
+                       help="sample a graph exactly by "
                        f"grass-hopping (r <= {MAX_GENERATE_POWER})")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.set_defaults(run=_cmd_generate)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output edge-list path")
 
     p = sub.add_parser("experiment", help="run a batch experiment config")
+    p.set_defaults(run=_cmd_experiment)
     p.add_argument("config", help="sectioned key=value config file")
     p.add_argument("--out", default=None, help="output directory "
                    "(default: config 'output' key or ./experiment-out)")
@@ -106,7 +111,7 @@ def _load_counts_source(source: str) -> FeatureCounts:
         raise ValueError(f"no such file: {source}")
     if path.suffix == ".json":
         return read_counts_json(path)
-    graph = load_edge_list(path)
+    counts, graph = _count_graph(path)
     if graph.loops_dropped or graph.duplicates_dropped:
         print(
             f"note: dropped {graph.loops_dropped} loop(s) and merged "
@@ -119,10 +124,7 @@ def _load_counts_source(source: str) -> FeatureCounts:
             "they count toward the vertex total",
             file=sys.stderr,
         )
-    # no count reads the labels: free them before the triangle count
-    # sets the peak
-    graph.labels = None
-    return count_features(graph)
+    return counts
 
 
 def _cmd_features(args) -> int:
@@ -166,10 +168,10 @@ def _cmd_fit(args) -> int:
     if args.format in ("json", "both"):
         print(json.dumps(payload, allow_nan=False))
     if args.format in ("csv", "both"):
-        row = fit_csv_row(Path(args.source).name, "", result, 1 << r)
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(FIT_CSV_COLUMNS)
-        writer.writerow(row[c] for c in FIT_CSV_COLUMNS)
+        writer = csv.DictWriter(sys.stdout, FIT_CSV_COLUMNS,
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerow(fit_csv_row(Path(args.source).name, "", result))
     return 0
 
 
@@ -188,23 +190,13 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "features": _cmd_features,
-    "expected": _cmd_expected,
-    "fit": _cmd_fit,
-    "generate": _cmd_generate,
-    "experiment": _cmd_experiment,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (FitFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

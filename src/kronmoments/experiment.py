@@ -196,13 +196,13 @@ def _fits_row(graph, fit_type, replication, verts, **columns) -> dict:
     return row
 
 
-def fit_csv_row(graph: str, replication, result: FitResult, verts: int) -> dict:
+def fit_csv_row(graph: str, replication, result: FitResult) -> dict:
     """The fits.csv row of a fit; a feature without an E/F ratio is blank."""
     p = result.params
     ratios = {name: f"{ratio:.10g}"
               for name, ratio in result.feature_ratios.items()
               if ratio is not None}
-    return _fits_row(graph, result.method, replication, verts,
+    return _fits_row(graph, result.method, replication, p.num_vertices,
                      a=f"{p.a:.10g}", b=f"{p.b:.10g}", c=f"{p.c:.10g}",
                      objective=f"{result.objective_value:.10g}",
                      seconds=f"{result.elapsed:.3f}", **ratios)
@@ -216,14 +216,14 @@ def _median(values) -> float:
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
-def _load_counts(section: ExperimentSection) -> FeatureCounts:
-    if section.counts is not None:
-        return read_counts_json(section.counts)
-    graph = load_edge_list(section.graph)
+def _count_graph(path):
+    """The feature counts of an edge-list file, and its graph without its
+    labels."""
+    graph = load_edge_list(path)
     # no count reads the labels: free them before the triangle count
     # sets the peak
     graph.labels = None
-    return count_features(graph)
+    return count_features(graph), graph
 
 
 class _Source(NamedTuple):
@@ -231,8 +231,7 @@ class _Source(NamedTuple):
 
     section: ExperimentSection
     replication: object  # "" for a counts or graph section
-    obs: FeatureCounts
-    r: int
+    problem: FitProblem
 
 
 def _fit_all(sources: list) -> dict:
@@ -249,9 +248,7 @@ def _fit_all(sources: list) -> dict:
                                []).append(i)
     outcomes = {}
     for (spec, method, grid_points), members in batches.items():
-        problems = [FitProblem(sources[i].obs, sources[i].r,
-                               sources[i].section.seed,
-                               sources[i].section.starts) for i in members]
+        problems = [sources[i].problem for i in members]
         for i, res in zip(members,
                           FIT_METHODS[method](problems, spec, grid_points)):
             outcomes[i, method] = res
@@ -270,7 +267,7 @@ def _fit_rows(src: _Source, outcomes: dict, index: int):
     fits = {}
     rows = []
     sec = src.section
-    verts = 1 << src.r
+    r = src.problem.r
     for method in sec.methods:
         res = outcomes[index, method]
         if isinstance(res, Exception):
@@ -278,13 +275,13 @@ def _fit_rows(src: _Source, outcomes: dict, index: int):
         else:
             notes, reason = list(res.warnings), None
             if not math.isfinite(res.objective_value):
-                reason = unexplained(sec.objective, src.r)
+                reason = unexplained(sec.objective, r)
         if reason is None:
             fits[method] = res
-            rows.append(fit_csv_row(sec.name, src.replication, res, verts))
+            rows.append(fit_csv_row(sec.name, src.replication, res))
         else:
             notes.append(f"skipped: {reason}")
-            rows.append(_fits_row(sec.name, method, src.replication, verts,
+            rows.append(_fits_row(sec.name, method, src.replication, 1 << r,
                                   objective=f"skipped: {reason}"))
         label = " ".join(str(x) for x in (method, src.replication) if x != "")
         for note in notes:
@@ -316,36 +313,38 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
 
     sources = []
     for section in config.sections:
-        if not section.synthetic:
-            obs = _load_counts(section)
-            r = fit_power(obs, section.r)
+        if section.synthetic:
+            draws = [(k, count_features(generate(section.params,
+                                                 section.seed + k)))
+                     for k in range(section.replications)]
+        else:
+            obs = (read_counts_json(section.counts) if section.graph is None
+                   else _count_graph(section.graph)[0])
             fit_rows.append(_fits_row(
                 section.name, "source", "", obs.vertices,
                 **{name: obs.get(name) for name in FEATURE_NAMES}))
-            sources.append(_Source(section, "", obs, r))
-            continue
-        for k in range(section.replications):
-            obs = count_features(generate(section.params, section.seed + k))
-            sources.append(_Source(section, k, obs, section.params.r))
+            draws = [("", obs)]
+        for k, obs in draws:
+            r = fit_power(obs, section.r)
+            problem = FitProblem(obs, r, section.seed, section.starts)
+            sources.append(_Source(section, k, problem))
     outcomes = _fit_all(sources)
 
-    fitted = {}  # synthetic section name -> {"a": [...], "b": ..., "c": ...}
+    fitted = {}  # synthetic section name -> its primary fits' params
     for i, src in enumerate(sources):
         fits, rows = _fit_rows(src, outcomes, i)
         fit_rows.extend(rows)
-        section, k, obs = src.section, src.replication, src.obs
+        section, k, obs = src.section, src.replication, src.problem.obs
         if not section.synthetic:
             continue
-        params = fitted.setdefault(section.name, {"a": [], "b": [], "c": []})
+        params = fitted.setdefault(section.name, [])
         # the primary fit is the first listed method that produced one;
         # without it there is nothing to re-realize
         primary = next((fits[m] for m in section.methods if m in fits), None)
         if primary is None:
             continue
         p = primary.params
-        params["a"].append(p.a)
-        params["b"].append(p.b)
-        params["c"].append(p.c)
+        params.append(p)
         reobs = count_features(generate(p, section.seed + k
                                         + _REREALIZE_SEED_GAP))
         exp_fit = primary.expected
@@ -379,7 +378,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
             "replications": section.replications,
             "true_a": truth.a, "true_b": truth.b, "true_c": truth.c,
         }
-        for key, values in fitted[section.name].items():
+        for key in "abc":
+            values = [getattr(p, key) for p in fitted[section.name]]
             summary[f"median_{key}"] = (
                 f"{_median(values):.10g}" if values else "")
         summary_rows.append(summary)

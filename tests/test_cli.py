@@ -455,7 +455,7 @@ def test_out_of_memory_is_a_user_error(tmp_path, capsys, monkeypatch):
     def no_memory(path):
         raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
-    monkeypatch.setattr("kronmoments.cli.load_edge_list", no_memory)
+    monkeypatch.setattr("kronmoments.experiment.load_edge_list", no_memory)
     path = tmp_path / "k3.txt"
     path.write_text("1 2\n2 3\n1 3\n")
     code, stdout, err = run(capsys, "features", str(path))
@@ -689,3 +689,86 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                        "--out", str(tmp_path / "x.txt"))
     assert code == 2
     assert "synthetic failure" in err
+
+
+# each command's usage, whitespace collapsed, and the options its --help
+# lists, in order; --a, --b, --c and --r are unbracketed, so required
+HELP = {
+    "features": ("kronmoments features [-h] graph", ["-h, --help"]),
+    "expected": ("kronmoments expected [-h] --a A --b B --c C --r R",
+                 ["-h, --help", "--a A", "--b B", "--c C", "--r R"]),
+    "fit": ("kronmoments fit [-h] [--objective OBJECTIVE] "
+            "[--method {direct,grid,leading,best}] [--features FEATURES] "
+            "[--r R] [--starts STARTS] [--grid-points GRID_POINTS] "
+            "[--seed SEED] [--format {json,csv,both}] source",
+            ["-h, --help", "--objective OBJECTIVE",
+             "--method {direct,grid,leading,best}", "--features FEATURES",
+             "--r R", "--starts STARTS", "--grid-points GRID_POINTS",
+             "--seed SEED", "--format {json,csv,both}"]),
+    "generate": ("kronmoments generate [-h] --a A --b B --c C --r R "
+                 "[--seed SEED] --out OUT",
+                 ["-h, --help", "--a A", "--b B", "--c C", "--r R",
+                  "--seed SEED", "--out OUT"]),
+    "experiment": ("kronmoments experiment [-h] [--out OUT] config",
+                   ["-h, --help", "--out OUT"]),
+}
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_lists_each_commands_options(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    usage, _, body = out.partition("\n\n")
+    options = [line.strip().split("  ")[0] for line in body.splitlines()
+               if line.startswith("  -")]
+    assert (" ".join(usage.split()), options) == (
+        "usage: " + HELP[command][0], HELP[command][1])
+
+
+@pytest.mark.parametrize("command, extra, usage", [
+    ("expected", [],
+     "usage: kronmoments expected [-h] --a A --b B --c C --r R\n"),
+    ("generate", ["--out", "g.txt"],
+     "usage: kronmoments generate [-h] --a A --b B --c C --r R "
+     "[--seed SEED] --out\n                            OUT\n"),
+])
+def test_initiator_without_b_is_a_usage_error(capsys, monkeypatch, command,
+                                              extra, usage):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, command, "--a", "1", "--c", "1", "--r", "2",
+                         *extra)
+    assert (code, out) == (1, "")
+    assert err == usage + (f"kronmoments {command}: error: the following "
+                           "arguments are required: --b\n")
+
+
+def test_one_parser_per_process(tmp_path, capsys):
+    # features, then fit on its counts, in one process, as a benchmark
+    # ingest job runs them: the parser is built once, and each output is
+    # the one a freshly built parser gives
+    from kronmoments import cli
+
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n2 3\n1 3\n3 4\n4 5\n2 4\n5 6\n")
+    counts = tmp_path / "counts.json"
+    steps = (["features", str(graph)], ["fit", str(counts)])
+
+    def step(argv):
+        code, out, err = run(capsys, *argv)
+        if argv[0] == "features":
+            counts.write_text(out)
+        else:  # drop the wall times
+            out = json.loads(out, object_hook=lambda d: {
+                k: v for k, v in d.items() if k != "elapsed"})
+        return code, out, err
+
+    cli._build_parser.cache_clear()
+    together = [step(argv) for argv in steps]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in steps:
+        cli._build_parser.cache_clear()
+        fresh.append(step(argv))
+    assert [code for code, _, _ in together] == [0, 0]
+    assert together == fresh
