@@ -22,7 +22,6 @@ from .estimator import (
     FitProblem,
     ObjectiveSpec,
     _one,
-    unexplained,
 )
 from .experiment import (
     _count_graph,
@@ -159,9 +158,6 @@ def _cmd_fit(args) -> int:
                                    features=parse_features(args.features))
     result = _one(args.method, FitProblem(counts, r, args.seed, args.starts),
                   spec, args.grid_points)
-    if not math.isfinite(result.objective_value):
-        raise ValueError(unexplained(spec, r))
-
     payload = result.to_dict()
     payload["r"] = r
     payload["objective_spec"] = spec.code

@@ -43,7 +43,7 @@ _FORBIDDEN = {("abs", "f2"), ("abs", "e2")}
 
 
 class FitFailure(RuntimeError):
-    """No start produced a finite objective value."""
+    """The fit found no point with a finite objective value."""
 
 
 def unexplained(spec: "ObjectiveSpec", r: int) -> str:
@@ -279,22 +279,20 @@ def _require_fittable(spec: ObjectiveSpec, obs: FeatureCounts):
 
 
 def _finish(params: KroneckerParams, spec, obs, method: str,
-            diagnostics=None, fitted=None) -> FitResult:
-    """The result at ``params``; ``fitted`` names the features the fit
-    matched, and fewer than three of them earn a warning."""
+            diagnostics=None, fitted=None):
+    """The result at ``params``, or a FitFailure where its objective is
+    not finite; ``fitted`` names the features the fit matched, and fewer
+    than three of them earn a warning."""
     counts = expected_counts(params.a, params.b, params.c, params.r)
-    notes = effective_features(spec, obs)[1]
     obj = float(_scorer(spec, [obs])(counts, 0))
+    if not math.isfinite(obj):
+        return FitFailure(unexplained(spec, params.r))
+    notes = effective_features(spec, obs)[1]
     if fitted is not None and len(fitted) < 3:
         notes.append(
             f"only {len(fitted)} usable feature"
             f"{'' if len(fitted) == 1 else 's'} for three parameters: the "
             "fit is underdetermined"
-        )
-    if not math.isfinite(obj):
-        notes.append(
-            "objective is infinite: some expectation is 0 against a "
-            "nonzero observation under an expectation normalization"
         )
     exp = ExpectedFeatures(*counts)
     return FitResult(
@@ -351,8 +349,9 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     """The first minimum of an equally spaced grid on {[0,1]^3 : a >= c},
     for every problem at once, by branch and bound over cells.
 
-    Returns one entry per problem: its FitResult, or the TypeError or
-    ValueError that rejected it, a bad ``grid_points`` included.  The
+    Returns one entry per problem: its FitResult, the TypeError or
+    ValueError that rejected it, a bad ``grid_points`` included, or a
+    FitFailure where the winner's objective is infinite.  The
     lattice is split into cells of ``_GRID_CELL`` points per axis,
     keeping those that hold a point with a >= c.  Every expected
     count is a polynomial with nonnegative coefficients in (a, b, c), so
@@ -468,7 +467,8 @@ def fit_grid(
     gives the exact hundredths lattice.  The lattice is ranked in double
     precision by ``closed_form_values``, the closed forms the direct
     fit's simplices use.  The reported objective of the winning point is
-    scored on ``expected_counts``, correctly rounded.
+    scored on ``expected_counts``, correctly rounded, and FitFailure is
+    raised where it is infinite.
 
     Only the lattice cells whose corners admit an objective no worse than
     the best corner's are ranked (branch and bound; see
@@ -825,8 +825,9 @@ def compute_leading_transforms(obs: FeatureCounts, r: int) -> LeadingTransforms:
 _B_STEPS = 10_000
 
 
-def _leading(problem: FitProblem, spec: ObjectiveSpec) -> FitResult:
-    """The leading-term fit of one problem (see ``fit_leading``)."""
+def _leading(problem: FitProblem, spec: ObjectiveSpec):
+    """The leading-term fit of one problem (see ``fit_leading``), or its
+    FitFailure."""
     obs, r = problem.obs, check_power(problem.r)
     transforms = compute_leading_transforms(obs, r)
     if obs.triangles <= 0:
@@ -858,7 +859,7 @@ def _leading(problem: FitProblem, spec: ObjectiveSpec) -> FitResult:
 
 def _fit_leading_batch(problems, spec: ObjectiveSpec, grid_points) -> list:
     """``_leading`` on each problem, or the TypeError or ValueError it
-    raised."""
+    raised or the FitFailure it gave."""
     out = []
     for p in problems:
         try:
@@ -881,7 +882,8 @@ def fit_leading(
     leading triangle mismatch, base 13 of ``_closed_form_bases``, which
     is evaluated on blocks of ``_GRID_BLOCK_POINTS`` b values, as the grid
     ranks its lattice.  ``spec`` selects only the reported objective
-    (default squared relative errors over all four features).  This is a
+    (default squared relative errors over all four features), and
+    FitFailure is raised where that is infinite.  This is a
     batch of one (``_fit_leading_batch``).
     """
     return _one("leading", FitProblem(obs, r), spec)
@@ -913,8 +915,9 @@ def _fit_best_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
         candidates = []
         diagnostics = {}
         notes = []
-        for method, skippable in (("direct", FitFailure), ("grid", ()),
-                                  ("leading", ValueError)):
+        for method, skippable in (("direct", FitFailure),
+                                  ("grid", FitFailure),
+                                  ("leading", (FitFailure, ValueError))):
             res = by_method[method][i]
             if isinstance(res, skippable):
                 diagnostics[method] = {"error": str(res)}
@@ -931,6 +934,9 @@ def _fit_best_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
                 }
                 candidates.append((res.objective_value, (p.a, p.b, p.c), res))
         else:
+            if not candidates:
+                out.append(FitFailure(unexplained(spec, problems[i].r)))
+                continue
             winner = min(candidates, key=lambda cand: cand[:2])[2]
             diagnostics["winner"] = winner.method
             out.append(replace(
@@ -949,9 +955,10 @@ def fit_best(
 ) -> FitResult:
     """Best of the direct, grid and leading fits under one objective.
 
-    The direct fit is skipped (with a note) when no start gives a finite
-    objective, the leading solver when it is infeasible; the returned
-    result carries per-method diagnostics and the winner's parameters.
+    A method is skipped (with a note) when it finds no finite objective,
+    the leading solver also when it is infeasible, and FitFailure is
+    raised when all three are skipped; the returned result carries
+    per-method diagnostics and the winner's parameters.
     With exactly three features, ``held_out`` names the fourth, whose E/F
     ratio on the result cross-validates the fit on a moment it never saw.
     This is a batch of one (``_fit_best_batch``).

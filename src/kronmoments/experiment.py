@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,6 @@ from .estimator import (
     FitProblem,
     FitResult,
     ObjectiveSpec,
-    unexplained,
 )
 from .features import FeatureCounts, count_features, read_counts_json
 from .generator import MAX_SEED, check_in_memory, generate
@@ -259,30 +257,24 @@ def _fit_rows(src: _Source, outcomes: dict, index: int):
     """One fits.csv row per method of ``src``'s section, in order.
 
     Returns the fits by method and the rows.  A method that gave an error
-    (an infeasible leading-term system, or no start with a finite
-    objective) or an infinite objective gets a ``skipped: ...`` row in
-    place of a fit.  Every warning of a fit and every skip reason goes to
-    stderr, one line each, prefixed ``[section] method replication:``.
+    (an infeasible leading-term system, or no point with a finite
+    objective) gets a ``skipped: ...`` row in place of a fit.  Every
+    warning of a fit and every skip reason goes to stderr, one line each,
+    prefixed ``[section] method replication:``.
     """
     fits = {}
     rows = []
     sec = src.section
-    r = src.problem.r
     for method in sec.methods:
         res = outcomes[index, method]
         if isinstance(res, Exception):
-            notes, reason = [], str(res)
+            notes = [f"skipped: {res}"]
+            rows.append(_fits_row(sec.name, method, src.replication,
+                                  1 << src.problem.r, objective=notes[0]))
         else:
-            notes, reason = list(res.warnings), None
-            if not math.isfinite(res.objective_value):
-                reason = unexplained(sec.objective, r)
-        if reason is None:
+            notes = res.warnings
             fits[method] = res
             rows.append(fit_csv_row(sec.name, src.replication, res))
-        else:
-            notes.append(f"skipped: {reason}")
-            rows.append(_fits_row(sec.name, method, src.replication, 1 << r,
-                                  objective=f"skipped: {reason}"))
         label = " ".join(str(x) for x in (method, src.replication) if x != "")
         for note in notes:
             print(f"[{sec.name}] {label}: {note}", file=sys.stderr)
@@ -394,7 +386,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
     def _write(name, columns, rows):
         out = output_dir / name
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
+            writer = csv.DictWriter(fh, fieldnames=columns,
+                                    lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         written[name] = out

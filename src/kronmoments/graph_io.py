@@ -232,15 +232,16 @@ def _key_labels(raw: np.ndarray):
 
     With N entries and b = (N - 1).bit_length(), an in-place sort of
     (label - min) << b | position groups equal labels.  A pass over blocks
-    of ``_LABEL_BLOCK`` shifts each group's label out and writes
+    of ``_LABEL_BLOCK`` counts the groups, and a second shifts each
+    group's label out into one array of that size and writes
     (position >> 1) << 32 | group back, so a second sort puts each pair's
     two groups side by side, the lower first.  A pass over blocks of pairs
     writes their keys over the front half, each block read before it is
     overwritten, and ``raw`` (which owns its buffer) shrinks to them.  So
     besides ``raw`` this holds block buffers and 8 bytes per distinct
-    label (16 while they are joined).  ``np.unique`` and ``_edge_keys``
-    take labels with (max - min + 1) << b past 2^63, or 2^32 entries or
-    more (a pair index past 31 bits), instead.
+    label.  ``np.unique`` and ``_edge_keys`` take labels with
+    (max - min + 1) << b past 2^63, or 2^32 entries or more (a pair index
+    past 31 bits), instead.
     """
     key = raw.reshape(-1)
     size = key.size
@@ -259,27 +260,21 @@ def _key_labels(raw: np.ndarray):
         block = key[start:start + _LABEL_BLOCK]
         block |= np.arange(start, start + block.size)
     key.sort()
-    parts = []  # each block's new labels
+    labels = np.empty(sum(int(np.count_nonzero(first))
+                          for _, _, first in _group_firsts(key, bits)),
+                      dtype=key.dtype)
     groups = 0
-    last = -1  # below every label - min
-    for start in range(0, size, _LABEL_BLOCK):
-        block = key[start:start + _LABEL_BLOCK]
-        label = block >> bits
-        first = np.empty(label.size, dtype=bool)
-        first[0] = label[0] != last
-        np.not_equal(label[1:], label[:-1], out=first[1:])
-        last = label[-1]
-        parts.append(label[first])
+    for block, label, first in _group_firsts(key, bits):
+        new = int(np.count_nonzero(first))
+        np.compress(first, label, out=labels[groups:groups + new])
         np.cumsum(first, out=label)
         label += groups - 1
-        groups += parts[-1].size
+        groups += new
         # (position >> 1) << 32, as the position's bits but its lowest
         # shifted up 31
         block &= (1 << bits) - 2
         block <<= 31
         block |= label
-    labels = np.concatenate(parts) if parts else key[:0].copy()
-    del parts
     labels += low
     key.sort()
     loops = 0
@@ -294,6 +289,20 @@ def _key_labels(raw: np.ndarray):
         block[loop] = _INT64_MAX
     raw.resize(size // 2, refcheck=False)
     return labels, raw, loops
+
+
+def _group_firsts(key: np.ndarray, bits: int):
+    """Each block of the sorted ``key``, its labels (``block >> bits``)
+    and a flag on every entry that starts a group of equal labels."""
+    last = -1  # below every label - min
+    for start in range(0, key.size, _LABEL_BLOCK):
+        block = key[start:start + _LABEL_BLOCK]
+        label = block >> bits
+        first = np.empty(label.size, dtype=bool)
+        first[0] = label[0] != last
+        np.not_equal(label[1:], label[:-1], out=first[1:])
+        last = label[-1]
+        yield block, label, first
 
 
 def _read_bulk(path: Path) -> np.ndarray | None:

@@ -151,10 +151,32 @@ def test_fit_infinite_objective_is_an_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "both"])
+def test_fit_skips_a_method_with_an_infinite_objective(tmp_path, capsys, fmt):
+    # the leading fit's point gives these counts a zero expectation, so
+    # its dsq-e objective is infinite and best skips it; direct wins
+    counts = tmp_path / "c.json"
+    counts.write_text(json.dumps({"vertices": 4, "edges": 2, "hairpins": 2,
+                                  "tripins": 6, "triangles": 1}))
+    code, out, err = run(capsys, "fit", str(counts), "--r", "2",
+                         "--objective", "dsq-e", "--format", fmt)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == (1 if fmt == "json" else 3)
+    data = json.loads(lines[0], parse_constant=pytest.fail)
+    reason = ("no parameters explain these counts: the dsq-e objective is "
+              "infinite at r = 2")
+    assert data["diagnostics"]["winner"] == "direct"
+    assert data["diagnostics"]["leading"] == {"error": reason}
+    assert data["warnings"] == [f"leading fit skipped: {reason}"]
+    assert data["objective"] == pytest.approx(12.78, abs=0.01)
+
+
 def test_fit_csv_output(tmp_path, capsys):
     code, out, _ = run(capsys, "fit", str(FIXTURES / "ca-GrQc.counts.json"),
                        "--method", "leading", "--format", "csv")
     assert code == 0
+    assert "\r" not in out and out.endswith("\n")
     header, row = out.strip().splitlines()
     assert header.split(",")[:7] == [
         "graph", "fit_type", "replication", "a", "b", "c", "verts"

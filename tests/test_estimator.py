@@ -27,6 +27,7 @@ from kronmoments.estimator import (
     fit_direct,
     fit_grid,
     fit_leading,
+    unexplained,
 )
 from kronmoments.features import FeatureCounts
 from kronmoments.moments import (
@@ -293,18 +294,32 @@ def ranked_blocks(monkeypatch):
     return blocks
 
 
+def assert_grid_oracle(res, p, spec, points_per_dim):
+    """``res``, the grid's entry for problem ``p``, is what the exhaustive
+    sweep gives: a FitFailure where its objective is +inf, else its point
+    and objective."""
+    params, objective = grid_oracle(p.obs, p.r, spec, points_per_dim)
+    if objective == math.inf:
+        assert isinstance(res, FitFailure)
+        assert str(res) == unexplained(spec, p.r)
+    else:
+        assert (res.params.a, res.params.b, res.params.c) == params
+        assert res.objective_value == objective
+
+
 class TestFitGrid:
     @pytest.mark.parametrize("points_per_dim", [2, 3, 11, 41, 101])
     def test_blocks_walk_the_whole_lattice(self, points_per_dim,
                                            monkeypatch):
         # every point scores +inf at r = 0 under dsq-e, so no cell is
-        # pruned and the grid ranks the whole lattice, in blocks
+        # pruned and the grid ranks the whole lattice, in blocks, before
+        # it fails
         blocks = ranked_blocks(monkeypatch)
         obs = FeatureCounts(1, 1, 1, 1, 1)
-        res = fit_grid(obs, 0, ObjectiveSpec.from_code("dsq-e"),
-                       grid_points=points_per_dim)
-        assert res.objective_value == math.inf
-        assert (res.params.a, res.params.b, res.params.c) == (0.0, 0.0, 0.0)
+        spec = ObjectiveSpec.from_code("dsq-e")
+        with pytest.raises(FitFailure) as failure:
+            fit_grid(obs, 0, spec, grid_points=points_per_dim)
+        assert str(failure.value) == unexplained(spec, 0)
         for got, want in zip(map(np.concatenate, zip(*blocks)),
                              whole_lattice(points_per_dim)):
             assert np.array_equal(got, want)
@@ -318,6 +333,16 @@ class TestFitGrid:
         params, objective = grid_oracle(GRQC, 13, spec, points_per_dim)
         assert (res.params.a, res.params.b, res.params.c) == params
         assert res.objective_value == objective
+
+    def test_unexplainable_counts_fail(self):
+        # one triangle on two vertices: every expectation of it is 0, so
+        # the dsq-e objective is infinite at every point
+        spec = ObjectiveSpec.from_code("dsq-e")
+        with pytest.raises(FitFailure) as failure:
+            fit_grid(FeatureCounts(2, 1, 0, 0, 1), 1, spec, grid_points=11)
+        assert str(failure.value) == (
+            "no parameters explain these counts: the dsq-e objective is "
+            "infinite at r = 1")
 
     def test_exact_on_grid_minimum(self):
         params = KroneckerParams(0.5, 0.5, 0.5, 8)
@@ -419,21 +444,19 @@ class TestPrunedGrid:
                     for obs, r in oracle_cases(code, points_per_dim)]
         for p, res in zip(problems,
                           _fit_grid_batch(problems, spec, points_per_dim)):
-            params, objective = grid_oracle(p.obs, p.r, spec, points_per_dim)
-            assert (res.params.a, res.params.b, res.params.c) == params
-            assert res.objective_value == objective
+            assert_grid_oracle(res, p, spec, points_per_dim)
 
     @pytest.mark.parametrize("code", OBJECTIVE_CODES)
     def test_nothing_pruned_still_ranks_in_blocks(self, code, monkeypatch):
-        # at r = 0 every point scores +inf under e and e2 and ties under f
-        # and f2: no cell is pruned
+        # at r = 0 every point scores +inf under e and e2 (so both fits
+        # fail) and ties under f and f2: no cell is pruned
         blocks = ranked_blocks(monkeypatch)
         spec = ObjectiveSpec.from_code(code)
         problems = [FitProblem(FeatureCounts(1, 1, 1, 1, 1), 0),
                     FitProblem(FeatureCounts(2, 1, 3, 0, 2), 0)]
         for p, res in zip(problems, _fit_grid_batch(problems, spec, 41)):
-            assert ((res.params.a, res.params.b, res.params.c)
-                    == grid_oracle(p.obs, 0, spec, 41)[0] == (0.0, 0.0, 0.0))
+            assert grid_oracle(p.obs, 0, spec, 41)[0] == (0.0, 0.0, 0.0)
+            assert_grid_oracle(res, p, spec, 41)
         for got, want in zip(map(np.concatenate, zip(*blocks)),
                              whole_lattice(41)):
             assert np.array_equal(got, want)
@@ -805,9 +828,12 @@ class TestBatch:
     def test_grid_fits_match_the_whole_lattice_sweep(self, code):
         spec, problems = batch(code)
         for p, res in zip(problems, _fit_grid_batch(problems, spec, 21)):
-            params, objective = grid_oracle(p.obs, p.r, spec, 21)
-            assert (res.params.a, res.params.b, res.params.c) == params
-            assert res.objective_value == objective  # inf for UNEXPLAINED
+            assert_grid_oracle(res, p, spec, 21)
+            if (p.obs, p.r) == UNEXPLAINED:
+                # only this problem fails, as it does alone
+                with pytest.raises(FitFailure, match=str(res)):
+                    fit_grid(p.obs, p.r, spec, 21)
+                continue
             assert res.warnings == fit_grid(p.obs, p.r, spec, 21).warnings
 
     def test_bad_problem_is_rejected_alone(self):

@@ -155,6 +155,22 @@ def test_graph_file_source_and_skipped_leading(tmp_path):
     assert rows["grid"]["a"] != ""
 
 
+def test_tables_end_their_lines_with_newline_alone(tmp_path):
+    # every table ends its lines as fit --format csv does, with "\n"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"[grqc]\ncounts = {FIXTURES / 'ca-GrQc.counts.json'}\n"
+        "methods = leading\n\n"
+        "[synth]\nparams = 0.99,0.48,0.25\nr = 6\nreplications = 2\n"
+        "methods = grid\ngrid_points = 11\n")
+    written = run_experiment(parse_experiment_config(cfg), tmp_path / "out")
+    assert sorted(written) == ["feature_diffs.csv", "features.csv",
+                               "fits.csv", "summary.csv"]
+    for path in written.values():
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+
+
 def test_synthetic_sections_skip_like_counts_sections(tmp_path):
     # at a = b = c = 0.5, r = 4 the realized degree variance stays below
     # the degree mean, so the leading-term system is infeasible every time
@@ -353,12 +369,13 @@ def test_section_output_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert parse_experiment_config(cfg).output_dir == Path("shared")
 
 
-@pytest.mark.parametrize("method", ["direct", "grid"])
+@pytest.mark.parametrize("method", ["direct", "grid", "best"])
 def test_failed_fit_is_skipped_without_stopping_the_batch(tmp_path, capsys,
                                                           method):
     # no parameters give these counts a nonzero expectation at r = 0, so
-    # the dsq-e objective is infinite everywhere; the good section shares
-    # the bad one's batch and is still fitted
+    # the dsq-e objective is infinite everywhere (and best finds no method
+    # left); the good section shares the bad one's batch and is still
+    # fitted
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": 1, "edges": 1, "hairpins": 1, '
                    '"tripins": 1, "triangles": 1}')
@@ -380,6 +397,8 @@ def test_failed_fit_is_skipped_without_stopping_the_batch(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"[bad] {method}: {skipped['objective']}\n" in err
     assert "[good]" not in err
+    # the skip is the one line: a failed fit carries no other note
+    assert err.count("\n") == 1
 
 
 def test_section_without_vertices_or_r_is_skipped(tmp_path, capsys):
