@@ -158,6 +158,8 @@ def _cmd_fit(args) -> int:
                                    features=parse_features(args.features))
     result = _one(args.method, FitProblem(counts, r, args.seed, args.starts),
                   spec, args.grid_points)
+    for note in result.warnings:  # under every --format, as features' notes
+        print(f"note: {note}", file=sys.stderr)
     payload = result.to_dict()
     payload["r"] = r
     payload["objective_spec"] = spec.code

@@ -24,6 +24,7 @@ import numpy as np
 from .features import FeatureCounts
 from .moments import (
     FEATURE_NAMES,
+    LEAST_VALUES,
     ExpectedFeatures,
     KroneckerParams,
     _MULTIPLES,
@@ -63,10 +64,6 @@ class FitProblem(NamedTuple):
     r: int
     seed: int = 0
     starts: int = 50
-
-
-# The least value of each integer fit setting, for the batches and configs
-LEAST_VALUES = {"seed": 0, "starts": 1, "grid_points": 2}
 
 
 class LeadingTermInfeasible(ValueError):

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .estimator import (
     FIT_METHODS,
-    LEAST_VALUES,
     FitProblem,
     FitResult,
     ObjectiveSpec,
@@ -28,7 +27,13 @@ from .estimator import (
 from .features import FeatureCounts, count_features, read_counts_json
 from .generator import MAX_SEED, check_in_memory, generate
 from .graph_io import choose_r, load_edge_list
-from .moments import FEATURE_NAMES, KroneckerParams, check_int, check_power
+from .moments import (
+    FEATURE_NAMES,
+    LEAST_VALUES,
+    KroneckerParams,
+    check_int,
+    check_power,
+)
 
 FIT_CSV_COLUMNS = (
     "graph", "fit_type", "replication", "a", "b", "c", "verts",

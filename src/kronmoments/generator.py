@@ -29,9 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import LEAST_VALUES
 from .graph_io import _MAX_VERTICES, SimpleGraph, _edge_rows
-from .moments import KroneckerParams, check_int
+from .moments import LEAST_VALUES, KroneckerParams, check_int
 
 # the largest r whose region sizes fit int64: the biggest region at r = 34
 # is 0.40 * 2^63 cells, at r = 35 it is 1.57 * 2^63

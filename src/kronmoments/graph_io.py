@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import stat
 import warnings
 from array import array
 from pathlib import Path
@@ -127,8 +128,7 @@ class SimpleGraph:
             num_vertices = int(arr.max()) + 1 if arr.size else 0
         num_vertices = int(num_vertices)
         keys, loops = _edge_keys(arr, num_vertices)
-        keys[loops] = _INT64_MAX
-        return cls._from_keys(num_vertices, keys, loops.sum(), labels)
+        return cls._from_keys(num_vertices, keys, loops, labels)
 
     @classmethod
     def _from_keys(cls, num_vertices: int, keys: np.ndarray, loops: int,
@@ -143,17 +143,11 @@ class SimpleGraph:
         keys.sort()
         end = keys.size - loops
         distinct = 0
-        last = -1  # below every key
-        for start in range(0, end, _LABEL_BLOCK):
-            block = keys[start:min(start + _LABEL_BLOCK, end)]
-            first = np.empty(block.size, dtype=bool)
-            first[0] = block[0] != last
-            np.not_equal(block[1:], block[:-1], out=first[1:])
-            last = block[-1]
+        for block, label, first in _group_firsts(keys[:end], 0):
             kept = block[first]  # keys[:start] is read
             keys[distinct:distinct + kept.size] = kept
             distinct += kept.size
-            del first, kept  # none outlives its block
+            del label, first, kept  # none outlives the scan
         keys.resize(distinct, refcheck=False)
         return cls(num_vertices, keys, labels, loops, end - distinct)
 
@@ -170,10 +164,10 @@ def _edge_rows(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def _edge_keys(pairs: np.ndarray, num_vertices: int):
-    """Each row's int64 key lo * num_vertices + hi (lo <= hi) and the loop
-    mask, from integer ``pairs``; ValueError for an endpoint out of range.
-    Past ``_MAX_VERTICES`` a key can overflow, and the graph's constructor
-    raises."""
+    """Each row's int64 key lo * num_vertices + hi (lo <= hi), a loop's set
+    to ``_INT64_MAX``, and the number of loops, from integer ``pairs``;
+    ValueError for an endpoint out of range.  Past ``_MAX_VERTICES`` a key
+    can overflow, and the graph's constructor raises."""
     # narrower ints widen here, before lo * num_vertices can overflow
     lo = np.minimum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
@@ -182,7 +176,8 @@ def _edge_keys(pairs: np.ndarray, num_vertices: int):
     loops = lo == hi
     lo *= num_vertices
     lo += hi
-    return lo, loops
+    lo[loops] = _INT64_MAX
+    return lo, int(np.count_nonzero(loops))
 
 
 def load_edge_list(path) -> SimpleGraph:
@@ -207,6 +202,8 @@ def load_edge_list(path) -> SimpleGraph:
     labels, so the graph does not depend on which one ran.  The file is
     plain text whatever its name: one named like a compressed file is read
     through an open handle, as loadtxt would decompress it by its path.
+    Read up to three times, it must be a regular file, not a pipe, or it
+    is a ValueError before any read.
 
     Every stage works in the buffer the labels were read into (the line
     reading's labels are copied into one of their own once): the sort key,
@@ -216,6 +213,9 @@ def load_edge_list(path) -> SimpleGraph:
     its labels.
     """
     path = Path(path)
+    if not stat.S_ISREG(path.stat().st_mode):  # a missing path: OSError
+        raise ValueError(f"{path}: not a regular file; write a pipe's "
+                         "output to a file first")
     raw = _read_bulk(path)
     if raw is None:
         raw = _read_lines(path).copy()  # the array('q') owns its labels
@@ -251,9 +251,7 @@ def _key_labels(raw: np.ndarray):
     if (size >= _PACKED_ENTRIES
             or (int(key.max(initial=low)) - low + 1) << bits > 2 ** 63):
         labels, ids = np.unique(key, return_inverse=True)
-        keys, loops = _edge_keys(ids.reshape(-1, 2), labels.size)
-        keys[loops] = _INT64_MAX
-        return labels, keys, int(np.count_nonzero(loops))
+        return (labels, *_edge_keys(ids.reshape(-1, 2), labels.size))
     key -= low
     key <<= bits
     for start in range(0, size, _LABEL_BLOCK):
@@ -292,9 +290,9 @@ def _key_labels(raw: np.ndarray):
 
 
 def _group_firsts(key: np.ndarray, bits: int):
-    """Each block of the sorted ``key``, its labels (``block >> bits``)
+    """Each block of the sorted ``key`` (>= 0), its labels ``block >> bits``
     and a flag on every entry that starts a group of equal labels."""
-    last = -1  # below every label - min
+    last = -1  # below every label
     for start in range(0, key.size, _LABEL_BLOCK):
         block = key[start:start + _LABEL_BLOCK]
         label = block >> bits
@@ -338,11 +336,12 @@ def _has_inline_comment(path: Path) -> bool:
     two bytes that stand in for the line it continues: a line feed, then
     ' ' (blank so far), 'x' (a non-blank byte before any '#') or '#' (its
     first '#' read).  A slice where every '#' follows a line break, as
-    comment lines do, is clean; in any other, each '#' gets its line by
-    ``searchsorted`` into the breaks, and the bytes from each line's start
-    to its first '#' are tested for a non-blank one in one ``reduceat``.
-    No Python work per '#', and neither the file nor a mask is held whole:
-    each slice is read into one buffer, behind its two stand-in bytes.
+    comment lines do, is clean; in any other, each '#' after no break
+    finds its line's start by two ``rfind``s back to the last such '#'
+    (none found: that '#' is on its line), and the bytes from there to it
+    are an inline comment's prefix when they hold no '#' but a non-blank
+    byte.  Neither the file nor a mask is held whole: each slice is read
+    into one buffer, behind its two stand-in bytes.
     """
     buf = bytearray(_SCAN_BYTES + 2)
     into = memoryview(buf)[2:]
@@ -360,26 +359,16 @@ def _has_inline_comment(path: Path) -> bool:
             data = np.frombuffer(buf, dtype=np.uint8, count=end)
             marks = np.flatnonzero(data == ord("#"))
             before = data[marks - 1]  # data[0] is a break, not a '#'
-            if ((before == ord("\n")) | (before == ord("\r"))).all():
-                continue
-            breaks = np.flatnonzero((data == ord("\n")) | (data == ord("\r")))
-            line = np.searchsorted(breaks, marks)  # >= 1: data[0] is a break
-            first = np.ones(marks.size, dtype=bool)
-            np.not_equal(line[1:], line[:-1], out=first[1:])
-            marks = marks[first]
-            starts = (breaks + 1)[line[first] - 1]
-            prefixed = marks > starts
-            if not prefixed.any():
-                continue
-            # the bounds alternate line start, first '#', so the even
-            # segments of the reduceat are the prefixes; a prefix holds no
-            # line break, so its blanks (as bytes.strip sees them) are
-            # space, '\t', '\v' and '\f'
-            bounds = np.stack([starts, marks], axis=1)[prefixed].ravel()
-            visible = ((data != ord(" "))
-                       & ((data < ord("\t")) | (data > ord("\f"))))
-            if np.logical_or.reduceat(visible, bounds)[::2].any():
-                return True
+            marks = marks[(before != ord("\n")) & (before != ord("\r"))]
+            prev = 0  # data[0] is a break: the first '#' finds its line
+            for mark in marks.tolist():
+                start = max(buf.rfind(b"\n", prev, mark),
+                            buf.rfind(b"\r", prev, mark)) + 1
+                if start:
+                    prefix = buf[start:mark]
+                    if b"#" not in prefix and prefix.strip():
+                        return True
+                prev = mark
     return False
 
 

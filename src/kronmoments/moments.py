@@ -28,6 +28,10 @@ MAX_POWER = 60
 
 FEATURE_NAMES = ("edges", "hairpins", "tripins", "triangles")
 
+# The least value of each integer fit setting, for the batches, the configs
+# and the sampler's seed
+LEAST_VALUES = {"seed": 0, "starts": 1, "grid_points": 2}
+
 
 def check_int(name: str, value, least: int | None = None,
               most: int | None = None) -> int:

@@ -151,21 +151,27 @@ def test_fit_infinite_objective_is_an_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("fmt", ["json", "both"])
+@pytest.mark.parametrize("fmt", ["json", "both", "csv"])
 def test_fit_skips_a_method_with_an_infinite_objective(tmp_path, capsys, fmt):
     # the leading fit's point gives these counts a zero expectation, so
-    # its dsq-e objective is infinite and best skips it; direct wins
+    # its dsq-e objective is infinite and best skips it; direct wins, and
+    # the skip is a note on stderr under every format
     counts = tmp_path / "c.json"
     counts.write_text(json.dumps({"vertices": 4, "edges": 2, "hairpins": 2,
                                   "tripins": 6, "triangles": 1}))
     code, out, err = run(capsys, "fit", str(counts), "--r", "2",
                          "--objective", "dsq-e", "--format", fmt)
-    assert (code, err) == (0, "")
-    lines = out.splitlines()
-    assert len(lines) == (1 if fmt == "json" else 3)
-    data = json.loads(lines[0], parse_constant=pytest.fail)
     reason = ("no parameters explain these counts: the dsq-e objective is "
               "infinite at r = 2")
+    assert (code, err) == (0, f"note: leading fit skipped: {reason}\n")
+    lines = out.splitlines()
+    assert len(lines) == {"json": 1, "both": 3, "csv": 2}[fmt]
+    if fmt == "csv":
+        row = next(csv.DictReader(lines))
+        assert row["fit_type"] == "best"
+        assert float(row["objective"]) == pytest.approx(12.78, abs=0.01)
+        return
+    data = json.loads(lines[0], parse_constant=pytest.fail)
     assert data["diagnostics"]["winner"] == "direct"
     assert data["diagnostics"]["leading"] == {"error": reason}
     assert data["warnings"] == [f"leading fit skipped: {reason}"]
@@ -267,13 +273,32 @@ def test_fit_deterministic_given_seed(capsys):
     assert d1 == d2
 
 
-def python(*args):
-    """Run the interpreter on ``args`` with the package importable."""
+def python(*args, **kwargs):
+    """Run the interpreter on ``args`` with the package importable;
+    ``kwargs`` (such as ``input`` or ``stdin``) go to subprocess.run."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=30)
+                          text=True, env=env, timeout=30, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_features_on_a_pipe_is_an_error(tmp_path):
+    # the load reads its path more than once, so a pipe would read as an
+    # empty graph; a redirected regular file still reads
+    proc = python("-W", "error", "-m", "kronmoments", "features",
+                  "/dev/stdin", input="0 1\n1 2\n2 0\n")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: /dev/stdin: not a regular file")
+    assert proc.stderr.count("\n") == 1
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 0\n")
+    with open(graph, encoding="utf-8") as fh:
+        proc = python("-m", "kronmoments", "features", "/dev/stdin",
+                      stdin=fh)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["triangles"] == 1
 
 
 def test_module_entry_point(tmp_path):

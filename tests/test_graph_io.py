@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 import warnings
@@ -70,6 +71,23 @@ def test_malformed_line_reports_number(tmp_path):
 def test_unreadable_file(tmp_path):
     with pytest.raises(OSError):
         load_edge_list(tmp_path / "missing.txt")
+
+
+def test_a_pipe_is_an_error_before_any_read(tmp_path, monkeypatch):
+    # the load reads its path up to three times, which a pipe cannot give;
+    # opening this fifo would block, with no writer, so no open may come
+    # before the check
+    def no_open(*args, **kwargs):
+        raise AssertionError("opened before the check")
+
+    monkeypatch.setattr(graph_io, "open", no_open, raising=False)
+    fifo = tmp_path / "g.fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(ValueError, match="not a regular file") as exc:
+        load_edge_list(fifo)
+    assert str(fifo) in str(exc.value)
+    with pytest.raises(ValueError, match="not a regular file"):
+        load_edge_list(tmp_path)  # a directory neither
 
 
 def test_relabeling_ascending_labels(tmp_path):
@@ -429,6 +447,35 @@ def test_inline_comment_check_at_a_slice_boundary(tmp_path, monkeypatch,
     assert _has_inline_comment(path) is want
 
 
+# Where every line is an indented comment, every '#' follows a blank and
+# is checked on its own: lines cut across slices, and later marks on a line
+# whose first '#' was checked, must read clean, and a label before any
+# mark must not.
+@pytest.mark.parametrize("scan_bytes", range(1, 8))
+def test_inline_comment_check_on_indented_comments(tmp_path, monkeypatch,
+                                                    scan_bytes):
+    monkeypatch.setattr(graph_io, "_SCAN_BYTES", scan_bytes)
+    rng = np.random.default_rng(100 + scan_bytes)
+    path = tmp_path / "g.txt"
+    seen = set()
+    for _ in range(60):
+        lines = [b"".join(rng.choice([b" ", b"\t", b"\x0b"],
+                                     int(rng.integers(1, 4))))
+                 + b"#" + b"".join(rng.choice([b"c", b" ", b"#"],
+                                              int(rng.integers(0, 5))))
+                 for _ in range(int(rng.integers(1, 6)))]
+        if rng.random() < 0.3:  # one label ahead of one line's mark
+            i = int(rng.integers(len(lines)))
+            lines[i] = b"1" + lines[i]
+        data = b"".join(line + rng.choice([b"\n", b"\r", b"\r\n"])
+                        for line in lines)
+        path.write_bytes(data)
+        want = inline_comment_reference(data)
+        assert _has_inline_comment(path) is want, data
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_inline_comment_check_holds_a_few_slices(tmp_path, monkeypatch):
     # An indented comment makes the first slice's '#' follow a blank, so
     # only that slice's lines are checked; the rest are clean, and the
@@ -532,18 +579,36 @@ def test_sorted_and_shuffled_edges_build_the_same_graph():
             assert np.array_equal(g.degrees, graphs[0].degrees)
 
 
+def check_from_pairs_against_unique(pairs, n):
+    """from_pairs on n vertices against np.unique of the loop-free keys."""
+    g = SimpleGraph.from_pairs(pairs, num_vertices=n)
+    loops = pairs[:, 0] == pairs[:, 1]
+    rest = np.sort(pairs[~loops], axis=1)
+    keys = np.unique(rest[:, 0] * n + rest[:, 1])
+    assert g.edge_array.tolist() == np.stack(
+        [keys // n, keys % n], axis=1).tolist()
+    assert g.loops_dropped == int(loops.sum())
+    assert g.duplicates_dropped == len(rest) - len(keys)
+
+
 def test_from_pairs_matches_unique_oracle():
     rng = np.random.default_rng(11)
     for n in (1, 3, 20, 500):
-        pairs = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
-        g = SimpleGraph.from_pairs(pairs, num_vertices=n)
-        loops = pairs[:, 0] == pairs[:, 1]
-        rest = np.sort(pairs[~loops], axis=1)
-        keys = np.unique(rest[:, 0] * n + rest[:, 1])
-        assert g.edge_array.tolist() == np.stack(
-            [keys // n, keys % n], axis=1).tolist()
-        assert g.loops_dropped == int(loops.sum())
-        assert g.duplicates_dropped == len(rest) - len(keys)
+        check_from_pairs_against_unique(
+            rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2)), n)
+
+
+# Blocks of 1, 2 and 3 keys put runs of equal keys and the loops' keys
+# across block boundaries in every way: the first of a run must be kept
+# whichever block it opens, and no loop's key kept.
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_from_pairs_dedupes_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(graph_io, "_LABEL_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (1, 2, 4, 9):
+        for m in (0, 1, 2, 5, 17, 40):
+            check_from_pairs_against_unique(
+                rng.integers(0, n, size=(m, 2)), n)
 
 
 def _unique_numbering(raw):
@@ -566,9 +631,7 @@ def _unique_keying(raw):
     """The labels, edge keys (a loop's set past every key) and loop count
     of np.unique's numbering of ``raw``, keyed by _edge_keys."""
     labels, ids = _unique_numbering(raw)
-    keys, loops = _edge_keys(ids.reshape(-1, 2), labels.size)
-    keys[loops] = graph_io._INT64_MAX
-    return labels, keys, int(loops.sum())
+    return (labels, *_edge_keys(ids.reshape(-1, 2), labels.size))
 
 
 @pytest.mark.parametrize("case", list(NUMBERING_CASES))
@@ -845,12 +908,13 @@ def test_edge_keys_widen_int32_ids_near_2_31():
                      dtype=np.int32)
     keys, loops = _edge_keys(pairs, 2 ** 31)
     assert keys.dtype == np.int64
+    # the loop's key reads past every key
     assert keys.tolist() == [(top - 1) * 2 ** 31 + top, top,
-                             top * 2 ** 31 + top, 3 * 2 ** 31 + 5]
-    assert loops.tolist() == [False, False, True, False]
+                             graph_io._INT64_MAX, 3 * 2 ** 31 + 5]
+    assert loops == 1
     wide, wide_loops = _edge_keys(pairs.astype(np.int64), 2 ** 31)
     assert np.array_equal(keys, wide)
-    assert np.array_equal(loops, wide_loops)
+    assert loops == wide_loops
 
 
 def test_choose_r_examples():
