@@ -110,19 +110,9 @@ def _load_counts_source(source: str) -> FeatureCounts:
         raise ValueError(f"no such file: {source}")
     if path.suffix == ".json":
         return read_counts_json(path)
-    counts, graph = _count_graph(path)
-    if graph.loops_dropped or graph.duplicates_dropped:
-        print(
-            f"note: dropped {graph.loops_dropped} loop(s) and merged "
-            f"{graph.duplicates_dropped} duplicate pair(s)",
-            file=sys.stderr,
-        )
-    if graph.num_isolated:
-        print(
-            f"note: retained {graph.num_isolated} isolated vertex(es); "
-            "they count toward the vertex total",
-            file=sys.stderr,
-        )
+    counts, notes = _count_graph(path)
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
     return counts
 
 

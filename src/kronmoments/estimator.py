@@ -29,7 +29,6 @@ from .moments import (
     KroneckerParams,
     _MULTIPLES,
     _closed_form_bases,
-    _values,
     check_int,
     check_power,
     closed_form_values,
@@ -256,23 +255,34 @@ def feature_ratios(exp: ExpectedFeatures, obs: FeatureCounts) -> dict:
     return out
 
 
-def _require_fittable(spec: ObjectiveSpec, obs: FeatureCounts):
-    """The features a fit of ``obs`` uses; ValueError if there are none."""
-    # three free parameters need at least three moment equations
-    if len(spec.features) < 3:
-        raise ValueError(
-            f"fitting three parameters needs >= 3 features, "
-            f"got {spec.features!r} (smaller subsets are fine for "
-            f"evaluation only)"
-        )
-    feats, _ = effective_features(spec, obs)
-    if not feats:
-        raise ValueError(
-            f"nothing to fit: every feature in {spec.features!r} is "
-            f"observed as 0 and dropped under normalization "
-            f"{spec.normalization!r}"
-        )
-    return feats
+def _admitted(problems, spec: ObjectiveSpec, *settings):
+    """``(out, fits)``: ``out`` holds the TypeError or ValueError that
+    rejected each problem, else None, and ``fits`` holds ``(index,
+    problem, features matched)`` for the others, with the power and each
+    integer field named in ``settings`` checked and made ints."""
+    out = [None] * len(problems)
+    fits = []
+    for i, p in enumerate(problems):
+        try:
+            p = p._replace(r=check_power(p.r), **{
+                name: check_int(name, getattr(p, name), LEAST_VALUES[name])
+                for name in settings})
+            # three free parameters need at least three moment equations
+            if len(spec.features) < 3:
+                raise ValueError(
+                    f"fitting three parameters needs >= 3 features, "
+                    f"got {spec.features!r} (smaller subsets are fine for "
+                    f"evaluation only)")
+            feats, _ = effective_features(spec, p.obs)
+            if not feats:
+                raise ValueError(
+                    f"nothing to fit: every feature in {spec.features!r} is "
+                    f"observed as 0 and dropped under normalization "
+                    f"{spec.normalization!r}")
+            fits.append((i, p, feats))
+        except (TypeError, ValueError) as exc:
+            out[i] = exc
+    return out, fits
 
 
 def _finish(params: KroneckerParams, spec, obs, method: str,
@@ -347,8 +357,9 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     for every problem at once, by branch and bound over cells.
 
     Returns one entry per problem: its FitResult, the TypeError or
-    ValueError that rejected it, a bad ``grid_points`` included, or a
-    FitFailure where the winner's objective is infinite.  The
+    ValueError that rejected it, or a FitFailure where the winner's
+    objective is infinite; a bad ``grid_points`` is every problem's error,
+    found before any problem is checked.  The
     lattice is split into cells of ``_GRID_CELL`` points per axis,
     keeping those that hold a point with a >= c.  Every expected
     count is a polynomial with nonnegative coefficients in (a, b, c), so
@@ -357,33 +368,27 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
     it.  So the batch's scorer at E = clip(F, E_lo, E_hi), with the corner
     values widened by ``_CORNER_MARGIN``, bounds a cell from below.  Each
     problem's threshold is its best corner objective (every corner is a
-    lattice point with a >= c).  For each distinct power, only the points
-    of cells whose bound is within the threshold of some problem at that
-    power are ranked, a-row of cells by a-row in lexicographic order, in
-    blocks of at most ``_GRID_BLOCK_POINTS``, on the evaluator and scorer
-    a whole-lattice sweep would use.  A pruned point scores above the
+    lattice point with a >= c).  Each distinct power in turn, in order of
+    first appearance, bounds every cell from its corners on
+    ``closed_form_values``, and then ranks only the points of cells whose
+    bound is within the threshold of some problem at that power, a-row of
+    cells by a-row in lexicographic order, in blocks of at most
+    ``_GRID_BLOCK_POINTS``, on the evaluator and scorer a whole-lattice
+    sweep would use.  A pruned point scores above the
     threshold, so each problem gets the first minimum of the whole
     lattice, the argmin and objective it gets alone.
     """
-    out = [None] * len(problems)
-    fits = []  # (index, problem, features matched)
-    for i, p in enumerate(problems):
-        try:
-            p = p._replace(r=check_power(p.r))
-            n = check_int("grid_points", grid_points,
-                          LEAST_VALUES["grid_points"])
-            fits.append((i, p, _require_fittable(spec, p.obs)))
-        except (TypeError, ValueError) as exc:
-            out[i] = exc
+    try:
+        n = check_int("grid_points", grid_points, LEAST_VALUES["grid_points"])
+    except (TypeError, ValueError) as exc:
+        return [exc] * len(problems)
+    out, fits = _admitted(problems, spec)
     if not fits:
         return out
 
     score = _scorer(spec, [p.obs for _, p, _ in fits])
     observed = [[float(p.obs.get(f)) for f in FEATURE_NAMES]
                 for _, p, _ in fits]
-    at_power = {}  # r -> the fits j at power r
-    for j, (_, p, _) in enumerate(fits):
-        at_power.setdefault(p.r, []).append(j)
     axis = np.linspace(0.0, 1.0, n)
     k = -(-n // _GRID_CELL)  # cells per axis
     low = np.arange(k) * _GRID_CELL
@@ -407,17 +412,19 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
         ia, ib, ic = np.nonzero(keep)
         return (a[ia] * n + b[ib]) * n + ic
 
-    # the corners, all lattice points with a >= c: each problem's threshold
-    # is its best corner, and each cell's bound is kept, one float per cell
-    # and problem
-    threshold = [np.inf] * len(fits)
-    bounds = [[] for _ in fits]
-    for cells in _in_blocks(map(row_cells, range(k)), _GRID_BLOCK_POINTS // 2):
-        corners = [axis[np.concatenate((low[idx], high[idx]))]
-                   for idx in np.unravel_index(cells, (k, k, k))]
-        bases = _closed_form_bases(*corners)
-        for r, ranked in at_power.items():
-            values = _values(bases, r)
+    winners = [[] for _ in fits]  # (objective, lattice index) per block
+    for r in dict.fromkeys(p.r for _, p, _ in fits):
+        ranked = [j for j, (_, p, _) in enumerate(fits) if p.r == r]
+        # the corners, all lattice points with a >= c: each problem's
+        # threshold is its best corner, and each cell's bound is kept, one
+        # float per cell and problem at this power
+        threshold = dict.fromkeys(ranked, np.inf)
+        bounds = {j: [] for j in ranked}
+        for cells in _in_blocks(map(row_cells, range(k)),
+                                _GRID_BLOCK_POINTS // 2):
+            values = closed_form_values(
+                *(axis[np.concatenate((low[idx], high[idx]))]
+                  for idx in np.unravel_index(cells, (k, k, k))), r)
             lo = [v[:cells.size] * (1.0 - _CORNER_MARGIN) for v in values]
             hi = [v[cells.size:] * (1.0 + _CORNER_MARGIN) for v in values]
             for j in ranked:
@@ -425,14 +432,10 @@ def _fit_grid_batch(problems, spec: ObjectiveSpec, grid_points: int) -> list:
                 bounds[j].append(score(
                     [np.clip(F, l, h) for F, l, h in zip(observed[j], lo, hi)],
                     j))
-        del bases  # before the next block's are built
-    bounds = [np.concatenate(b) for b in bounds]
-
-    winners = [[] for _ in fits]  # (objective, lattice index) per block
-    for r, ranked in at_power.items():
         live = np.zeros(first_cell[-1], dtype=bool)
         for j in ranked:
-            live |= bounds[j] <= threshold[j] * (1.0 + _THRESHOLD_SLACK)
+            live |= (np.concatenate(bounds[j])
+                     <= threshold[j] * (1.0 + _THRESHOLD_SLACK))
         for points in _in_blocks((row_points(live, i) for i in range(k)),
                                  _GRID_BLOCK_POINTS):
             values = closed_form_values(
@@ -473,8 +476,9 @@ def fit_grid(
     2,048 points, and the lattice is never built whole.  The winner is
     still the first minimum over the whole lattice.  Memory grows with an
     a-row of cells (5 * grid_points^2 flags) and with one bound per cell
-    (about grid_points^3 / 250), not with the lattice, even when nothing
-    is pruned.  This is a batch of one (``_fit_grid_batch``).
+    (about grid_points^3 / 250), held for one power at a time, not with
+    the lattice, even when nothing is pruned.  This is a batch of one
+    (``_fit_grid_batch``).
     """
     return _one("grid", FitProblem(obs, r), spec, grid_points)
 
@@ -488,7 +492,7 @@ def fit_grid(
 # follows step for step.
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
-_XATOL, _FATOL = 1e-8, np.inf
+_XATOL = 1e-8
 _MAXITER = 2000
 
 
@@ -548,9 +552,9 @@ def _nelder_mead_lockstep(objective, x0: np.ndarray) -> np.ndarray:
     iterations = 1
     while ids.size and iterations < _MAXITER:
         live = ids.size
-        done = ((np.abs(sim[:, 1:] - sim[:, :1]).reshape(live, -1).max(axis=1)
-                 <= _XATOL)
-                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
+        # scipy's fatol = inf always holds: best values are finite, none NaN
+        done = (np.abs(sim[:, 1:] - sim[:, :1]).reshape(live, -1).max(axis=1)
+                <= _XATOL)
         if done.any():
             best[ids[done]] = sim[done, 0]
             ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
@@ -677,17 +681,7 @@ def _fit_direct_batch(problems, spec: ObjectiveSpec,
     non-finite end is skipped, and a problem whose ends are all non-finite
     fails alone while the others go on.
     """
-    out = [None] * len(problems)
-    fits = []  # (index, problem, features matched)
-    for i, p in enumerate(problems):
-        try:
-            p = p._replace(
-                r=check_power(p.r),
-                seed=check_int("seed", p.seed, LEAST_VALUES["seed"]),
-                starts=check_int("starts", p.starts, LEAST_VALUES["starts"]))
-            fits.append((i, p, _require_fittable(spec, p.obs)))
-        except (TypeError, ValueError) as exc:
-            out[i] = exc
+    out, fits = _admitted(problems, spec, "seed", "starts")
     if not fits:
         return out
 

@@ -220,13 +220,21 @@ def _median(values) -> float:
 
 
 def _count_graph(path):
-    """The feature counts of an edge-list file, and its graph without its
-    labels."""
+    """The feature counts of an edge-list file, and the notes on what its
+    load dropped or kept."""
     graph = load_edge_list(path)
     # no count reads the labels: free them before the triangle count
     # sets the peak
     graph.labels = None
-    return count_features(graph), graph
+    counts = count_features(graph)
+    notes = []
+    if graph.loops_dropped or graph.duplicates_dropped:
+        notes.append(f"dropped {graph.loops_dropped} loop(s) and merged "
+                     f"{graph.duplicates_dropped} duplicate pair(s)")
+    if graph.num_isolated:
+        notes.append(f"retained {graph.num_isolated} isolated vertex(es); "
+                     "they count toward the vertex total")
+    return counts, notes
 
 
 class _Source(NamedTuple):
@@ -315,8 +323,11 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> dict:
                                                  section.seed + k)))
                      for k in range(section.replications)]
         else:
-            obs = (read_counts_json(section.counts) if section.graph is None
-                   else _count_graph(section.graph)[0])
+            obs, notes = ((read_counts_json(section.counts), [])
+                          if section.graph is None
+                          else _count_graph(section.graph))
+            for note in notes:
+                print(f"[{section.name}] source: {note}", file=sys.stderr)
             fit_rows.append(_fits_row(
                 section.name, "source", "", obs.vertices,
                 **{name: obs.get(name) for name in FEATURE_NAMES}))

@@ -194,13 +194,23 @@ def _sums(bases, r) -> list:
     return sums
 
 
-def _values(bases, r) -> list:
-    """The four clamped closed forms of ``bases`` at power ``r``: their
-    ``_sums``, each divided by its multiple and clamped at zero in place;
-    with float bases the values are numpy floats."""
+def closed_form_values(a, b, c, r) -> list:
+    """The four closed-form expectations, in FEATURE_NAMES order.
+
+    In plain double precision, clamped at zero: where the signed terms
+    nearly cancel, a value keeps only some of its digits.  (a, b, c) may be
+    floats or numpy arrays; the grid passes a block of its cell corners or
+    of its live lattice points at once.  ``r`` is one power, or an integer
+    array that gives each point of 1-d arrays (a, b, c) its own power, as
+    a lockstep simplex over several problems does.  The values are the
+    ``_sums`` of the bases, each divided by its multiple and clamped at
+    zero in place; with float arguments they are numpy floats.
+    """
+    bases = _closed_form_bases(a, b, c)
     # one float exponent per value, so every form of r runs numpy's
-    # elementwise power loop and none reaches its squaring fast path; the
-    # first base, a + 2b + c, has the values' shape
+    # elementwise power loop and none reaches its squaring fast path (a
+    # point has the same bits whichever form of r asked for it); the first
+    # base, a + 2b + c, has the values' shape
     r = np.full(np.shape(bases[0]), r, dtype=float)
     out = []
     for total, multiple in zip(_sums(bases, r), _MULTIPLES):
@@ -208,23 +218,6 @@ def _values(bases, r) -> list:
         out.append(np.maximum(
             total, 0.0, out=total if isinstance(total, np.ndarray) else None))
     return out
-
-
-def closed_form_values(a, b, c, r) -> list:
-    """The four closed-form expectations, in FEATURE_NAMES order.
-
-    In plain double precision, clamped at zero: where the signed terms
-    nearly cancel, a value keeps only some of its digits.  (a, b, c) may be
-    floats or numpy arrays; the grid passes a block of its live lattice
-    points at once.  ``r`` is one power, or an integer array that gives
-    each point of 1-d arrays (a, b, c) its own power, as a lockstep
-    simplex over several problems does.  The values are ``_values`` of the
-    bases: ``_sums``, divided and clamped.  Every power is taken with a
-    float exponent array, so a point has the same bits whichever form of
-    ``r`` asked for it, and the same in the grid's corner pass, which
-    takes ``_values`` of one block's bases at each power.
-    """
-    return _values(_closed_form_bases(a, b, c), r)
 
 
 def expected_counts(a: float, b: float, c: float, r: int) -> list:

@@ -41,7 +41,6 @@ import numpy as np
 
 from kronmoments.estimator import (
     _CHI,
-    _FATOL,
     _MAXITER,
     _NONZDELT,
     _PSI,
@@ -385,7 +384,7 @@ def lockstep_oracle(objective, x0: np.ndarray) -> np.ndarray:
     iterations = 1
     while ids.size and iterations < _MAXITER:
         done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
-                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= np.inf))
         if done.any():
             best[ids[done]] = sim[done, 0]
             ids, sim, fsim = ids[~done], sim[~done], fsim[~done]

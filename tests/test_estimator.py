@@ -280,14 +280,21 @@ class TestScorer:
         assert np.isposinf(score(values, 0)[:2]).all()
 
 
-def ranked_blocks(monkeypatch):
-    """The (a, b, c) blocks the grid ranks, recorded as it ranks them."""
+def ranked_blocks(monkeypatch, points_per_dim):
+    """The (a, b, c) blocks a one-power grid fit ranks, recorded as it
+    ranks them: its first calls, which evaluate the corners of blocks of
+    ``_GRID_BLOCK_POINTS // 2`` cells, are skipped."""
     import kronmoments.estimator as estimator
 
+    k = -(-points_per_dim // _GRID_CELL)
+    corner_calls = -(-(k * k * (k + 1) // 2) // (_GRID_BLOCK_POINTS // 2))
+    calls = []
     blocks = []
 
     def recorded(a, b, c, r):
-        blocks.append((a.copy(), b.copy(), c.copy()))
+        calls.append(r)
+        if len(calls) > corner_calls:
+            blocks.append((a.copy(), b.copy(), c.copy()))
         return closed_form_values(a, b, c, r)
 
     monkeypatch.setattr(estimator, "closed_form_values", recorded)
@@ -314,7 +321,7 @@ class TestFitGrid:
         # every point scores +inf at r = 0 under dsq-e, so no cell is
         # pruned and the grid ranks the whole lattice, in blocks, before
         # it fails
-        blocks = ranked_blocks(monkeypatch)
+        blocks = ranked_blocks(monkeypatch, points_per_dim)
         obs = FeatureCounts(1, 1, 1, 1, 1)
         spec = ObjectiveSpec.from_code("dsq-e")
         with pytest.raises(FitFailure) as failure:
@@ -379,7 +386,7 @@ class TestFitGrid:
 
     def test_tie_across_blocks_goes_to_the_first(self, monkeypatch):
         # the b=0 plane again, now with a zero in several ranked blocks
-        blocks = ranked_blocks(monkeypatch)
+        blocks = ranked_blocks(monkeypatch, 101)
         obs = FeatureCounts(16, 0, 0, 0, 0)
         spec = ObjectiveSpec(distance="sq", normalization="e")
         res = fit_grid(obs, 4, spec, grid_points=101)
@@ -394,7 +401,6 @@ class TestFitGrid:
             raise AssertionError("the lattice was evaluated")
 
         monkeypatch.setattr(estimator, "closed_form_values", no_sweep)
-        monkeypatch.setattr(estimator, "_values", no_sweep)
         for r in (-1, 61):
             with pytest.raises(ValueError, match=rf"r={r} outside \[0, 60\]"):
                 fit_grid(GRQC, r)
@@ -450,7 +456,7 @@ class TestPrunedGrid:
     def test_nothing_pruned_still_ranks_in_blocks(self, code, monkeypatch):
         # at r = 0 every point scores +inf under e and e2 (so both fits
         # fail) and ties under f and f2: no cell is pruned
-        blocks = ranked_blocks(monkeypatch)
+        blocks = ranked_blocks(monkeypatch, 41)
         spec = ObjectiveSpec.from_code(code)
         problems = [FitProblem(FeatureCounts(1, 1, 1, 1, 1), 0),
                     FitProblem(FeatureCounts(2, 1, 3, 0, 2), 0)]
@@ -464,7 +470,7 @@ class TestPrunedGrid:
         assert all(len(a) <= _GRID_BLOCK_POINTS for a, _, _ in blocks)
 
     def test_ranks_a_small_share_of_the_lattice(self, monkeypatch):
-        blocks = ranked_blocks(monkeypatch)
+        blocks = ranked_blocks(monkeypatch, 101)
         res = fit_grid(GRQC, 13, ObjectiveSpec(), grid_points=101)
         assert (res.params.a, res.params.b, res.params.c) == \
             grid_oracle(GRQC, 13, ObjectiveSpec(), 101)[0]
@@ -885,6 +891,16 @@ class TestBatch:
         for res in out:
             assert isinstance(res, TypeError)
             assert str(res) == "grid_points must be an integer, got 21.0"
+
+    def test_grid_points_checked_before_any_power(self):
+        # a bad grid_points is every problem's error, one whose power is
+        # out of range too
+        problems = [FitProblem(GRQC, 61), FitProblem(GRQC, 13)]
+        out = _fit_grid_batch(problems, ObjectiveSpec(), 1)
+        assert len(out) == 2
+        for res in out:
+            assert type(res) is ValueError
+            assert str(res) == "grid_points must be >= 2"
 
     # best checks grid_points before its direct batch runs, and a problem
     # whose seed is bad too reports the grid_points error

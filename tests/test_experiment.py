@@ -155,6 +155,22 @@ def test_graph_file_source_and_skipped_leading(tmp_path):
     assert rows["grid"]["a"] != ""
 
 
+def test_graph_section_reports_its_load_notes(tmp_path, capsys):
+    # two loops, a repeated pair and a vertex with only a loop: the notes
+    # features prints, once each, prefixed by the section
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 1\n1 2\n2 0\n0 1\n3 3\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[g]\ngraph = {graph}\nr = 2\nmethods = grid\n")
+    run_experiment(parse_experiment_config(cfg), tmp_path / "out")
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if line.startswith("[g] source: ")] == [
+        "[g] source: dropped 2 loop(s) and merged 1 duplicate pair(s)",
+        "[g] source: retained 1 isolated vertex(es); they count toward the "
+        "vertex total",
+    ]
+
+
 def test_tables_end_their_lines_with_newline_alone(tmp_path):
     # every table ends its lines as fit --format csv does, with "\n"
     cfg = tmp_path / "exp.cfg"
